@@ -71,12 +71,12 @@ class Scenario:
         for angles, iota in self.users:
             if not isinstance(angles, ArrayAngles):
                 raise TypeError("each user is an (ArrayAngles, iota) pair")
-            if not iota > 0:
-                raise ValueError("every user iota must be positive")
+            if not 0 < iota < math.inf:
+                raise ValueError("every user iota must be positive and finite")
         if self.bs_rows < 1 or self.bs_cols < 1:
             raise ValueError("base-station array dimensions must be >= 1")
-        if not self.bs_spacing_over_lambda > 0:
-            raise ValueError("bs_spacing_over_lambda must be positive")
+        if not 0 < self.bs_spacing_over_lambda < math.inf:
+            raise ValueError("bs_spacing_over_lambda must be positive and finite")
 
     @property
     def num_users(self) -> int:

@@ -67,8 +67,8 @@ class ArcScenarioSpec:
             raise ValueError("num_users must be >= 1")
         if not self.azimuth_lo < self.azimuth_hi:
             raise ValueError("azimuth_lo must be below azimuth_hi")
-        if not self.iota > 0:
-            raise ValueError("iota must be positive")
+        if not 0 < self.iota < math.inf:
+            raise ValueError("iota must be positive and finite")
 
 
 @dataclass

@@ -16,6 +16,7 @@ Note on the 1D layout 1x64 over 1x36: the placement count is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class MisGeometry:
                 f"movable layer {self.n_rows}x{self.n_cols} does not fit inside "
                 f"fixed layer {self.m_rows}x{self.m_cols}"
             )
-        if not self.spacing_over_lambda > 0:
-            raise ValueError("spacing_over_lambda must be positive")
+        if not 0 < self.spacing_over_lambda < math.inf:
+            raise ValueError("spacing_over_lambda must be positive and finite")
 
     @property
     def num_ms1(self) -> int:

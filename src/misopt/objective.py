@@ -45,6 +45,9 @@ class ProductPoint:
 
     def validate(self, atol: float = 1e-9) -> None:
         """Raise unless the point sits on the feasible set to within atol."""
+        for name in ("ms1_phase", "ms2_phase", "schedule"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has non-finite entries")
         if np.max(np.abs(np.abs(self.ms1_phase) - 1.0)) > atol:
             raise ValueError("ms1_phase entries are not unit modulus")
         if np.max(np.abs(np.abs(self.ms2_phase) - 1.0)) > atol:

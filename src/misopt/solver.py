@@ -32,6 +32,7 @@ from .manifolds import (
 from .objective import EvalContext, Evaluation, ProductPoint, evaluate
 
 __all__ = [
+    "NonFiniteObjectiveError",
     "SolverConfig",
     "SolveReport",
     "LineSearchResult",
@@ -45,6 +46,10 @@ __all__ = [
     "random_point",
     "uniform_schedule",
 ]
+
+
+class NonFiniteObjectiveError(ArithmeticError):
+    """The surrogate objective is not finite at a point the solver reached."""
 
 
 @dataclass(frozen=True)
@@ -206,15 +211,22 @@ def line_search(
     Tests ``step = initial_step * backtrack_factor**j`` and accepts the first
     step whose retracted objective clears ``value + c1 * step * slope``;
     ``slope`` is the inner product of the Riemannian gradient with the
-    direction.  A retraction failure just backtracks further.  After
-    ``max_backtracks`` rejections the result carries a zero step and the
-    stalled flag.
+    direction.  A retraction failure just backtracks further.  The search
+    stalls, returning a zero step and the stalled flag, after
+    ``max_backtracks`` rejections or as soon as the sufficient-increase term
+    ``c1 * step * slope`` is no larger than the float spacing at ``value``:
+    from there on the test compares only rounding noise.
     """
     if value is None:
         value = objective(point)
+    if not math.isfinite(value):
+        raise NonFiniteObjectiveError(f"objective value {value} is not finite")
+    resolution = np.spacing(abs(value))
     evals = 0
     step = config.initial_step
     for _ in range(config.max_backtracks + 1):
+        if 0.0 < config.armijo_c1 * step * slope <= resolution:
+            break
         try:
             candidate = _retract_point(point, direction, step)
         except RetractionError:
@@ -437,7 +449,26 @@ def _anneal_from(
 
 
 def _better(candidate: SolveReport, incumbent: SolveReport | None) -> bool:
-    return incumbent is None or candidate.worst_snr > incumbent.worst_snr
+    """Strictly higher worst SNR wins; a non-finite report wins only when there
+    is no incumbent, and any finite report displaces it."""
+    if incumbent is None:
+        return True
+    if not math.isfinite(candidate.worst_snr):
+        return False
+    return not math.isfinite(incumbent.worst_snr) or (
+        candidate.worst_snr > incumbent.worst_snr
+    )
+
+
+def _validate_warm_start(idx: int, start: ProductPoint, ctx: EvalContext) -> None:
+    shapes = (ctx.num_ms1,), (ctx.num_ms2,), (ctx.num_users, ctx.num_patterns)
+    try:
+        for name, shape in zip(("ms1_phase", "ms2_phase", "schedule"), shapes):
+            if np.shape(getattr(start, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        start.validate()
+    except ValueError as exc:
+        raise ValueError(f"warm start {idx}: {exc}") from exc
 
 
 def solve(
@@ -450,7 +481,8 @@ def solve(
 
     Random restarts draw independent seeded phases with the schedule started
     at the uniform interior point.  Each entry of ``warm_starts`` is a
-    feasible :class:`ProductPoint` that competes twice: once evaluated as-is
+    feasible :class:`ProductPoint`, checked up front (a ``ValueError`` names
+    its index), that competes twice: once evaluated as-is
     (thresholded, no optimization) and once as the start of a full anneal.
     Ties keep the earliest candidate, so results are seed-deterministic.
     """
@@ -459,6 +491,8 @@ def solve(
     if geom is not None and geom != scenario.geom:
         raise ValueError("geom disagrees with scenario.geom")
     ctx = EvalContext.from_scenario(scenario)
+    for idx, start in enumerate(warm_starts):
+        _validate_warm_start(idx, start, ctx)
 
     best: SolveReport | None = None
     for restart in range(config.num_restarts):

@@ -200,3 +200,18 @@ def test_scenario_validation():
             mis_arrival=ArrayAngles(0, 0),
             users=[(ArrayAngles(0, 0), 0.0)],
         )
+
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_scenario_rejects_non_finite_inputs(bad):
+    geom = MisGeometry(2, 2, 1, 1)
+    with pytest.raises(ValueError, match="iota"):
+        Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), bad)])
+    with pytest.raises(ValueError, match="bs_spacing"):
+        Scenario(
+            geom=geom,
+            mis_arrival=ArrayAngles(0, 0),
+            users=[(ArrayAngles(0, 0), 0.01)],
+            bs_spacing_over_lambda=bad,
+        )

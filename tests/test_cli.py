@@ -155,3 +155,37 @@ def test_oracle_check_passes(capsys):
     assert code == 0
     assert "gradient-fd" in out
     assert "oracle-optimality" in out
+
+
+def test_solve_rejects_infinite_iota(tmp_path, capsys):
+    code, _, err = run(
+        [
+            "solve",
+            "--m-rows", "2", "--m-cols", "1",
+            "--n-rows", "1", "--n-cols", "1",
+            "--users", "2",
+            "--iota", "inf",
+            "--out", str(tmp_path / "out"),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "iota" in err
+
+
+def test_sweeps_independent_of_jobs(tmp_path, capsys):
+    cases = [
+        ("sweep-ms2", ["--m-rows", "2", "--m-cols", "2", "--users", "3"], "sweep_ms2.csv"),
+        ("sweep-users", ["--users", "2,3"], "sweep_users.csv"),
+    ]
+    for subcommand, flags, csv_name in cases:
+        outputs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"{subcommand}-{jobs}"
+            code, _, _ = run(
+                [subcommand, *flags, "--seed", "5", "--jobs", jobs, "--out", str(out_dir)],
+                capsys,
+            )
+            assert code == 0
+            outputs.append((out_dir / csv_name).read_bytes())
+        assert outputs[0] == outputs[1], subcommand

@@ -55,6 +55,13 @@ def test_arc_scenario_validation():
         )
 
 
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_arc_scenario_rejects_non_finite_iota(bad):
+    with pytest.raises(ValueError, match="iota"):
+        ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=2, iota=bad)
+
+
 def test_sms_baseline_reduces_to_single_pattern():
     spec = ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=2)
     report = sms_baseline(spec, FAST)

@@ -40,6 +40,12 @@ def test_nonpositive_dims_rejected(dims):
         MisGeometry(*dims)
 
 
+@pytest.mark.parametrize("spacing", [0.0, float("inf"), float("nan")])
+def test_bad_spacing_rejected(spacing):
+    with pytest.raises(ValueError, match="spacing_over_lambda"):
+        MisGeometry(2, 2, 1, 1, spacing_over_lambda=spacing)
+
+
 def test_build_selection_two_element_column():
     geom = MisGeometry(2, 1, 1, 1)
     first = build_selection(geom, shift_from_flat(geom, 1))

@@ -259,6 +259,24 @@ def test_product_point_validation():
         ).validate()
 
 
+
+def test_product_point_validate_rejects_non_finite():
+    good = dict(
+        ms1_phase=np.ones(3, dtype=complex),
+        ms2_phase=np.ones(2, dtype=complex),
+        schedule=np.full((2, 2), 0.5),
+    )
+    for name, value in good.items():
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            ProductPoint(**{**good, name: np.full_like(value, np.nan)}).validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        ProductPoint(
+            ms1_phase=np.ones(3, dtype=complex),
+            ms2_phase=np.ones(2, dtype=complex),
+            schedule=np.array([[np.inf, 0.5], [0.5, 0.5]]),
+        ).validate()
+
+
 def test_evaluate_rejects_nonpositive_mu():
     rng = np.random.default_rng(11)
     _, _, ctx, point = random_instance(rng)

@@ -21,8 +21,14 @@ from misopt import (
     solve,
     threshold_schedule,
 )
-from misopt.manifolds import TangentTriple, grad_norm, project_to_tangent
-from misopt.solver import uniform_schedule
+from misopt.manifolds import RetractionError, TangentTriple, grad_norm, project_to_tangent
+from misopt.solver import (
+    NonFiniteObjectiveError,
+    SolveReport,
+    _better,
+    _retract_point,
+    uniform_schedule,
+)
 from helpers import random_instance
 
 
@@ -168,6 +174,104 @@ def test_line_search_stall_returns_zero_step():
     assert result.stalled
     assert result.step == 0.0
     np.testing.assert_array_equal(result.point.schedule, point.schedule)
+
+
+def test_line_search_stops_below_float_resolution():
+    point = _exact_point()
+    direction = TangentTriple(
+        np.zeros_like(point.ms1_phase),
+        np.zeros_like(point.ms2_phase),
+        np.array([[0.25, -0.25], [0.0, 0.0]]),
+    )
+    calls = []
+
+    def objective(p):
+        calls.append(1)
+        return 1e6
+
+    config = SolverConfig()
+    slope = 1e-8
+    assert config.armijo_c1 * config.initial_step * slope <= np.spacing(1e6)
+    result = line_search(point, direction, objective, config, slope, value=1e6)
+    assert result.stalled
+    assert result.step == 0.0
+    assert result.num_evals == 0
+    assert result.point is point
+    assert result.value == 1e6
+    assert calls == []
+
+
+def _plain_armijo(point, direction, objective, config, slope, value):
+    """Armijo backtracking without the float-resolution stop: (step, evals)."""
+    step = config.initial_step
+    evals = 0
+    for _ in range(config.max_backtracks + 1):
+        try:
+            candidate = _retract_point(point, direction, step)
+        except RetractionError:
+            step *= config.backtrack_factor
+            continue
+        evals += 1
+        if objective(candidate) >= value + config.armijo_c1 * step * slope:
+            return step, evals
+        step *= config.backtrack_factor
+    return 0.0, evals
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_line_search_resolvable_threshold_accepts_same_step(seed):
+    rng = np.random.default_rng(seed)
+    _, _, ctx, point = random_instance(rng)
+    mu = 0.5
+    ev = evaluate(point, mu, ctx, want_grad=True)
+    rgrad = project_to_tangent(point, ev.grads)
+    slope = grad_norm(rgrad) ** 2
+
+    def objective(p):
+        return evaluate(p, mu, ctx).value
+
+    for initial_step in (1.0, 1e-3):
+        config = SolverConfig(initial_step=initial_step)
+        result = line_search(point, rgrad, objective, config, slope, ev.value)
+        step, evals = _plain_armijo(point, rgrad, objective, config, slope, ev.value)
+        assert not result.stalled
+        assert config.armijo_c1 * result.step * slope > np.spacing(abs(ev.value))
+        assert result.step == step
+        assert result.num_evals == evals
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_line_search_rejects_non_finite_value(bad):
+    point = _exact_point()
+    direction = _zero_direction(point)
+    assert not issubclass(NonFiniteObjectiveError, ValueError)
+    with pytest.raises(NonFiniteObjectiveError):
+        line_search(point, direction, lambda p: 0.0, SolverConfig(), 1.0, value=bad)
+    with pytest.raises(NonFiniteObjectiveError):
+        line_search(point, direction, lambda p: bad, SolverConfig(), 1.0)
+
+
+def _report_with(worst):
+    return SolveReport(
+        ms1_phase=np.ones(1, dtype=complex),
+        ms2_phase=np.ones(1, dtype=complex),
+        schedule=np.ones((1, 1), dtype=np.int8),
+        per_user_snr=np.array([worst]),
+        worst_snr=worst,
+        worst_snr_db=0.0,
+        chosen_pattern=np.ones(1, dtype=int),
+    )
+
+
+def test_better_never_prefers_non_finite_report():
+    nan, finite, higher = _report_with(math.nan), _report_with(1.0), _report_with(2.0)
+    assert _better(nan, None)
+    assert _better(finite, nan)
+    assert not _better(nan, finite)
+    assert not _better(_report_with(math.inf), finite)
+    assert _better(higher, finite)
+    assert not _better(finite, higher)
+    assert not _better(finite, _report_with(1.0))
 
 
 def _tiny_context(iota=0.0):
@@ -345,3 +449,29 @@ def test_solve_rejects_mismatched_geometry():
     scenario = _two_user_scenario()
     with pytest.raises(ValueError):
         solve(scenario, SolverConfig(), geom=MisGeometry(3, 1, 1, 1))
+
+
+def test_solve_validates_warm_starts():
+    scenario = _two_user_scenario()
+    ctx = EvalContext.from_scenario(scenario)
+    good = ProductPoint(
+        ms1_phase=np.ones(ctx.num_ms1, dtype=complex),
+        ms2_phase=np.ones(ctx.num_ms2, dtype=complex),
+        schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
+    )
+    all_nan = ProductPoint(
+        ms1_phase=np.full(ctx.num_ms1, np.nan + 0j),
+        ms2_phase=np.full(ctx.num_ms2, np.nan + 0j),
+        schedule=np.full((ctx.num_users, ctx.num_patterns), np.nan),
+    )
+    wrong_shape = ProductPoint(
+        ms1_phase=np.ones(ctx.num_ms1 + 1, dtype=complex),
+        ms2_phase=good.ms2_phase,
+        schedule=good.schedule,
+    )
+    config = SolverConfig(max_inner_iters=2, max_outer_iters=1)
+    with pytest.raises(ValueError, match="warm start 1: ms1_phase has non-finite"):
+        solve(scenario, config, warm_starts=(good, all_nan))
+    with pytest.raises(ValueError, match="warm start 0: ms1_phase must have shape"):
+        solve(scenario, config, warm_starts=(wrong_shape,))
+    solve(scenario, config, warm_starts=(good,))
