@@ -5,7 +5,10 @@ the strictly positive row simplex.  Each factor gets a tangent projection, a
 retraction, and a vector transport; the schedule factor is flat, so its
 transport is the identity.  The simplex retraction projects each row with
 the sort-and-threshold algorithm and then floors entries at a small epsilon
-to keep the softmin weights and gradients finite.
+to keep the softmin weights and gradients finite.  ``project_schedule_cone``
+gives the one-sided derivative of that retraction at step 0+: the projection
+onto the tangent cone of the simplex, in which entries on the floor may only
+grow.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "TangentTriple",
     "project_circle_tangent",
     "project_multinomial_tangent",
+    "project_schedule_cone",
     "project_to_tangent",
     "retract_circle",
     "project_simplex",
@@ -56,6 +60,35 @@ def project_multinomial_tangent(mat: np.ndarray) -> np.ndarray:
     """Subtract each row's mean so every row sums to zero."""
     mat = np.asarray(mat, dtype=float)
     return mat - mat.mean(axis=1, keepdims=True)
+
+
+def project_schedule_cone(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Project each row of ``mat`` onto the moves a small step from ``schedule`` can make.
+
+    The moves are the tangent cone of the simplex: each row sums to zero and
+    an entry on the floor (at most ``2 * SIMPLEX_FLOOR``, since renormalising
+    leaves floored entries slightly off it) may only grow.  This is the
+    one-sided derivative of :func:`retract_multinomial` at step 0+.  Free
+    entries always share the row's shift; floor entries join them in
+    descending order while they are above the running mean, and the rest
+    are clipped to zero.  Every row of ``schedule`` needs one free entry,
+    which holds on the simplex.
+    """
+    schedule = np.asarray(schedule, dtype=float)
+    mat = np.asarray(mat, dtype=float)
+    pinned = schedule <= 2.0 * SIMPLEX_FLOOR
+    free_count = mat.shape[1] - pinned.sum(axis=1)
+    free_sum = np.where(pinned, 0.0, mat).sum(axis=1)
+    desc = np.sort(np.where(pinned, mat, -np.inf), axis=1)[:, ::-1]
+    # Running means as floor entries join in descending order: they rise
+    # while each newcomer is above the mean and fall from the first one that
+    # is not, so the shift is the largest of them.
+    means = (free_sum[:, None] + np.cumsum(desc, axis=1)) / (
+        free_count[:, None] + np.arange(1, mat.shape[1] + 1)
+    )
+    shift = np.maximum(free_sum / free_count, means.max(axis=1))
+    out = mat - shift[:, None]
+    return np.where(pinned, np.maximum(out, 0.0), out)
 
 
 def project_to_tangent(point, euclidean_grads: tuple) -> TangentTriple:

@@ -5,9 +5,10 @@ fixed smoothing parameter (inner loop), then halves the parameter and
 repeats until the surrogate gap is negligible (outer loop).  Directions use
 the Polak-Ribiere rule with a nonnegativity clamp and an ascent-reset
 safeguard; a single backtracking line search produces one shared step size
-for all three factors.  The relaxed schedule is thresholded to one pattern
-per user at the end, and the report carries the true (non-surrogate)
-worst-case SNR.
+for all three factors.  At the end every user gets its best pattern at the
+final phases, which is the exact schedule optimum for those phases since
+users are scheduled independently, and the report carries the true
+(non-surrogate) worst-case SNR.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .manifolds import (
     RetractionError,
     TangentTriple,
     grad_norm,
+    project_schedule_cone,
     project_to_tangent,
     retract_circle,
     retract_multinomial,
@@ -80,6 +82,19 @@ class SolverConfig:
     num_restarts: int = 1
 
     def __post_init__(self):
+        for name in (
+            "mu_init",
+            "delta",
+            "mu_min",
+            "mu_gap_rtol",
+            "inner_grad_tol",
+            "armijo_c1",
+            "backtrack_factor",
+            "initial_step",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu_init is not None and not self.mu_init > 0:
             raise ValueError("mu_init must be positive")
         if not self.delta > 1:
@@ -94,6 +109,10 @@ class SolverConfig:
             raise ValueError("initial_step must be positive")
         if not self.inner_grad_tol > 0:
             raise ValueError("inner_grad_tol must be positive")
+        if not self.mu_gap_rtol >= 0:
+            raise ValueError("mu_gap_rtol must be nonnegative")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be nonnegative")
         if self.max_inner_iters < 1 or self.max_outer_iters < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.restart_period is not None and self.restart_period < 1:
@@ -205,6 +224,7 @@ def line_search(
     config: SolverConfig,
     slope: float,
     value: float | None = None,
+    grad: TangentTriple | None = None,
 ) -> LineSearchResult:
     """Backtracking Armijo search along an ascent direction.
 
@@ -216,6 +236,13 @@ def line_search(
     ``max_backtracks`` rejections or as soon as the sufficient-increase term
     ``c1 * step * slope`` is no larger than the float spacing at ``value``:
     from there on the test compares only rounding noise.
+
+    Given the Riemannian gradient ``grad``, the search also stalls after its
+    first evaluated candidate fails when the slope the retraction can reach
+    is at most ``c1 * slope``.  That reach swaps the schedule block of the
+    direction for its projection onto the simplex's tangent cone (floored
+    entries may only grow), the one-sided derivative of the retraction at
+    step 0+; to first order no smaller step can then pass.
     """
     if value is None:
         value = objective(point)
@@ -236,6 +263,11 @@ def line_search(
         evals += 1
         if cand_value >= value + config.armijo_c1 * step * slope:
             return LineSearchResult(step, candidate, cand_value, False, evals)
+        if evals == 1 and grad is not None:
+            d_sched = direction.d_schedule
+            blocked = project_schedule_cone(point.schedule, d_sched) - d_sched
+            if slope + _rinner(blocked, grad.d_schedule) <= config.armijo_c1 * slope:
+                break
         step *= config.backtrack_factor
     return LineSearchResult(0.0, point, value, True, evals)
 
@@ -312,7 +344,9 @@ def inner_solve(
                 config.initial_step, max(prev_step / config.backtrack_factor, 1e-12)
             )
             ls_config = replace(config, initial_step=start)
-        result = line_search(point, direction, surrogate, ls_config, slope, ev.value)
+        result = line_search(
+            point, direction, surrogate, ls_config, slope, ev.value, grad=rgrad
+        )
         num_evals += result.num_evals
         iters += 1
         if result.stalled:
@@ -383,10 +417,11 @@ def random_point(ctx: EvalContext, rng: np.random.Generator) -> ProductPoint:
 
 
 def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveReport:
-    """Threshold the schedule and report the true worst-case SNR at a point."""
+    """Report the true worst-case SNR at a point's phases, each user on its
+    best pattern there; no schedule for those phases does better."""
     gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
-    binary = threshold_schedule(point.schedule)
-    chosen0 = np.argmax(point.schedule, axis=1)
+    binary = threshold_schedule(gamma)
+    chosen0 = np.argmax(gamma, axis=1)
     per_user = gamma[np.arange(ctx.num_users), chosen0]
     worst = float(per_user.min())
     worst_db = 10.0 * math.log10(worst) if worst > 0 else float("-inf")
@@ -482,8 +517,9 @@ def solve(
     Random restarts draw independent seeded phases with the schedule started
     at the uniform interior point.  Each entry of ``warm_starts`` is a
     feasible :class:`ProductPoint`, checked up front (a ``ValueError`` names
-    its index), that competes twice: once evaluated as-is
-    (thresholded, no optimization) and once as the start of a full anneal.
+    its index), that competes twice: once evaluated as-is (its phases with
+    each user's best pattern, no optimization) and once as the start of a
+    full anneal.
     Ties keep the earliest candidate, so results are seed-deterministic.
     """
     if config is None:

@@ -1,9 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the production code paths: dense
-selection matrices are rebuilt from element coordinates, the simplex
-reference projection enumerates active sets, and directional derivatives
-come from central differences.
+selection matrices are rebuilt from element coordinates, the simplex and
+tangent-cone reference projections enumerate active sets, and directional
+derivatives come from central differences.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from misopt import ArrayAngles, EvalContext, MisGeometry, ProductPoint, Scenario
-from misopt.manifolds import TangentTriple
+from misopt.manifolds import SIMPLEX_FLOOR, TangentTriple
 
 
 def dense_selection_oracle(geom: MisGeometry, u_row: int, u_col: int):
@@ -53,6 +53,31 @@ def simplex_qp_oracle(vec: np.ndarray) -> np.ndarray:
             best_dist = dist
             best = x
     return best
+
+
+def schedule_cone_oracle(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Row-wise nearest zero-sum move whose floor entries do not shrink.
+
+    Enumerates which floor entries are pinned at zero; the rest share one
+    shift, and the nearest feasible candidate wins.
+    """
+    floor = np.asarray(schedule) <= 2.0 * SIMPLEX_FLOOR
+    out = np.empty_like(np.asarray(mat, dtype=float))
+    for row, (vec, on_floor) in enumerate(zip(np.asarray(mat, float), floor)):
+        floor_idx = np.flatnonzero(on_floor)
+        best_dist = math.inf
+        for mask in range(2 ** floor_idx.size):
+            pinned = [int(i) for b, i in enumerate(floor_idx) if (mask >> b) & 1]
+            moving = [i for i in range(vec.size) if i not in pinned]
+            x = np.zeros(vec.size)
+            x[moving] = vec[moving] - vec[moving].mean()
+            if np.any(x[floor_idx] < -1e-12):
+                continue
+            dist = float(np.sum((x - vec) ** 2))
+            if dist < best_dist:
+                best_dist = dist
+                out[row] = x
+    return out
 
 
 def random_geometry(rng, max_m: int = 16, max_n: int = 4) -> MisGeometry:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from misopt.cli import main
 
 
@@ -171,6 +173,26 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
     )
     assert code == 1
     assert "iota" in err
+
+
+@pytest.mark.parametrize("key", ["inner_grad_tol", "initial_step"])
+def test_solve_rejects_infinite_solver_setting(tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": 1e999}}')  # JSON reads 1e999 as inf
+    code, _, err = run(
+        [
+            "solve",
+            "--config", str(config),
+            "--m-rows", "2", "--m-cols", "2",
+            "--n-rows", "1", "--n-cols", "1",
+            "--users", "3",
+            "--out", str(tmp_path / "out"),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweeps_independent_of_jobs(tmp_path, capsys):

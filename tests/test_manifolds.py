@@ -12,7 +12,8 @@ from misopt import (
     retract_multinomial,
     transport,
 )
-from helpers import simplex_qp_oracle
+from misopt.manifolds import SIMPLEX_FLOOR, project_schedule_cone
+from helpers import schedule_cone_oracle, simplex_qp_oracle
 
 
 def random_circle_base(rng, n=7):
@@ -154,6 +155,54 @@ def test_retract_multinomial_feasible_rows():
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert out.min() > 0.0
         assert out.max() <= 1.0 + 1e-12
+
+
+def _floored_schedule(rng, rows, cols):
+    """Random simplex rows with some entries on the floor, renormalised as the
+    retraction leaves them; every row keeps at least one free entry."""
+    on_floor = rng.random((rows, cols)) < 0.5
+    on_floor[np.arange(rows), rng.integers(0, cols, rows)] = False
+    mat = np.where(on_floor, 0.0, rng.random((rows, cols)) + 0.05)
+    mat = np.maximum(mat / mat.sum(axis=1, keepdims=True), SIMPLEX_FLOOR)
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+def test_schedule_cone_matches_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        cols = int(rng.integers(1, 6))
+        schedule = _floored_schedule(rng, 3, cols)
+        mat = rng.standard_normal((3, cols)) * float(rng.uniform(0.3, 4.0))
+        ours = project_schedule_cone(schedule, mat)
+        np.testing.assert_allclose(ours, schedule_cone_oracle(schedule, mat), atol=1e-12)
+        assert np.max(np.abs(ours.sum(axis=1))) < 1e-12
+        assert ours[schedule <= 2.0 * SIMPLEX_FLOOR].min(initial=0.0) >= 0.0
+
+
+def test_schedule_cone_off_the_floor_is_tangent_projection():
+    rng = np.random.default_rng(13)
+    schedule = rng.random((4, 6)) + 0.05
+    schedule /= schedule.sum(axis=1, keepdims=True)
+    mat = rng.standard_normal((4, 6))
+    np.testing.assert_allclose(
+        project_schedule_cone(schedule, mat),
+        project_multinomial_tangent(mat),
+        atol=1e-14,
+    )
+
+
+def test_schedule_cone_is_one_sided_retraction_derivative():
+    rng = np.random.default_rng(14)
+    schedule = _floored_schedule(rng, 6, 5)
+    direction = rng.standard_normal((6, 5))
+    cone = project_schedule_cone(schedule, direction)
+    for step in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        moved = retract_multinomial(schedule, direction, step)
+        gap = np.max(np.abs((moved - schedule) / step - cone))
+        # exact once the active set settles, up to the floor seen at this step
+        assert gap <= 1e-12 + 10.0 * schedule.shape[1] * SIMPLEX_FLOOR / step
+    # the unconstrained tangent direction is not what the retraction follows
+    assert np.max(np.abs(project_multinomial_tangent(direction) - cone)) > 0.1
 
 
 def test_transport_identity_cases():

@@ -21,7 +21,13 @@ from misopt import (
     solve,
     threshold_schedule,
 )
-from misopt.manifolds import RetractionError, TangentTriple, grad_norm, project_to_tangent
+from misopt.manifolds import (
+    SIMPLEX_FLOOR,
+    RetractionError,
+    TangentTriple,
+    grad_norm,
+    project_to_tangent,
+)
 from misopt.solver import (
     NonFiniteObjectiveError,
     SolveReport,
@@ -199,6 +205,66 @@ def test_line_search_stops_below_float_resolution():
     assert result.point is point
     assert result.value == 1e6
     assert calls == []
+
+
+def _vertex_point():
+    """Schedule rows on a vertex of the simplex, the other entries on the floor."""
+    schedule = np.maximum(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), SIMPLEX_FLOOR)
+    return ProductPoint(
+        ms1_phase=np.ones(2, dtype=complex),
+        ms2_phase=np.ones(1, dtype=complex),
+        schedule=schedule / schedule.sum(axis=1, keepdims=True),
+    )
+
+
+def _blocked_search(point):
+    """A linear objective whose ascent direction pushes further into the vertex,
+    so the floored retraction cannot move: (direction, gradient, slope)."""
+    sched = np.array([[-0.5, 1.0, -0.5], [1.0, -0.5, -0.5]])
+    grad = TangentTriple(
+        np.zeros_like(point.ms1_phase), np.zeros_like(point.ms2_phase), sched
+    )
+    return grad, grad, float(np.sum(sched * sched))
+
+
+def test_line_search_blocked_schedule_stalls_after_one_evaluation():
+    point = _vertex_point()
+    direction, grad, slope = _blocked_search(point)
+    calls = []
+
+    def objective(p):
+        calls.append(1)
+        return float(np.sum(direction.d_schedule * p.schedule))
+
+    value = objective(point)
+    calls.clear()
+    config = SolverConfig()
+    result = line_search(point, direction, objective, config, slope, value, grad=grad)
+    assert result.stalled
+    assert result.step == 0.0
+    assert result.point is point
+    assert result.value == value
+    assert result.num_evals == 1
+    assert calls == [1]
+    # without the gradient the search backtracks down to the floor's scale
+    plain = line_search(point, direction, objective, config, slope, value)
+    assert plain.num_evals > 30
+
+
+def test_line_search_passing_first_candidate_ignores_reach():
+    point = _vertex_point()
+    direction, grad, slope = _blocked_search(point)
+    config = SolverConfig(initial_step=0.75)
+
+    def objective(p):
+        return 10.0
+
+    with_grad = line_search(point, direction, objective, config, slope, 0.0, grad=grad)
+    plain = line_search(point, direction, objective, config, slope, 0.0)
+    assert not with_grad.stalled
+    assert with_grad.step == plain.step == 0.75
+    assert with_grad.num_evals == plain.num_evals == 1
+    np.testing.assert_array_equal(with_grad.point.schedule, plain.point.schedule)
 
 
 def _plain_armijo(point, direction, objective, config, slope, value):
@@ -403,6 +469,23 @@ def test_solve_report_consistent_with_scalar_recomputation():
     assert np.all(report.schedule.sum(axis=1) == 1)
 
 
+def test_solve_reports_each_users_best_pattern():
+    scenario = Scenario(
+        geom=MisGeometry(3, 3, 1, 1),
+        mis_arrival=ArrayAngles(0.59, 1.13),
+        users=[(ArrayAngles(0.08, 0.31), 0.04), (ArrayAngles(2.31, 0.5), 0.028)],
+    )
+    ctx = EvalContext.from_scenario(scenario)
+    # a short solve leaves the relaxed schedule far from each user's best pattern
+    config = SolverConfig(rng_seed=1, max_inner_iters=3, max_outer_iters=1)
+    report = solve(scenario, config)
+    table = ctx.pattern_snr_table(report.ms1_phase, report.ms2_phase)
+    assert report.worst_snr == table.max(axis=1).min()
+    np.testing.assert_array_equal(report.per_user_snr, table.max(axis=1))
+    np.testing.assert_array_equal(report.chosen_pattern, np.argmax(table, axis=1) + 1)
+    np.testing.assert_array_equal(report.schedule, threshold_schedule(table))
+
+
 def test_solve_monotone_traces_within_stages():
     scenario = _two_user_scenario()
     report = solve(scenario, SolverConfig(rng_seed=3, num_restarts=1))
@@ -443,6 +526,22 @@ def test_solver_config_validation():
         SolverConfig(num_restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(mu_init=-1.0)
+    for bad in (
+        {"inner_grad_tol": math.inf},
+        {"initial_step": math.inf},
+        {"mu_init": math.inf},
+        {"mu_min": math.nan},
+        {"delta": math.inf},
+        {"mu_gap_rtol": math.inf},
+        {"mu_gap_rtol": -1e-4},
+        {"armijo_c1": math.nan},
+        {"backtrack_factor": math.nan},
+        {"max_backtracks": -1},
+    ):
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**bad)
+    SolverConfig(mu_gap_rtol=0.0, max_backtracks=0)
 
 
 def test_solve_rejects_mismatched_geometry():
