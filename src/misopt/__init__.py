@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .channel import (
     ArrayAngles,
-    CascadedChannel,
     Scenario,
     cascaded_channel,
-    snr,
     snr_full_path,
     upa_steering,
 )
@@ -31,18 +29,7 @@ from .experiments import (
     sweep_ms2_sizes,
     sweep_users_1d2d,
 )
-from .geometry import (
-    MisGeometry,
-    SelectionOperator,
-    ShiftPosition,
-    all_selections,
-    all_shift_positions,
-    build_selection,
-    equivalent_phase,
-    pattern_grid,
-    shift_from_flat,
-    shift_position,
-)
+from .geometry import MisGeometry, all_selections
 from .manifolds import (
     RetractionError,
     TangentTriple,
@@ -54,17 +41,7 @@ from .manifolds import (
     retract_multinomial,
     transport,
 )
-from .objective import (
-    EvalContext,
-    ProductPoint,
-    SmoothingState,
-    egrad,
-    evaluate,
-    lse_objective,
-    scheduled_snr,
-    softmin_weights,
-    user_snrs,
-)
+from .objective import EvalContext, ProductPoint, evaluate
 from .oracle import BruteForceConfig, BruteForceResult, brute_force_solve, fd_directional
 from .solver import (
     SolveReport,

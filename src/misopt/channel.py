@@ -3,10 +3,13 @@
 The base station reaches the surface through a rank-one LoS link, so after
 maximum-ratio transmission the per-user SNR collapses to a single inner
 product between the combined surface phase profile and a cascaded channel
-vector.  Only the dimensionless scale ``iota = P_max * L / sigma^2`` enters
-that expression; transmit power, antenna count, and noise power are never
-needed separately except by :func:`snr_full_path`, which rebuilds the full
-matrix model as an independent cross-check.
+vector: user ``k`` on placement ``u`` gets
+``iota_k * |sum_m c[k, m] * phi[m] * equiv_u[m]|^2``, with ``c`` the K x M
+matrix of :func:`cascaded_channel`; :class:`misopt.objective.EvalContext`
+evaluates it for every (user, placement) pair.  Only the dimensionless scale
+``iota = P_max * L / sigma^2`` enters it; transmit power, antenna count, and
+noise power are needed separately only by :func:`snr_full_path`, which
+rebuilds the full matrix model as an independent reference.
 
 Users on the coverage arc have a fixed elevation angle; the span of the arc
 is expressed in azimuth.
@@ -24,10 +27,8 @@ from .geometry import MisGeometry
 __all__ = [
     "ArrayAngles",
     "Scenario",
-    "CascadedChannel",
     "upa_steering",
     "cascaded_channel",
-    "snr",
     "snr_full_path",
 ]
 
@@ -87,14 +88,6 @@ class Scenario:
         return self.bs_rows * self.bs_cols
 
 
-@dataclass(frozen=True)
-class CascadedChannel:
-    """Per-user cascaded channel vector (length num_ms1) and its SNR scale."""
-
-    c: np.ndarray
-    iota: float
-
-
 def upa_steering(
     rows: int, cols: int, spacing_over_lambda: float, angles: ArrayAngles
 ) -> np.ndarray:
@@ -116,32 +109,20 @@ def upa_steering(
     return np.exp(1j * phase).ravel()
 
 
-def cascaded_channel(scenario: Scenario) -> list[CascadedChannel]:
-    """Cascaded channel per user: elementwise product of the user steering
-    vector and the surface arrival steering vector, both on MS 1's grid."""
+def cascaded_channel(scenario: Scenario) -> np.ndarray:
+    """Cascaded channels, K x M: row k is the elementwise product of user k's
+    steering vector and the surface arrival steering vector, both on MS 1's grid."""
     geom = scenario.geom
     a_mis = upa_steering(
         geom.m_rows, geom.m_cols, geom.spacing_over_lambda, scenario.mis_arrival
     )
-    out = []
-    for angles, iota in scenario.users:
-        h = upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
-        out.append(CascadedChannel(c=h * a_mis, iota=float(iota)))
-    return out
-
-
-def snr(
-    ms1_phase: np.ndarray, equiv_ms2_phase: np.ndarray, chan: CascadedChannel
-) -> float:
-    """Linear SNR ``iota * |sum_m equiv[m] * phase[m] * c[m]|^2``."""
-    phi = np.asarray(ms1_phase)
-    equiv = np.asarray(equiv_ms2_phase)
-    if phi.shape != chan.c.shape or equiv.shape != chan.c.shape:
-        raise ValueError(
-            f"shape mismatch: {phi.shape}, {equiv.shape} vs channel {chan.c.shape}"
-        )
-    amplitude = np.sum(equiv * phi * chan.c)
-    return float(chan.iota * np.abs(amplitude) ** 2)
+    return np.stack(
+        [
+            upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
+            * a_mis
+            for angles, _ in scenario.users
+        ]
+    )
 
 
 def snr_full_path(
@@ -151,7 +132,8 @@ def snr_full_path(
     user_index: int,
     bs_angles: ArrayAngles = BROADSIDE,
 ) -> float:
-    """SNR via the explicit matrix model, as an independent check of :func:`snr`.
+    """SNR via the explicit matrix model, as an independent check of the
+    cascaded form ``iota * |sum_m c[k, m] * phi[m] * equiv[m]|^2``.
 
     Builds the rank-one BS-to-surface channel ``G`` from both steering
     vectors, applies the maximum-ratio beamformer, and scales by the noise

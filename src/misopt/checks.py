@@ -1,28 +1,24 @@
-"""Invariant and oracle suites behind the ``selftest`` and ``oracle-check`` commands.
+"""Random instances and the checks behind ``selftest``, ``oracle-check``
+and acceptance criteria 1-5.
 
-Each check returns a named pass/fail record with a short detail string.  The
-simplex reference projection here enumerates active sets, deliberately
-avoiding the sort-and-threshold route used by the production code.
+Each check returns a named pass/fail record with a short detail string; the
+CLI suites and the acceptance tests call the same function, each with its
+own seed and count.  The references (:mod:`misopt.oracle` and
+:func:`misopt.channel.snr_full_path`) share no code path with what they
+check.  The ``random_*`` builders generate the test suite's instances too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ArrayAngles, CascadedChannel, Scenario, snr, snr_full_path
-from .geometry import (
-    MisGeometry,
-    all_selections,
-    all_shift_positions,
-    build_selection,
-    equivalent_phase,
-    pattern_grid,
-    shift_from_flat,
-)
+from .channel import ArrayAngles, Scenario, snr_full_path
+from .geometry import MisGeometry, all_selections
 from .manifolds import (
+    TangentTriple,
     project_circle_tangent,
     project_multinomial_tangent,
     project_simplex,
@@ -30,48 +26,54 @@ from .manifolds import (
     retract_multinomial,
 )
 from .objective import EvalContext, ProductPoint, evaluate
-from .oracle import BruteForceConfig, brute_force_solve, fd_directional
+from .oracle import (
+    BruteForceConfig,
+    brute_force_solve,
+    dense_selection_oracle,
+    fd_directional,
+    simplex_qp_oracle,
+)
 from .solver import SolverConfig, solve
 
 __all__ = [
     "CheckResult",
-    "simplex_qp_oracle",
+    "random_geometry",
+    "random_scenario",
+    "random_point",
     "random_instance",
+    "random_ambient_triple",
+    "check_geometry",
+    "check_gradients",
+    "check_softmin_sandwich",
+    "check_model_equivalence",
+    "check_manifold_primitives",
+    "check_oracle_optimality",
     "run_selftest",
     "run_oracle_check",
 ]
 
+GEOMETRY_GRID = ((2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3))
+
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check; ``reports`` holds any solve reports it produced."""
+
     name: str
     passed: bool
     detail: str
+    reports: tuple = ()
 
 
-def simplex_qp_oracle(vec: np.ndarray) -> np.ndarray:
-    """Nearest simplex point by exhaustive active-set enumeration (small sizes only)."""
-    vec = np.asarray(vec, dtype=float)
-    n = vec.size
-    best = None
-    best_dist = math.inf
-    for mask in range(1, 2**n):
-        free = [i for i in range(n) if (mask >> i) & 1]
-        shift = (1.0 - vec[free].sum()) / len(free)
-        x = np.zeros(n)
-        x[free] = vec[free] + shift
-        if x[free].min() < -1e-12:
-            continue
-        x = np.maximum(x, 0.0)
-        dist = float(np.sum((x - vec) ** 2))
-        if dist < best_dist:
-            best_dist = dist
-            best = x
-    return best
+def _random_angles(rng) -> ArrayAngles:
+    return ArrayAngles(
+        float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.0, math.pi / 2))
+    )
 
 
-def random_instance(rng: np.random.Generator, max_m: int = 16, max_n: int = 4):
-    """Random small geometry, scenario, context, and feasible point."""
+def random_geometry(rng, max_m: int = 16, max_n: int = 4) -> MisGeometry:
+    """Fixed layer up to 4x4 with at most ``max_m`` elements; movable layer
+    shrunk to at most ``max_n`` elements."""
     while True:
         m_rows = int(rng.integers(1, 5))
         m_cols = int(rng.integers(1, 5))
@@ -84,227 +86,219 @@ def random_instance(rng: np.random.Generator, max_m: int = 16, max_n: int = 4):
             n_rows -= 1
         else:
             n_cols -= 1
-    geom = MisGeometry(m_rows, m_cols, n_rows, n_cols)
-    num_users = int(rng.integers(1, 5))
+    return MisGeometry(m_rows, m_cols, n_rows, n_cols)
+
+
+def random_scenario(rng, geom: MisGeometry | None = None, max_users: int = 4) -> Scenario:
+    """Up to ``max_users`` users at random angles and SNR scales in [0.005, 0.05]."""
+    if geom is None:
+        geom = random_geometry(rng)
+    num_users = int(rng.integers(1, max_users + 1))
     users = [
-        (
-            ArrayAngles(
-                float(rng.uniform(-math.pi, math.pi)),
-                float(rng.uniform(0.0, math.pi / 2)),
-            ),
-            float(rng.uniform(0.005, 0.05)),
-        )
+        (_random_angles(rng), float(rng.uniform(0.005, 0.05)))
         for _ in range(num_users)
     ]
-    arrival = ArrayAngles(
-        float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.0, math.pi / 2))
-    )
-    scenario = Scenario(geom=geom, mis_arrival=arrival, users=users)
-    ctx = EvalContext.from_scenario(scenario)
-    point = ProductPoint(
+    return Scenario(geom=geom, mis_arrival=_random_angles(rng), users=users)
+
+
+def random_point(rng, ctx: EvalContext) -> ProductPoint:
+    """Random unit phases and a random interior schedule."""
+    raw = rng.random((ctx.num_users, ctx.num_patterns)) + 0.05
+    return ProductPoint(
         ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
         ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
-        schedule=_random_schedule(rng, ctx.num_users, ctx.num_patterns),
+        schedule=raw / raw.sum(axis=1, keepdims=True),
     )
-    return geom, scenario, ctx, point
 
 
-def _random_schedule(rng, num_users, num_patterns):
-    raw = rng.random((num_users, num_patterns)) + 0.05
-    return raw / raw.sum(axis=1, keepdims=True)
+def random_instance(rng, max_m: int = 16, max_n: int = 4, max_users: int = 4):
+    """Random geometry, scenario, context and feasible point."""
+    scenario = random_scenario(rng, random_geometry(rng, max_m, max_n), max_users)
+    ctx = EvalContext.from_scenario(scenario)
+    return scenario.geom, scenario, ctx, random_point(rng, ctx)
 
 
-def _random_tangent_like(rng, point):
-    from .manifolds import TangentTriple
-
+def random_ambient_triple(rng, point: ProductPoint) -> TangentTriple:
+    """Unconstrained Gaussian direction in the ambient space of ``point``."""
+    m = point.ms1_phase.size
+    n = point.ms2_phase.size
     return TangentTriple(
-        d_ms1_phase=rng.standard_normal(point.ms1_phase.size)
-        + 1j * rng.standard_normal(point.ms1_phase.size),
-        d_ms2_phase=rng.standard_normal(point.ms2_phase.size)
-        + 1j * rng.standard_normal(point.ms2_phase.size),
+        d_ms1_phase=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        d_ms2_phase=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         d_schedule=rng.standard_normal(point.schedule.shape),
     )
 
 
-def _check_geometry(seed: int) -> CheckResult:
+def check_geometry(seed: int) -> CheckResult:
+    """Placement table and equivalent phases against the dense selection oracle,
+    exactly: each table row rebuilds the oracle's matrix, is injective and
+    tiles the fixed layer with the padding, and ``equiv_phases`` equals
+    ``dense @ theta + padding``; the table is read-only and covers MS 1."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    grid = [(2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3)]
-    for dims in grid:
+    for dims in GEOMETRY_GRID:
         geom = MisGeometry(*dims)
-        u_rows, u_cols, total = pattern_grid(geom)
-        covered = set()
-        for pos in all_shift_positions(geom):
-            sel = build_selection(geom, pos)
-            dense = sel.dense()
-            worst = max(worst, float(np.abs(dense.T @ dense - np.eye(geom.num_ms2)).max()))
-            worst = max(
-                worst, float(np.abs(dense.sum(axis=1) + sel.padding - 1.0).max())
-            )
-            covered.update(sel.ms1_index.tolist())
-            if shift_from_flat(geom, pos.u) != pos:
-                return CheckResult("geometry", False, f"index round-trip broke at {pos}")
-        if covered != set(range(geom.num_ms1)):
+        table = all_selections(geom)
+        if table.flags.writeable:
+            return CheckResult("geometry", False, f"{dims}: table is writeable")
+        if set(table.ravel().tolist()) != set(range(geom.num_ms1)):
             return CheckResult("geometry", False, f"placements do not cover {dims}")
-        if total != u_rows * u_cols:
-            return CheckResult("geometry", False, "pattern count mismatch")
-    return CheckResult("geometry", worst < 1e-12, f"max identity residual {worst:.2e}")
+        ctx = EvalContext.from_scenario(random_scenario(rng, geom))
+        theta = np.exp(2j * np.pi * rng.random(geom.num_ms2))
+        equiv = ctx.equiv_phases(theta)
+        for u in range(geom.num_patterns):
+            dense, padding = dense_selection_oracle(geom, u + 1)
+            mat = np.zeros_like(dense)
+            mat[table[u], np.arange(geom.num_ms2)] = 1.0
+            worst = max(
+                worst,
+                float(np.abs(mat - dense).max()),
+                float(np.abs(mat.T @ mat - np.eye(geom.num_ms2)).max()),
+                float(np.abs(mat.sum(axis=1) + padding - 1.0).max()),
+                float(np.abs(equiv[u] - (dense @ theta + padding)).max()),
+            )
+    return CheckResult("geometry", worst == 0.0, f"max residual {worst:.2e}")
 
 
-def _check_tangent(seed: int) -> CheckResult:
+def check_gradients(seed: int, instances: int) -> CheckResult:
+    """Criterion 1: each analytic gradient block against a central difference
+    (step 1e-6) along a random ambient direction; max relative error < 1e-5."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
-        base = np.exp(2j * np.pi * rng.random(8))
-        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        tang = project_circle_tangent(base, vec)
-        worst = max(worst, float(np.abs(np.real(tang * np.conj(base))).max()))
-        again = project_circle_tangent(base, tang)
-        worst = max(worst, float(np.abs(again - tang).max()))
-        mat = rng.standard_normal((3, 5))
-        tmat = project_multinomial_tangent(mat)
-        worst = max(worst, float(np.abs(tmat.sum(axis=1)).max()))
-    return CheckResult("tangent-projections", worst < 1e-13, f"max residual {worst:.2e}")
+    for _ in range(instances):
+        _, _, ctx, point = random_instance(rng)
+        snr_scale = float(evaluate(point, 1.0, ctx).user_snrs.mean())
+        mu = max(0.2 * snr_scale, 1e-3)
+        grads = evaluate(point, mu, ctx, want_grad=True).grads
+        direction = random_ambient_triple(rng, point)
+        parts = (direction.d_ms1_phase, direction.d_ms2_phase, direction.d_schedule)
+        for i, grad in enumerate(grads):
+            only = [d if j == i else np.zeros_like(d) for j, d in enumerate(parts)]
+            predicted = float(np.real(np.vdot(grad, parts[i])))
+            measured = fd_directional(
+                lambda p: evaluate(p, mu, ctx).value, point, TangentTriple(*only), 1e-6
+            )
+            scale = max(abs(measured), abs(predicted), 1e-9)
+            worst = max(worst, abs(measured - predicted) / scale)
+    detail = f"finite differences match gradients, max rel err {worst:.2e}"
+    return CheckResult("gradient-fd", worst < 1e-5, detail)
 
 
-def _check_simplex(seed: int) -> CheckResult:
+def check_softmin_sandwich(seed: int, instances: int) -> CheckResult:
+    """Criterion 2: ``min_k g_k - mu log K <= f_mu <= min_k g_k`` for mu drawn
+    from [1e-3, 2]; max relative violation < 1e-12."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(100):
+    for _ in range(instances):
+        _, _, ctx, point = random_instance(rng)
+        mu = float(rng.uniform(1e-3, 2.0))
+        ev = evaluate(point, mu, ctx)
+        gmin = float(ev.user_snrs.min())
+        hi = ev.value + mu * math.log(ctx.num_users)
+        scale = max(abs(gmin), 1.0)
+        worst = max(worst, (ev.value - gmin) / scale, (gmin - hi) / scale)
+    detail = f"softmin sandwich holds, max violation {worst:.2e}"
+    return CheckResult("softmin-sandwich", worst < 1e-12, detail)
+
+
+def check_model_equivalence(seed: int, instances: int) -> CheckResult:
+    """Criterion 3: every entry of the solver's SNR table against
+    :func:`snr_full_path`, fed the oracle's equivalent phase, a random base
+    station of up to 3x3 antennas and random departure angles; max relative
+    error < 1e-10."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(instances):
+        geom, scenario, ctx, point = random_instance(rng)
+        bs_rows, bs_cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        scenario = replace(scenario, bs_rows=bs_rows, bs_cols=bs_cols)
+        bs_angles = _random_angles(rng)
+        table = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
+        for u in range(ctx.num_patterns):
+            dense, padding = dense_selection_oracle(geom, u + 1)
+            equiv = dense @ point.ms2_phase + padding
+            for k in range(ctx.num_users):
+                full = snr_full_path(point.ms1_phase, equiv, scenario, k, bs_angles)
+                direct = float(table[k, u])
+                worst = max(worst, abs(direct - full) / max(abs(direct), 1e-12))
+    detail = f"matrix model equals the SNR table, max rel err {worst:.2e}"
+    return CheckResult("model-equivalence", worst < 1e-10, detail)
+
+
+def check_manifold_primitives(seed: int, trials: int) -> CheckResult:
+    """Criterion 4: ``trials`` rounds of circle and multinomial tangency and
+    idempotence (residual < 1e-14), ``4 * trials`` simplex projections against
+    the active-set QP oracle (gap < 1e-10), and ``trials`` retractions (circle
+    step 0.5, simplex step 1.0 along twice a Gaussian direction); projected
+    and retracted points stay feasible to 1e-12 and strictly positive."""
+    rng = np.random.default_rng(seed)
+    tangency = simplex = feasibility = 0.0
+    positive = True
+    for _ in range(trials):
+        base = np.exp(2j * np.pi * rng.random(9))
+        tang = project_circle_tangent(
+            base, rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        )
+        tmat = project_multinomial_tangent(rng.standard_normal((4, 5)))
+        tangency = max(
+            tangency,
+            float(np.max(np.abs(np.real(tang * np.conj(base))))),
+            float(np.max(np.abs(project_circle_tangent(base, tang) - tang))),
+            float(np.max(np.abs(tmat.sum(axis=1)))),
+            float(np.max(np.abs(project_multinomial_tangent(tmat) - tmat))),
+        )
+    for _ in range(4 * trials):
         size = int(rng.integers(1, 5))
-        vec = rng.standard_normal(size) * rng.uniform(0.5, 3.0)
+        vec = rng.standard_normal(size) * float(rng.uniform(0.3, 4.0))
         ours = project_simplex(vec)
-        ref = simplex_qp_oracle(vec)
-        worst = max(worst, float(np.abs(ours - ref).max()))
-        if abs(ours.sum() - 1.0) > 1e-12 or ours.min() <= 0:
-            return CheckResult("simplex-projection", False, "infeasible output")
-    return CheckResult("simplex-projection", worst < 1e-10, f"max gap to QP oracle {worst:.2e}")
-
-
-def _check_retractions(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20):
+        positive &= bool(ours.min() > 0.0)
+        feasibility = max(feasibility, abs(float(ours.sum()) - 1.0))
+        simplex = max(simplex, float(np.max(np.abs(ours - simplex_qp_oracle(vec)))))
+    for _ in range(trials):
         base = np.exp(2j * np.pi * rng.random(6))
         tang = project_circle_tangent(
             base, rng.standard_normal(6) + 1j * rng.standard_normal(6)
         )
-        out = retract_circle(base, tang, 0.3)
-        worst = max(worst, float(np.abs(np.abs(out) - 1.0).max()))
-        mat = _random_schedule(rng, 3, 4)
-        step = project_multinomial_tangent(rng.standard_normal((3, 4)))
-        moved = retract_multinomial(mat, step, 0.7)
-        worst = max(worst, float(np.abs(moved.sum(axis=1) - 1.0).max()))
-        if moved.min() <= 0:
-            return CheckResult("retractions", False, "schedule left the open simplex")
-    return CheckResult("retractions", worst < 1e-12, f"max feasibility residual {worst:.2e}")
-
-
-def _check_sandwich(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        _, _, ctx, point = random_instance(rng)
-        mu = float(rng.uniform(0.01, 2.0))
-        ev = evaluate(point, mu, ctx)
-        lo = ev.value
-        hi = ev.value + mu * math.log(ctx.num_users)
-        gmin = float(ev.user_snrs.min())
-        scale = max(abs(gmin), 1.0)
-        worst = max(worst, (lo - gmin) / scale, (gmin - hi) / scale)
-    return CheckResult("softmin-sandwich", worst < 1e-12, f"max violation {worst:.2e}")
-
-
-def _check_model_equivalence(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(25):
-        geom, scenario, ctx, point = random_instance(rng)
-        sel = all_selections(geom)[int(rng.integers(0, ctx.num_patterns))]
-        equiv = equivalent_phase(point.ms2_phase, sel)
-        k = int(rng.integers(0, ctx.num_users))
-        chan_val = snr(
-            point.ms1_phase,
-            equiv,
-            CascadedChannel(c=ctx.channels[k], iota=float(ctx.iota[k])),
+        mat = rng.random((3, 4)) + 0.05
+        mat /= mat.sum(axis=1, keepdims=True)
+        step = project_multinomial_tangent(rng.standard_normal((3, 4)) * 2.0)
+        moved = retract_multinomial(mat, step, 1.0)
+        positive &= bool(moved.min() > 0.0)
+        feasibility = max(
+            feasibility,
+            float(np.max(np.abs(np.abs(retract_circle(base, tang, 0.5)) - 1.0))),
+            float(np.max(np.abs(moved.sum(axis=1) - 1.0))),
         )
-        bs_angles = ArrayAngles(
-            float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, math.pi / 2))
-        )
-        full_val = snr_full_path(point.ms1_phase, equiv, scenario, k, bs_angles)
-        scale = max(abs(chan_val), 1e-12)
-        worst = max(worst, abs(chan_val - full_val) / scale)
-    return CheckResult("model-equivalence", worst < 1e-10, f"max rel gap {worst:.2e}")
-
-
-def _check_gradients(seed: int, instances: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    step = 1e-6
-    for _ in range(instances):
-        _, _, ctx, point = random_instance(rng)
-        snrs = evaluate(point, 1.0, ctx).user_snrs
-        mu = float(max(0.2 * snrs.mean(), 1e-3))
-        grads = evaluate(point, mu, ctx, want_grad=True).grads
-        direction = _random_tangent_like(rng, point)
-
-        def objective(p):
-            return evaluate(p, mu, ctx).value
-
-        from .manifolds import TangentTriple
-
-        zero = TangentTriple(
-            np.zeros_like(point.ms1_phase),
-            np.zeros_like(point.ms2_phase),
-            np.zeros_like(point.schedule),
-        )
-        for block, pred in (
-            ("d_ms1_phase", np.real(np.vdot(grads[0], direction.d_ms1_phase))),
-            ("d_ms2_phase", np.real(np.vdot(grads[1], direction.d_ms2_phase))),
-            ("d_schedule", float(np.sum(grads[2] * direction.d_schedule))),
-        ):
-            only = TangentTriple(
-                **{
-                    attr: getattr(direction if attr == block else zero, attr)
-                    for attr in ("d_ms1_phase", "d_ms2_phase", "d_schedule")
-                }
-            )
-            measured = fd_directional(objective, point, only, step)
-            scale = max(abs(measured), abs(pred), 1e-9)
-            worst = max(worst, abs(measured - pred) / scale)
-    return CheckResult("gradient-fd", worst < 1e-5, f"max rel error {worst:.2e}")
-
-
-def _check_oracle_optimality(seed: int) -> CheckResult:
-    geom = MisGeometry(2, 1, 1, 1)
-    users = [
-        (ArrayAngles(-math.pi / 3, math.pi / 4), 0.01),
-        (ArrayAngles(math.pi / 3, math.pi / 4), 0.01),
-    ]
-    scenario = Scenario(geom=geom, mis_arrival=ArrayAngles(0.0, 0.0), users=users)
-    reference = brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=16))
-    config = SolverConfig(rng_seed=seed, num_restarts=8)
-    report = solve(scenario, config)
-    ratio = report.worst_snr / reference.value
-    return CheckResult(
-        "oracle-optimality", ratio >= 0.95, f"solver/oracle ratio {ratio:.4f}"
+    passed = tangency < 1e-14 and simplex < 1e-10 and feasibility < 1e-12 and positive
+    detail = (
+        f"projections/retractions exact (tangency {tangency:.1e}, simplex vs QP "
+        f"{simplex:.1e}, feasibility {feasibility:.1e}, positive {positive})"
     )
+    return CheckResult("manifold-primitives", passed, detail)
+
+
+def check_oracle_optimality(seed: int) -> CheckResult:
+    """Criterion 5: the solver (8 restarts) reaches at least 0.95 of the
+    16-level brute-force optimum on a two-user, two-pattern instance."""
+    users = [(ArrayAngles(az, math.pi / 4), 0.01) for az in (-math.pi / 3, math.pi / 3)]
+    scenario = Scenario(MisGeometry(2, 1, 1, 1), ArrayAngles(0.0, 0.0), users)
+    reference = brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=16))
+    report = solve(scenario, SolverConfig(rng_seed=seed, num_restarts=8))
+    ratio = report.worst_snr / reference.value
+    detail = f"solver reaches {ratio:.4f} of the 16-level brute-force optimum"
+    return CheckResult("oracle-optimality", ratio >= 0.95, detail, (report,))
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
     """Fast invariant suite across all modules."""
     return [
-        _check_geometry(seed),
-        _check_tangent(seed + 1),
-        _check_simplex(seed + 2),
-        _check_retractions(seed + 3),
-        _check_sandwich(seed + 4),
-        _check_model_equivalence(seed + 5),
+        check_geometry(seed),
+        check_manifold_primitives(seed + 1, trials=25),
+        check_softmin_sandwich(seed + 4, instances=50),
+        check_model_equivalence(seed + 5, instances=25),
     ]
 
 
 def run_oracle_check(seed: int = 0) -> list[CheckResult]:
     """Ground-truth suite: finite-difference gradients and brute-force optimality."""
-    return [
-        _check_gradients(seed + 10),
-        _check_oracle_optimality(seed),
-    ]
+    return [check_gradients(seed + 10, instances=20), check_oracle_optimality(seed)]

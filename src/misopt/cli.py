@@ -40,12 +40,8 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad key, bad value, or bad combination)."""
 
 
-_COMMON_KEYS = {
-    "subcommand",
-    "seed",
-    "restarts",
-    "jobs",
-    "out",
+# Config keys passed to SolverConfig under their own names (config file only).
+_SOLVER_KEYS = (
     "mu_init",
     "delta",
     "mu_min",
@@ -56,7 +52,8 @@ _COMMON_KEYS = {
     "backtrack_factor",
     "initial_step",
     "restart_period",
-}
+)
+_COMMON_KEYS = {"subcommand", "seed", "restarts", "jobs", "out", *_SOLVER_KEYS}
 _ARC_KEYS = {"az_lo_deg", "az_hi_deg", "elev_deg", "iota"}
 _ALLOWED_KEYS = {
     "solve": _COMMON_KEYS | _ARC_KEYS | {"m_rows", "m_cols", "n_rows", "n_cols", "users"},
@@ -87,58 +84,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--out", help="output directory (created if missing)")
+    def flags(p, *keys, kind=int):
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
-    def arc(p):
-        p.add_argument("--az-lo-deg", dest="az_lo_deg", type=float)
-        p.add_argument("--az-hi-deg", dest="az_hi_deg", type=float)
-        p.add_argument("--elev-deg", dest="elev_deg", type=float)
-        p.add_argument("--iota", type=float)
+    def common(p, arc=True):
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        flags(p, "seed", "restarts", "jobs")
+        p.add_argument("--out", help="output directory (created if missing)")
+        if arc:
+            flags(p, "az_lo_deg", "az_hi_deg", "elev_deg", "iota", kind=float)
 
     p = sub.add_parser("solve", help="solve one coverage scenario")
     common(p)
-    arc(p)
-    p.add_argument("--m-rows", dest="m_rows", type=int)
-    p.add_argument("--m-cols", dest="m_cols", type=int)
-    p.add_argument("--n-rows", dest="n_rows", type=int)
-    p.add_argument("--n-cols", dest="n_cols", type=int)
-    p.add_argument("--users", type=int)
+    flags(p, "m_rows", "m_cols", "n_rows", "n_cols", "users")
 
     p = sub.add_parser("sweep-ms2", help="sweep the movable-layer size")
     common(p)
-    arc(p)
-    p.add_argument("--m-rows", dest="m_rows", type=int)
-    p.add_argument("--m-cols", dest="m_cols", type=int)
+    flags(p, "m_rows", "m_cols")
     p.add_argument("--users", help="comma-separated user counts, e.g. 8,16")
 
     p = sub.add_parser("sweep-alloc", help="sweep the element allocation at fixed total")
     common(p)
-    arc(p)
-    p.add_argument("--total", type=int)
+    flags(p, "total")
     p.add_argument("--scheme", type=int, choices=(1, 2))
-    p.add_argument("--users", type=int)
+    flags(p, "users")
 
     p = sub.add_parser("sweep-users", help="worst-case SNR versus user count, 1D and 2D layouts")
     common(p)
-    arc(p)
     p.add_argument("--users", help="comma-separated user counts, e.g. 4,8,16,32")
 
     p = sub.add_parser("case-study", help="tiny layouts versus their single-layer baseline")
     common(p)
-    arc(p)
     p.add_argument("--figure", type=int, choices=(6, 7))
-    p.add_argument("--users", type=int)
+    flags(p, "users")
 
     p = sub.add_parser("oracle-check", help="finite-difference and brute-force ground-truth suite")
-    common(p)
+    common(p, arc=False)
 
     p = sub.add_parser("selftest", help="fast invariant suite")
-    common(p)
+    common(p, arc=False)
     return parser
 
 
@@ -176,21 +161,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _solver_config(cfg: dict) -> SolverConfig:
     kwargs = {
-        "rng_seed": int(cfg.get("seed", 0)),
-        "num_restarts": int(cfg.get("restarts", 1)),
+        "rng_seed": _int_key(cfg, "seed"),
+        "num_restarts": _int_key(cfg, "restarts"),
     }
-    for key in (
-        "mu_init",
-        "delta",
-        "mu_min",
-        "inner_grad_tol",
-        "max_inner_iters",
-        "max_outer_iters",
-        "armijo_c1",
-        "backtrack_factor",
-        "initial_step",
-        "restart_period",
-    ):
+    for key in _SOLVER_KEYS:
         if cfg.get(key) is not None:
             kwargs[key] = cfg[key]
     try:
@@ -214,12 +188,26 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_key(cfg: dict, key: str) -> int:
+    """A required integer key; floats and bools are rejected, not truncated."""
+    value = _require(cfg, key)
+    if not _is_int(value):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _user_list(raw) -> list[int]:
-    if isinstance(raw, int):
+    if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
+        return list(raw)
+    if _is_int(raw):
         return [raw]
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
-    return [int(part) for part in str(raw).split(",") if part.strip()]
+    if isinstance(raw, str):
+        return [int(part) for part in raw.split(",") if part.strip()]
+    raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
 
 
 def _out_dir(cfg: dict) -> str:
@@ -234,29 +222,31 @@ def _db(value: float) -> str:
     return f"{10.0 * math.log10(value):.4f}"
 
 
-def _finish(cfg: dict, out: str, csv_paths: list, stem: str) -> None:
-    digest = results_digest(csv_paths)
+def _finish(cfg: dict, out: str, stem: str, write, result) -> None:
+    """Write ``<stem>.csv`` with ``write(result, path)``, then its manifest."""
+    path = os.path.join(out, f"{stem}.csv")
+    write(result, path)
+    digest = results_digest([path])
     write_manifest(
         os.path.join(out, f"{stem}_manifest.json"),
         config=cfg,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         digest=digest,
         tool_version=__version__,
     )
-    for path in csv_paths:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
     print(f"results digest sha256:{digest}")
 
 
 def _cmd_solve(cfg: dict) -> int:
     geom = MisGeometry(
-        int(_require(cfg, "m_rows")),
-        int(_require(cfg, "m_cols")),
-        int(_require(cfg, "n_rows")),
-        int(_require(cfg, "n_cols")),
+        _int_key(cfg, "m_rows"),
+        _int_key(cfg, "m_cols"),
+        _int_key(cfg, "n_rows"),
+        _int_key(cfg, "n_cols"),
     )
     spec = ArcScenarioSpec(
-        geom=geom, num_users=int(_require(cfg, "users")), **_arc_kwargs(cfg)
+        geom=geom, num_users=_int_key(cfg, "users"), **_arc_kwargs(cfg)
     )
     scenario = build_arc_scenario(spec)
     config = _solver_config(cfg)
@@ -273,9 +263,7 @@ def _cmd_solve(cfg: dict) -> int:
             f"  user {k + 1}: snr {snr_val:.6g} linear ({_db(float(snr_val))} dB), "
             f"pattern {int(pattern)}"
         )
-    path = os.path.join(out, "solve.csv")
-    write_solve_csv(report, path)
-    _finish(cfg, out, [path], "solve")
+    _finish(cfg, out, "solve", write_solve_csv, report)
     return 0
 
 
@@ -284,19 +272,17 @@ def _cmd_sweep_ms2(cfg: dict) -> int:
     config = _solver_config(cfg)
     out = _out_dir(cfg)
     results = sweep_ms2_sizes(
-        int(_require(cfg, "m_rows")),
-        int(_require(cfg, "m_cols")),
+        _int_key(cfg, "m_rows"),
+        _int_key(cfg, "m_cols"),
         users,
         config,
-        jobs=int(cfg["jobs"]),
+        jobs=_int_key(cfg, "jobs"),
         **_arc_kwargs(cfg),
     )
-    path = os.path.join(out, "sweep_ms2.csv")
-    write_sweep_csv(list(results.values()), path)
     for count, res in results.items():
         best = float(res.gain.max())
         print(f"users={count}: best gain {best:.4f} over single-layer baseline")
-    _finish(cfg, out, [path], "sweep_ms2")
+    _finish(cfg, out, "sweep_ms2", write_sweep_csv, list(results.values()))
     return 0
 
 
@@ -304,19 +290,17 @@ def _cmd_sweep_alloc(cfg: dict) -> int:
     config = _solver_config(cfg)
     out = _out_dir(cfg)
     result = sweep_allocation(
-        int(_require(cfg, "total")),
-        int(_require(cfg, "scheme")),
-        int(_require(cfg, "users")),
+        _int_key(cfg, "total"),
+        _int_key(cfg, "scheme"),
+        _int_key(cfg, "users"),
         config,
-        jobs=int(cfg["jobs"]),
+        jobs=_int_key(cfg, "jobs"),
         **_arc_kwargs(cfg),
     )
-    path = os.path.join(out, "sweep_alloc.csv")
-    write_sweep_csv(result, path)
     peak = float(result.gain.max())
     at = result.cell_labels[int(result.gain.argmax())]
     print(f"peak gain {peak:.4f} at {at}")
-    _finish(cfg, out, [path], "sweep_alloc")
+    _finish(cfg, out, "sweep_alloc", write_sweep_csv, result)
     return 0
 
 
@@ -325,16 +309,14 @@ def _cmd_sweep_users(cfg: dict) -> int:
     out = _out_dir(cfg)
     counts = _user_list(cfg.get("users") or "4,8,16,32")
     sweep = sweep_users_1d2d(
-        config, user_counts=counts, jobs=int(cfg["jobs"]), **_arc_kwargs(cfg)
+        config, user_counts=counts, jobs=_int_key(cfg, "jobs"), **_arc_kwargs(cfg)
     )
-    path = os.path.join(out, "sweep_users.csv")
-    write_users_csv(sweep, path)
     for row in sweep.rows:
         print(
             f"{row.label} users={row.num_users}: worst snr {row.worst_snr:.6g} "
             f"linear ({_db(row.worst_snr)} dB)"
         )
-    _finish(cfg, out, [path], "sweep_users")
+    _finish(cfg, out, "sweep_users", write_users_csv, sweep)
     return 0
 
 
@@ -342,9 +324,9 @@ def _cmd_case_study(cfg: dict) -> int:
     config = _solver_config(cfg)
     out = _out_dir(cfg)
     result = case_study(
-        int(_require(cfg, "figure")),
+        _int_key(cfg, "figure"),
         config,
-        num_users=int(cfg.get("users") or 4),
+        num_users=4 if cfg.get("users") is None else _int_key(cfg, "users"),
         **_arc_kwargs(cfg),
     )
     print(
@@ -352,14 +334,12 @@ def _cmd_case_study(cfg: dict) -> int:
         f"({_db(result.mis.worst_snr)} dB); single-layer "
         f"{result.sms.worst_snr:.6g} linear ({_db(result.sms.worst_snr)} dB)"
     )
-    path = os.path.join(out, "case_study.csv")
-    write_case_study_csv(result, path)
-    _finish(cfg, out, [path], "case_study")
+    _finish(cfg, out, "case_study", write_case_study_csv, result)
     return 0
 
 
 def _run_checks(cfg: dict, runner) -> int:
-    results = runner(int(cfg["seed"]))
+    results = runner(_int_key(cfg, "seed"))
     failed = 0
     for res in results:
         mark = "ok" if res.passed else "FAIL"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import BROADSIDE, ArrayAngles, Scenario
-from .geometry import MisGeometry, build_selection, equivalent_phase, shift_from_flat
+from .geometry import MisGeometry
 from .objective import EvalContext, ProductPoint
 from .solver import SolveReport, SolverConfig, solve, uniform_schedule
 
@@ -123,13 +123,7 @@ def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
 
 
 def _single_layer_geom(geom: MisGeometry) -> MisGeometry:
-    return MisGeometry(
-        m_rows=geom.m_rows,
-        m_cols=geom.m_cols,
-        n_rows=geom.m_rows,
-        n_cols=geom.m_cols,
-        spacing_over_lambda=geom.spacing_over_lambda,
-    )
+    return replace(geom, n_rows=geom.m_rows, n_cols=geom.m_cols)
 
 
 def sms_baseline(spec: ArcScenarioSpec, config: SolverConfig) -> SolveReport:
@@ -140,17 +134,16 @@ def sms_baseline(spec: ArcScenarioSpec, config: SolverConfig) -> SolveReport:
 
 
 def _embedded_start(
-    baseline: SolveReport, sms_geom: MisGeometry, cell_geom: MisGeometry, num_users: int
+    baseline: SolveReport, cell_geom: MisGeometry, num_users: int
 ) -> ProductPoint:
     """Map a single-layer solution into a cell's product manifold.
 
-    The baseline's combined per-element phase goes onto layer 1; layer 2 is
-    all ones, so every pattern reproduces the baseline beam exactly.
+    The baseline's combined per-element phase goes onto layer 1 (its one
+    placement covers every element in order, so that phase is ms2 * ms1);
+    layer 2 is all ones, so every pattern reproduces the baseline beam exactly.
     """
-    sel = build_selection(sms_geom, shift_from_flat(sms_geom, 1))
-    combined = equivalent_phase(baseline.ms2_phase, sel) * baseline.ms1_phase
     return ProductPoint(
-        ms1_phase=combined,
+        ms1_phase=baseline.ms2_phase * baseline.ms1_phase,
         ms2_phase=np.ones(cell_geom.num_ms2, dtype=complex),
         schedule=uniform_schedule(num_users, cell_geom.num_patterns),
     )
@@ -205,7 +198,7 @@ def sweep_ms2_sizes(
         tasks = []
         for nr, nc in cells:
             cell_geom = MisGeometry(m_rows, m_cols, nr, nc)
-            warm = _embedded_start(baseline, full_geom, cell_geom, num_users)
+            warm = _embedded_start(baseline, cell_geom, num_users)
             tasks.append((replace(spec, geom=cell_geom), config, warm))
         reports = _run_tasks(tasks, jobs)
 
@@ -423,7 +416,7 @@ def case_study(
         iota=iota,
     )
     sms = sms_baseline(spec, config)
-    warm = _embedded_start(sms, _single_layer_geom(geom), geom, num_users)
+    warm = _embedded_start(sms, geom, num_users)
     mis = solve(build_arc_scenario(spec), config, warm_starts=(warm,))
 
     ctx = EvalContext.from_scenario(build_arc_scenario(spec))

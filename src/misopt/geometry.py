@@ -3,15 +3,15 @@
 A large fixed surface (MS 1, ``m_rows x m_cols`` elements) carries a smaller
 movable surface (MS 2, ``n_rows x n_cols``) that slides across it in whole
 element steps.  Each admissible placement overlays every MS 2 element on
-exactly one MS 1 element and synthesizes one beam pattern.  This module
-enumerates the placements and builds the per-placement selection operators
-used by the signal model.
+exactly one MS 1 element and synthesizes one beam pattern; uncovered MS 1
+elements act as zero-phase MS 2 elements.  The whole placement decision is
+one U x N index table, :func:`all_selections`: the MS 1 element each MS 2
+element covers, per placement.
 
-Domain indexing is 1-based row-major, ``m = (m_row - 1) * m_cols + m_col``;
-stored arrays hold the equivalent 0-based offsets.
-
-Note on the 1D layout 1x64 over 1x36: the placement count is
-64 - 36 + 1 = 29, directly from the counting rule below.
+Placement ``(u_row, u_col)`` (1-based unit shifts) has the flat index
+``u = (u_row - 1) * u_cols + u_col``, ``u_cols = m_cols - n_cols + 1``;
+elements are numbered row-major on each layer's grid, and stored arrays hold
+0-based offsets.  A 1x64 layer over a 1x36 one has 64 - 36 + 1 = 29 placements.
 """
 
 from __future__ import annotations
@@ -21,18 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MisGeometry",
-    "ShiftPosition",
-    "SelectionOperator",
-    "pattern_grid",
-    "shift_position",
-    "shift_from_flat",
-    "all_shift_positions",
-    "build_selection",
-    "all_selections",
-    "equivalent_phase",
-]
+__all__ = ["MisGeometry", "all_selections"]
 
 
 @dataclass(frozen=True)
@@ -68,117 +57,20 @@ class MisGeometry:
 
     @property
     def num_patterns(self) -> int:
-        return pattern_grid(self)[2]
+        """Admissible placements: ``(m_rows - n_rows + 1) * (m_cols - n_cols + 1)``."""
+        return (self.m_rows - self.n_rows + 1) * (self.m_cols - self.n_cols + 1)
 
 
-@dataclass(frozen=True)
-class ShiftPosition:
-    """One placement of MS 2 on MS 1, as 1-based unit shifts plus flat index."""
+def all_selections(geom: MisGeometry) -> np.ndarray:
+    """Covered MS 1 element per placement and MS 2 element, U x N, read-only.
 
-    u_row: int
-    u_col: int
-    u: int
-
-    def __post_init__(self):
-        if self.u_row < 1 or self.u_col < 1 or self.u < 1:
-            raise ValueError("shift position indices are 1-based and positive")
-
-
-@dataclass(frozen=True)
-class SelectionOperator:
-    """Overlap bookkeeping for one shift position.
-
-    ``ms1_index[n]`` is the 0-based MS 1 element covered by the n-th MS 2
-    element (a compact encoding of the binary selection matrix), and
-    ``padding`` marks with 1 the MS 1 elements left uncovered, which behave
-    as virtual zero-phase MS 2 elements.
+    Row ``u - 1`` belongs to the placement with flat index ``u``; there
+    MS 2 element ``(n_row, n_col)`` covers MS 1 element
+    ``(n_row + u_row - 1, n_col + u_col - 1)``.
     """
-
-    ms1_index: np.ndarray
-    padding: np.ndarray
-
-    @property
-    def num_ms1(self) -> int:
-        return self.padding.size
-
-    @property
-    def num_ms2(self) -> int:
-        return self.ms1_index.size
-
-    def dense(self) -> np.ndarray:
-        """Materialize the selection map as a dense 0/1 matrix (num_ms1 x num_ms2)."""
-        mat = np.zeros((self.num_ms1, self.num_ms2))
-        mat[self.ms1_index, np.arange(self.num_ms2)] = 1.0
-        return mat
-
-
-def pattern_grid(geom: MisGeometry) -> tuple[int, int, int]:
-    """Number of admissible MS 2 placements along rows, along columns, and total."""
-    u_rows = geom.m_rows - geom.n_rows + 1
     u_cols = geom.m_cols - geom.n_cols + 1
-    return u_rows, u_cols, u_rows * u_cols
-
-
-def shift_position(geom: MisGeometry, u_row: int, u_col: int) -> ShiftPosition:
-    """Build the placement at the given 1-based row/column unit shifts."""
-    u_rows, u_cols, _ = pattern_grid(geom)
-    if not (1 <= u_row <= u_rows and 1 <= u_col <= u_cols):
-        raise ValueError(
-            f"shift ({u_row}, {u_col}) outside placement grid {u_rows}x{u_cols}"
-        )
-    return ShiftPosition(u_row=u_row, u_col=u_col, u=(u_row - 1) * u_cols + u_col)
-
-
-def shift_from_flat(geom: MisGeometry, u: int) -> ShiftPosition:
-    """Invert the flat pattern index back to row/column unit shifts."""
-    u_rows, u_cols, total = pattern_grid(geom)
-    if not 1 <= u <= total:
-        raise ValueError(f"pattern index {u} outside 1..{total}")
-    return ShiftPosition(u_row=(u - 1) // u_cols + 1, u_col=(u - 1) % u_cols + 1, u=u)
-
-
-def all_shift_positions(geom: MisGeometry) -> list[ShiftPosition]:
-    return [shift_from_flat(geom, u) for u in range(1, pattern_grid(geom)[2] + 1)]
-
-
-def build_selection(geom: MisGeometry, pos: ShiftPosition) -> SelectionOperator:
-    """Selection operator for one placement.
-
-    MS 2 element (n_row, n_col) covers MS 1 element
-    (n_row + u_row - 1, n_col + u_col - 1).
-    """
-    u_rows, u_cols, _ = pattern_grid(geom)
-    if not (1 <= pos.u_row <= u_rows and 1 <= pos.u_col <= u_cols):
-        raise ValueError(
-            f"shift ({pos.u_row}, {pos.u_col}) outside placement grid {u_rows}x{u_cols}"
-        )
-    rows0 = np.arange(geom.n_rows)[:, None] + (pos.u_row - 1)
-    cols0 = np.arange(geom.n_cols)[None, :] + (pos.u_col - 1)
-    ms1_index = (rows0 * geom.m_cols + cols0).ravel()
-    padding = np.ones(geom.num_ms1, dtype=np.uint8)
-    padding[ms1_index] = 0
-    ms1_index.setflags(write=False)
-    padding.setflags(write=False)
-    return SelectionOperator(ms1_index=ms1_index, padding=padding)
-
-
-def all_selections(geom: MisGeometry) -> list[SelectionOperator]:
-    """Precompute the selection operators for every placement, in flat-index order."""
-    return [build_selection(geom, pos) for pos in all_shift_positions(geom)]
-
-
-def equivalent_phase(ms2_phase: np.ndarray, sel: SelectionOperator) -> np.ndarray:
-    """Spread the MS 2 phase vector onto MS 1's grid for one placement.
-
-    Covered elements take the corresponding MS 2 entry; uncovered elements
-    get a unit (zero-phase) entry, so the output is unit-modulus whenever
-    the input is.
-    """
-    theta = np.asarray(ms2_phase)
-    if theta.shape != (sel.num_ms2,):
-        raise ValueError(
-            f"phase vector has shape {theta.shape}, expected ({sel.num_ms2},)"
-        )
-    out = np.ones(sel.num_ms1, dtype=complex)
-    out[sel.ms1_index] = theta
-    return out
+    u_row0, u_col0 = np.divmod(np.arange(geom.num_patterns), u_cols)
+    n_row0, n_col0 = np.divmod(np.arange(geom.num_ms2), geom.n_cols)
+    index = (u_row0[:, None] + n_row0) * geom.m_cols + (u_col0[:, None] + n_col0)
+    index.setflags(write=False)
+    return index

@@ -2,10 +2,10 @@
 
 The worst-case user SNR is approximated by a log-sum-exp softmin whose gap
 to the true minimum is bounded by ``mu * log(K)``; annealing ``mu`` toward
-zero tightens the surrogate.  All evaluations go through an
-:class:`EvalContext` that stacks the per-pattern selection operators and the
-cascaded channels once per problem, so one objective or gradient call is a
-handful of dense matrix products.
+zero tightens the surrogate.  :class:`EvalContext` is the signal model: the
+U x N placement index table and the K x M cascaded channels, built once per
+problem, so one :func:`evaluate` call (value, user SNRs, softmin weights,
+SNR table, optional gradients) is a handful of dense matrix products.
 
 Gradient convention for complex blocks: the returned ``g`` satisfies
 ``d/de f(z + e*t)|_0 = Re(g^H t)`` for any complex direction ``t``.
@@ -14,25 +14,14 @@ Gradient convention for complex blocks: the returned ``g`` satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Scenario, cascaded_channel
 from .geometry import MisGeometry, all_selections
 
-__all__ = [
-    "ProductPoint",
-    "SmoothingState",
-    "EvalContext",
-    "Evaluation",
-    "user_snrs",
-    "scheduled_snr",
-    "lse_objective",
-    "softmin_weights",
-    "egrad",
-    "evaluate",
-]
+__all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -61,26 +50,6 @@ class ProductPoint:
 
 
 @dataclass(frozen=True)
-class SmoothingState:
-    """Annealing state of the softmin parameter."""
-
-    mu: float
-    delta: float = 2.0
-    mu_min: float = 1e-12
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.delta > 1:
-            raise ValueError("delta must exceed 1")
-        if not self.mu_min > 0:
-            raise ValueError("mu_min must be positive")
-
-    def cooled(self) -> "SmoothingState":
-        return replace(self, mu=self.mu / self.delta)
-
-
-@dataclass(frozen=True)
 class EvalContext:
     """Problem data shared by every objective evaluation.
 
@@ -96,11 +65,10 @@ class EvalContext:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "EvalContext":
-        chans = cascaded_channel(scenario)
-        channels = np.stack([ch.c for ch in chans])
-        iota = np.array([ch.iota for ch in chans])
-        sel_index = np.stack([sel.ms1_index for sel in all_selections(scenario.geom)])
-        for arr in (channels, iota, sel_index):
+        channels = cascaded_channel(scenario)
+        iota = np.array([float(scale) for _, scale in scenario.users])
+        sel_index = all_selections(scenario.geom)
+        for arr in (channels, iota):
             arr.setflags(write=False)
         return cls(
             geom=scenario.geom, channels=channels, iota=iota, sel_index=sel_index
@@ -123,7 +91,11 @@ class EvalContext:
         return self.sel_index.shape[1]
 
     def equiv_phases(self, ms2_phase: np.ndarray) -> np.ndarray:
-        """Equivalent MS 2 phase vectors for all patterns, stacked U x M."""
+        """Equivalent MS 2 phase vectors for all patterns, stacked U x M.
+
+        Row ``u`` spreads ``ms2_phase`` onto MS 1's grid for placement ``u + 1``;
+        uncovered elements get a unit (zero-phase) entry.
+        """
         table = np.ones((self.num_patterns, self.num_ms1), dtype=complex)
         table[np.arange(self.num_patterns)[:, None], self.sel_index] = ms2_phase
         return table
@@ -190,33 +162,3 @@ def evaluate(
     return Evaluation(
         value=value, user_snrs=snrs, weights=weights, snr_table=gamma, grads=grads
     )
-
-
-def user_snrs(point: ProductPoint, ctx: EvalContext) -> np.ndarray:
-    """Schedule-weighted SNR of every user, length K."""
-    gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
-    return np.einsum("ku,ku->k", point.schedule, gamma)
-
-
-def scheduled_snr(point: ProductPoint, user_index: int, ctx: EvalContext) -> float:
-    """Schedule-weighted SNR of one user."""
-    snrs = user_snrs(point, ctx)
-    if not 0 <= user_index < snrs.size:
-        raise IndexError(f"user index {user_index} out of range")
-    return float(snrs[user_index])
-
-
-def lse_objective(point: ProductPoint, mu: float, ctx: EvalContext) -> float:
-    """Softmin surrogate of the worst-case SNR; bounded above by the true minimum
-    and below by the minimum less ``mu * log(K)``."""
-    return evaluate(point, mu, ctx).value
-
-
-def softmin_weights(point: ProductPoint, mu: float, ctx: EvalContext) -> np.ndarray:
-    """Softmin weights over users; nonnegative, sum to one, concentrate on the worst user."""
-    return evaluate(point, mu, ctx).weights
-
-
-def egrad(point: ProductPoint, mu: float, ctx: EvalContext) -> tuple:
-    """Euclidean gradients of the surrogate with respect to the three blocks."""
-    return evaluate(point, mu, ctx, want_grad=True).grads

@@ -1,16 +1,20 @@
-"""Independent ground truth: exhaustive lattice search and finite differences.
+"""Independent ground truth: exhaustive lattice search, finite differences,
+and first-principles reference operators.
 
 ``brute_force_solve`` enumerates both phase vectors over a uniform phase
 lattice and assigns every user its best pattern, which is the exact schedule
 optimum because users are scheduled independently.  ``fd_directional`` is a
 plain central difference used to audit analytic gradients; complex blocks
 are perturbed directly in the ambient space, where the objective remains a
-polynomial and needs no feasibility.
+polynomial and needs no feasibility.  ``dense_selection_oracle`` (from
+element coordinates) and ``simplex_qp_oracle`` (by active-set enumeration)
+avoid the production code paths; the tests and the CLI check suites share them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,8 @@ __all__ = [
     "BruteForceResult",
     "brute_force_solve",
     "fd_directional",
+    "dense_selection_oracle",
+    "simplex_qp_oracle",
 ]
 
 
@@ -131,3 +137,41 @@ def fd_directional(objective, point: ProductPoint, direction, step: float) -> fl
     upper = objective(_shifted(point, direction, +step))
     lower = objective(_shifted(point, direction, -step))
     return (upper - lower) / (2.0 * step)
+
+
+def dense_selection_oracle(geom: MisGeometry, pattern: int):
+    """Dense selection matrix (M x N, 0/1) and padding vector (length M) of the
+    placement with 1-based flat index ``pattern``, from element coordinates.
+
+    MS 2 element ``(n_row, n_col)`` covers MS 1 element ``(n_row + u_row - 1,
+    n_col + u_col - 1)``; the padding marks uncovered MS 1 elements, so
+    ``dense @ theta + padding`` is the placement's equivalent MS 2 phase.
+    """
+    u_row, u_col = divmod(pattern - 1, geom.m_cols - geom.n_cols + 1)  # 0-based
+    mat = np.zeros((geom.num_ms1, geom.num_ms2))
+    for n_row in range(geom.n_rows):
+        for n_col in range(geom.n_cols):
+            m_flat = (n_row + u_row) * geom.m_cols + (n_col + u_col)
+            mat[m_flat, n_row * geom.n_cols + n_col] = 1.0
+    return mat, (mat.sum(axis=1) == 0).astype(float)
+
+
+def simplex_qp_oracle(vec: np.ndarray) -> np.ndarray:
+    """Nearest simplex point by exhaustive active-set enumeration (small sizes only)."""
+    vec = np.asarray(vec, dtype=float)
+    n = vec.size
+    best = None
+    best_dist = math.inf
+    for mask in range(1, 2**n):
+        free = [i for i in range(n) if (mask >> i) & 1]
+        shift = (1.0 - vec[free].sum()) / len(free)
+        x = np.zeros(n)
+        x[free] = vec[free] + shift
+        if x[free].min() < -1e-12:
+            continue
+        x = np.maximum(x, 0.0)
+        dist = float(np.sum((x - vec) ** 2))
+        if dist < best_dist:
+            best_dist = dist
+            best = x
+    return best

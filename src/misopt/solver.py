@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class SolverConfig:
     the initial per-user SNRs; ``mu_min=None`` stops the anneal at 1e-6 of
     that starting value.  The anneal also stops once ``mu * log(K)`` drops
     below ``mu_gap_rtol`` times the current worst-case SNR, since that gap
-    bounds the surrogate error.
+    bounds the surrogate error.  Float fields must be finite; integer fields
+    take Python or numpy integers only, so a float or a bool is rejected,
+    never truncated.
     """
 
     mu_init: float | None = None
@@ -82,45 +84,36 @@ class SolverConfig:
     num_restarts: int = 1
 
     def __post_init__(self):
-        for name in (
-            "mu_init",
-            "delta",
-            "mu_min",
-            "mu_gap_rtol",
-            "inner_grad_tol",
-            "armijo_c1",
-            "backtrack_factor",
-            "initial_step",
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if kind == "int" and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for ok, message in (
+            (self.mu_init is None or self.mu_init > 0, "mu_init must be positive"),
+            (self.delta > 1, "delta must exceed 1"),
+            (self.mu_min is None or self.mu_min > 0, "mu_min must be positive"),
+            (0 < self.armijo_c1 < 1, "armijo_c1 must lie in (0, 1)"),
+            (0 < self.backtrack_factor < 1, "backtrack_factor must lie in (0, 1)"),
+            (self.initial_step > 0, "initial_step must be positive"),
+            (self.inner_grad_tol > 0, "inner_grad_tol must be positive"),
+            (self.mu_gap_rtol >= 0, "mu_gap_rtol must be nonnegative"),
+            (self.max_backtracks >= 0, "max_backtracks must be nonnegative"),
+            (min(self.max_inner_iters, self.max_outer_iters) >= 1,
+             "iteration limits must be >= 1"),
+            (self.restart_period is None or self.restart_period >= 1,
+             "restart_period must be >= 1 when set"),
+            (self.num_restarts >= 1, "num_restarts must be >= 1"),
+            (self.rng_seed >= 0, "rng_seed must be nonnegative"),
         ):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.mu_init is not None and not self.mu_init > 0:
-            raise ValueError("mu_init must be positive")
-        if not self.delta > 1:
-            raise ValueError("delta must exceed 1")
-        if self.mu_min is not None and not self.mu_min > 0:
-            raise ValueError("mu_min must be positive")
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if not self.inner_grad_tol > 0:
-            raise ValueError("inner_grad_tol must be positive")
-        if not self.mu_gap_rtol >= 0:
-            raise ValueError("mu_gap_rtol must be nonnegative")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
-        if self.max_inner_iters < 1 or self.max_outer_iters < 1:
-            raise ValueError("iteration limits must be >= 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1 when set")
-        if self.num_restarts < 1:
-            raise ValueError("num_restarts must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass
@@ -225,10 +218,12 @@ def line_search(
     slope: float,
     value: float | None = None,
     grad: TangentTriple | None = None,
+    initial_step: float | None = None,
 ) -> LineSearchResult:
     """Backtracking Armijo search along an ascent direction.
 
-    Tests ``step = initial_step * backtrack_factor**j`` and accepts the first
+    Tests ``step = initial_step * backtrack_factor**j``, with ``initial_step``
+    defaulting to ``config.initial_step``, and accepts the first
     step whose retracted objective clears ``value + c1 * step * slope``;
     ``slope`` is the inner product of the Riemannian gradient with the
     direction.  A retraction failure just backtracks further.  The search
@@ -250,7 +245,7 @@ def line_search(
         raise NonFiniteObjectiveError(f"objective value {value} is not finite")
     resolution = np.spacing(abs(value))
     evals = 0
-    step = config.initial_step
+    step = config.initial_step if initial_step is None else initial_step
     for _ in range(config.max_backtracks + 1):
         if 0.0 < config.armijo_c1 * step * slope <= resolution:
             break
@@ -337,15 +332,18 @@ def inner_solve(
             slope = gnorm * gnorm
         # Warm-start the backtracking near the previously accepted step (one
         # growth allowed, never above the configured cap).
-        if prev_step is None:
-            ls_config = config
-        else:
-            start = min(
-                config.initial_step, max(prev_step / config.backtrack_factor, 1e-12)
-            )
-            ls_config = replace(config, initial_step=start)
+        start = config.initial_step
+        if prev_step is not None:
+            start = min(start, max(prev_step / config.backtrack_factor, 1e-12))
         result = line_search(
-            point, direction, surrogate, ls_config, slope, ev.value, grad=rgrad
+            point,
+            direction,
+            surrogate,
+            config,
+            slope,
+            ev.value,
+            grad=rgrad,
+            initial_step=start,
         )
         num_evals += result.num_evals
         iters += 1

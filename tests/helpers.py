@@ -1,9 +1,10 @@
-"""Shared builders and independent oracles for the test suite.
+"""Test-only oracles; the shared builders and references are re-exported.
 
-The oracles here deliberately avoid the production code paths: dense
-selection matrices are rebuilt from element coordinates, the simplex and
-tangent-cone reference projections enumerate active sets, and directional
-derivatives come from central differences.
+The random instance builders live in :mod:`misopt.checks` and the dense
+selection and simplex references in :mod:`misopt.oracle`, where the
+``selftest``/``oracle-check`` suites use them too.  The tangent-cone
+reference here enumerates which floor entries stay pinned, deliberately
+avoiding the sort-based production projection.
 """
 
 from __future__ import annotations
@@ -12,47 +13,15 @@ import math
 
 import numpy as np
 
-from misopt import ArrayAngles, EvalContext, MisGeometry, ProductPoint, Scenario
-from misopt.manifolds import SIMPLEX_FLOOR, TangentTriple
-
-
-def dense_selection_oracle(geom: MisGeometry, u_row: int, u_col: int):
-    """Dense selection matrix and padding vector from first principles."""
-    m = geom.num_ms1
-    n = geom.num_ms2
-    mat = np.zeros((m, n))
-    covered = set()
-    for n_row in range(1, geom.n_rows + 1):
-        for n_col in range(1, geom.n_cols + 1):
-            n_flat = (n_row - 1) * geom.n_cols + n_col
-            m_row = n_row + u_row - 1
-            m_col = n_col + u_col - 1
-            m_flat = (m_row - 1) * geom.m_cols + m_col
-            mat[m_flat - 1, n_flat - 1] = 1.0
-            covered.add(m_flat - 1)
-    padding = np.array([0.0 if i in covered else 1.0 for i in range(m)])
-    return mat, padding
-
-
-def simplex_qp_oracle(vec: np.ndarray) -> np.ndarray:
-    """Nearest simplex point by exhaustive active-set enumeration."""
-    vec = np.asarray(vec, dtype=float)
-    n = vec.size
-    best = None
-    best_dist = math.inf
-    for mask in range(1, 2**n):
-        free = [i for i in range(n) if (mask >> i) & 1]
-        shift = (1.0 - vec[free].sum()) / len(free)
-        x = np.zeros(n)
-        x[free] = vec[free] + shift
-        if x[free].min() < -1e-12:
-            continue
-        x = np.maximum(x, 0.0)
-        dist = float(np.sum((x - vec) ** 2))
-        if dist < best_dist:
-            best_dist = dist
-            best = x
-    return best
+from misopt.checks import (  # noqa: F401  (re-exported for the tests)
+    random_ambient_triple,
+    random_geometry,
+    random_instance,
+    random_point,
+    random_scenario,
+)
+from misopt.manifolds import SIMPLEX_FLOOR
+from misopt.oracle import dense_selection_oracle, simplex_qp_oracle  # noqa: F401
 
 
 def schedule_cone_oracle(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -78,64 +47,3 @@ def schedule_cone_oracle(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
                 best_dist = dist
                 out[row] = x
     return out
-
-
-def random_geometry(rng, max_m: int = 16, max_n: int = 4) -> MisGeometry:
-    while True:
-        m_rows = int(rng.integers(1, 5))
-        m_cols = int(rng.integers(1, 5))
-        if m_rows * m_cols <= max_m:
-            break
-    n_rows = int(rng.integers(1, m_rows + 1))
-    n_cols = int(rng.integers(1, m_cols + 1))
-    while n_rows * n_cols > max_n:
-        if n_rows > 1:
-            n_rows -= 1
-        else:
-            n_cols -= 1
-    return MisGeometry(m_rows, m_cols, n_rows, n_cols)
-
-
-def random_scenario(rng, geom: MisGeometry | None = None, max_users: int = 4) -> Scenario:
-    if geom is None:
-        geom = random_geometry(rng)
-    num_users = int(rng.integers(1, max_users + 1))
-    users = [
-        (
-            ArrayAngles(
-                float(rng.uniform(-math.pi, math.pi)),
-                float(rng.uniform(0.0, math.pi / 2)),
-            ),
-            float(rng.uniform(0.005, 0.05)),
-        )
-        for _ in range(num_users)
-    ]
-    arrival = ArrayAngles(
-        float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.0, math.pi / 2))
-    )
-    return Scenario(geom=geom, mis_arrival=arrival, users=users)
-
-
-def random_point(rng, ctx: EvalContext) -> ProductPoint:
-    raw = rng.random((ctx.num_users, ctx.num_patterns)) + 0.05
-    return ProductPoint(
-        ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
-        ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
-        schedule=raw / raw.sum(axis=1, keepdims=True),
-    )
-
-
-def random_instance(rng, max_m: int = 16, max_n: int = 4, max_users: int = 4):
-    scenario = random_scenario(rng, random_geometry(rng, max_m, max_n), max_users)
-    ctx = EvalContext.from_scenario(scenario)
-    return scenario.geom, scenario, ctx, random_point(rng, ctx)
-
-
-def random_ambient_triple(rng, point: ProductPoint) -> TangentTriple:
-    m = point.ms1_phase.size
-    n = point.ms2_phase.size
-    return TangentTriple(
-        d_ms1_phase=rng.standard_normal(m) + 1j * rng.standard_normal(m),
-        d_ms2_phase=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        d_schedule=rng.standard_normal(point.schedule.shape),
-    )

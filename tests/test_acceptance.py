@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Criteria 1-5 run the checks of :mod:`misopt.checks` that ``selftest`` and
+``oracle-check`` also run, here with the acceptance seeds and counts.
 Heavy runs (the movable-size sweep, the allocation ladder, the user sweep)
 are computed once in module-scoped fixtures and shared between criteria;
 their solve reports also feed the monotone-trace criterion.
 """
 
-import math
 import time
 
 import numpy as np
@@ -13,31 +14,22 @@ import pytest
 
 from misopt import (
     ArcScenarioSpec,
-    ArrayAngles,
-    BruteForceConfig,
-    CascadedChannel,
     MisGeometry,
-    Scenario,
     SolverConfig,
-    brute_force_solve,
     build_arc_scenario,
-    evaluate,
-    fd_directional,
-    project_circle_tangent,
-    project_multinomial_tangent,
-    project_simplex,
-    retract_circle,
-    retract_multinomial,
-    snr,
-    snr_full_path,
     solve,
     sweep_allocation,
     sweep_ms2_sizes,
     sweep_users_1d2d,
 )
-from misopt.manifolds import TangentTriple
+from misopt.checks import (
+    check_gradients,
+    check_manifold_primitives,
+    check_model_equivalence,
+    check_oracle_optimality,
+    check_softmin_sandwich,
+)
 from misopt.cli import main as cli_main
-from helpers import random_ambient_triple, random_instance, simplex_qp_oracle
 
 SEED = 7
 
@@ -84,165 +76,36 @@ def users_sweep():
     return result, elapsed
 
 
-def test_criterion_01_gradient_correctness():
+def _check(num, check, *args, time_limit):
+    """Run a shared check from :mod:`misopt.checks` under a wall-time limit."""
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    step = 1e-6
-    worst = 0.0
-    for _ in range(20):
-        _, _, ctx, point = random_instance(rng, max_m=16, max_n=4, max_users=4)
-        snr_scale = float(evaluate(point, 1.0, ctx).user_snrs.mean())
-        mu = max(0.2 * snr_scale, 1e-3)
-        grads = evaluate(point, mu, ctx, want_grad=True).grads
-        direction = random_ambient_triple(rng, point)
-        zero_ms1 = np.zeros_like(point.ms1_phase)
-        zero_ms2 = np.zeros_like(point.ms2_phase)
-        zero_sched = np.zeros_like(point.schedule)
-
-        def objective(p):
-            return evaluate(p, mu, ctx).value
-
-        blocks = [
-            (
-                TangentTriple(direction.d_ms1_phase, zero_ms2, zero_sched),
-                float(np.real(np.vdot(grads[0], direction.d_ms1_phase))),
-            ),
-            (
-                TangentTriple(zero_ms1, direction.d_ms2_phase, zero_sched),
-                float(np.real(np.vdot(grads[1], direction.d_ms2_phase))),
-            ),
-            (
-                TangentTriple(zero_ms1, zero_ms2, direction.d_schedule),
-                float(np.sum(grads[2] * direction.d_schedule)),
-            ),
-        ]
-        for only, predicted in blocks:
-            measured = fd_directional(objective, point, only, step)
-            scale = max(abs(measured), abs(predicted), 1e-9)
-            worst = max(worst, abs(measured - predicted) / scale)
+    result = check(*args)
     elapsed = time.perf_counter() - start
-    assert worst < 1e-5
-    assert elapsed < 10.0
-    _ok(1, f"finite differences match gradients, max rel err {worst:.2e} ({elapsed:.1f}s)")
+    assert result.passed, result.detail
+    assert elapsed < time_limit
+    _ok(num, f"{result.detail} ({elapsed:.1f}s)")
+    return result
+
+
+def test_criterion_01_gradient_correctness():
+    _check(1, check_gradients, SEED, 20, time_limit=10.0)
 
 
 def test_criterion_02_lse_sandwich():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for _ in range(100):
-        _, _, ctx, point = random_instance(rng)
-        mu = float(rng.uniform(1e-3, 2.0))
-        ev = evaluate(point, mu, ctx)
-        gmin = float(ev.user_snrs.min())
-        hi = ev.value + mu * math.log(ctx.num_users)
-        scale = max(abs(gmin), 1.0)
-        worst = max(worst, (ev.value - gmin) / scale, (gmin - hi) / scale)
-    elapsed = time.perf_counter() - start
-    assert worst < 1e-12
-    assert elapsed < 5.0
-    _ok(2, f"softmin sandwich holds, max violation {worst:.2e} ({elapsed:.1f}s)")
+    _check(2, check_softmin_sandwich, SEED + 1, 100, time_limit=5.0)
 
 
 def test_criterion_03_model_equivalence():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    for _ in range(50):
-        geom, scenario, ctx, point = random_instance(rng)
-        scenario = Scenario(
-            geom=geom,
-            mis_arrival=scenario.mis_arrival,
-            users=scenario.users,
-            bs_rows=int(rng.integers(1, 4)),
-            bs_cols=int(rng.integers(1, 4)),
-        )
-        equiv = np.exp(2j * np.pi * rng.random(ctx.num_ms1))
-        k = int(rng.integers(0, ctx.num_users))
-        chan = CascadedChannel(c=ctx.channels[k], iota=float(ctx.iota[k]))
-        direct = snr(point.ms1_phase, equiv, chan)
-        bs_angles = ArrayAngles(
-            float(rng.uniform(-math.pi, math.pi)),
-            float(rng.uniform(0.0, math.pi / 2)),
-        )
-        full = snr_full_path(point.ms1_phase, equiv, scenario, k, bs_angles)
-        worst = max(worst, abs(direct - full) / max(abs(direct), 1e-12))
-    elapsed = time.perf_counter() - start
-    assert worst < 1e-10
-    assert elapsed < 5.0
-    _ok(3, f"matrix model equals cascaded form, max rel err {worst:.2e} ({elapsed:.1f}s)")
+    _check(3, check_model_equivalence, SEED + 2, 50, time_limit=5.0)
 
 
 def test_criterion_04_manifold_primitives():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 3)
-    worst_tangency = 0.0
-    for _ in range(50):
-        base = np.exp(2j * np.pi * rng.random(9))
-        vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        tang = project_circle_tangent(base, vec)
-        worst_tangency = max(
-            worst_tangency, float(np.max(np.abs(np.real(tang * np.conj(base)))))
-        )
-        again = project_circle_tangent(base, tang)
-        worst_tangency = max(worst_tangency, float(np.max(np.abs(again - tang))))
-        mat = rng.standard_normal((4, 5))
-        tmat = project_multinomial_tangent(mat)
-        worst_tangency = max(worst_tangency, float(np.max(np.abs(tmat.sum(axis=1)))))
-        worst_tangency = max(
-            worst_tangency,
-            float(np.max(np.abs(project_multinomial_tangent(tmat) - tmat))),
-        )
-    assert worst_tangency < 1e-14
-
-    worst_simplex = 0.0
-    for _ in range(200):
-        size = int(rng.integers(1, 5))
-        vec = rng.standard_normal(size) * float(rng.uniform(0.3, 4.0))
-        ours = project_simplex(vec)
-        worst_simplex = max(
-            worst_simplex, float(np.max(np.abs(ours - simplex_qp_oracle(vec))))
-        )
-    assert worst_simplex < 1e-10
-
-    for _ in range(20):
-        base = np.exp(2j * np.pi * rng.random(6))
-        tang = project_circle_tangent(
-            base, rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        )
-        out = retract_circle(base, tang, 0.5)
-        assert float(np.max(np.abs(np.abs(out) - 1.0))) < 1e-12
-        mat = rng.random((3, 4)) + 0.05
-        mat /= mat.sum(axis=1, keepdims=True)
-        step = project_multinomial_tangent(rng.standard_normal((3, 4)) * 2.0)
-        moved = retract_multinomial(mat, step, 1.0)
-        assert float(np.max(np.abs(moved.sum(axis=1) - 1.0))) < 1e-12
-        assert moved.min() > 0.0
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
-    _ok(
-        4,
-        f"projections/retractions exact (tangency {worst_tangency:.1e}, "
-        f"simplex vs QP {worst_simplex:.1e}) ({elapsed:.1f}s)",
-    )
+    _check(4, check_manifold_primitives, SEED + 3, 50, time_limit=5.0)
 
 
 def test_criterion_05_oracle_optimality():
-    start = time.perf_counter()
-    geom = MisGeometry(2, 1, 1, 1)
-    users = [
-        (ArrayAngles(-math.pi / 3, math.pi / 4), 0.01),
-        (ArrayAngles(math.pi / 3, math.pi / 4), 0.01),
-    ]
-    scenario = Scenario(geom=geom, mis_arrival=ArrayAngles(0.0, 0.0), users=users)
-    reference = brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=16))
-    report = solve(scenario, SolverConfig(rng_seed=SEED, num_restarts=8))
-    _collect("oracle-instance", [report])
-    ratio = report.worst_snr / reference.value
-    elapsed = time.perf_counter() - start
-    assert ratio >= 0.95
-    assert elapsed < 60.0
-    _ok(5, f"solver reaches {ratio:.4f} of the 16-level brute-force optimum ({elapsed:.1f}s)")
+    result = _check(5, check_oracle_optimality, SEED, time_limit=60.0)
+    _collect("oracle-instance", result.reports)
 
 
 def test_criterion_06_matched_filter_closed_form():

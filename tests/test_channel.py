@@ -5,15 +5,28 @@ import pytest
 
 from misopt import (
     ArrayAngles,
-    CascadedChannel,
+    EvalContext,
     MisGeometry,
     Scenario,
     cascaded_channel,
-    snr,
     snr_full_path,
     upa_steering,
 )
+from misopt.checks import check_model_equivalence
 from helpers import random_instance, random_scenario
+
+
+def _single_pattern_context(channels, iota):
+    """Signal model with the given K x M channels and SNR scales and one
+    placement covering every element, so its equivalent phase is the
+    movable layer's phase."""
+    m = channels.shape[1]
+    return EvalContext(
+        geom=MisGeometry(1, m, 1, m),
+        channels=np.asarray(channels, dtype=complex),
+        iota=np.asarray(iota, dtype=float),
+        sel_index=np.arange(m)[None, :],
+    )
 
 
 def test_steering_single_element():
@@ -56,9 +69,10 @@ def test_cascaded_flat_when_both_broadside():
         mis_arrival=ArrayAngles(0.3, 0.0),
         users=[(ArrayAngles(-0.8, 0.0), 0.02)],
     )
-    chans = cascaded_channel(scenario)
-    np.testing.assert_allclose(chans[0].c, np.ones(6, dtype=complex), atol=1e-15)
-    assert chans[0].iota == 0.02
+    channels = cascaded_channel(scenario)
+    assert channels.shape == (1, 6)
+    np.testing.assert_allclose(channels[0], np.ones(6, dtype=complex), atol=1e-15)
+    np.testing.assert_array_equal(EvalContext.from_scenario(scenario).iota, [0.02])
 
 
 def test_cascaded_unit_modulus_and_dense_oracle():
@@ -66,8 +80,10 @@ def test_cascaded_unit_modulus_and_dense_oracle():
     for _ in range(10):
         scenario = random_scenario(rng)
         geom = scenario.geom
-        for k, chan in enumerate(cascaded_channel(scenario)):
-            np.testing.assert_allclose(np.abs(chan.c), 1.0, atol=1e-14)
+        channels = cascaded_channel(scenario)
+        assert channels.shape == (scenario.num_users, geom.num_ms1)
+        for k, row in enumerate(channels):
+            np.testing.assert_allclose(np.abs(row), 1.0, atol=1e-14)
             h = upa_steering(
                 geom.m_rows,
                 geom.m_cols,
@@ -81,26 +97,33 @@ def test_cascaded_unit_modulus_and_dense_oracle():
                 scenario.mis_arrival,
             )
             expected = np.diag(h) @ a_mis
-            np.testing.assert_allclose(chan.c, expected, atol=1e-14)
+            np.testing.assert_allclose(row, expected, atol=1e-14)
 
 
 def test_snr_coherent_sum():
     m = 64
-    chan = CascadedChannel(c=np.ones(m, dtype=complex), iota=0.01)
+    ctx = _single_pattern_context(np.ones((1, m)), [0.01])
     ones = np.ones(m, dtype=complex)
-    assert snr(ones, ones, chan) == pytest.approx(40.96, rel=1e-12)
+    assert ctx.pattern_snr_table(ones, ones)[0, 0] == pytest.approx(40.96, rel=1e-12)
 
 
 def test_snr_zero_channel():
-    chan = CascadedChannel(c=np.zeros(4, dtype=complex), iota=0.01)
+    ctx = _single_pattern_context(np.zeros((1, 4)), [0.01])
     ones = np.ones(4, dtype=complex)
-    assert snr(ones, ones, chan) == 0.0
+    assert ctx.pattern_snr_table(ones, ones)[0, 0] == 0.0
 
 
 def test_snr_dimension_mismatch():
-    chan = CascadedChannel(c=np.ones(4, dtype=complex), iota=0.01)
+    geom = MisGeometry(3, 3, 2, 2)
+    users = [(ArrayAngles(0, 0), 0.01)]
+    ctx = EvalContext.from_scenario(
+        Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=users)
+    )
+    ones = np.ones(geom.num_ms2, dtype=complex)
     with pytest.raises(ValueError):
-        snr(np.ones(3, dtype=complex), np.ones(4, dtype=complex), chan)
+        ctx.pattern_snr_table(np.ones(geom.num_ms2, dtype=complex), ones)
+    with pytest.raises(ValueError):
+        ctx.pattern_snr_table(np.ones(geom.num_ms1, dtype=complex), ones[:3])
 
 
 def test_snr_bounded_by_coherent_maximum():
@@ -108,55 +131,45 @@ def test_snr_bounded_by_coherent_maximum():
     for _ in range(20):
         _, scenario, ctx, point = random_instance(rng)
         m = ctx.num_ms1
-        chan = CascadedChannel(c=ctx.channels[0], iota=float(ctx.iota[0]))
-        value = snr(point.ms1_phase, np.ones(m, dtype=complex), chan)
-        assert 0.0 <= value <= chan.iota * m * m + 1e-12
+        table = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
+        assert np.all(table >= 0.0)
+        assert np.all(table <= ctx.iota[:, None] * m * m + 1e-12)
 
 
 def test_snr_global_phase_invariance_and_symmetry():
     rng = np.random.default_rng(6)
     for _ in range(10):
         _, scenario, ctx, point = random_instance(rng)
-        chan = CascadedChannel(c=ctx.channels[0], iota=float(ctx.iota[0]))
-        equiv = np.exp(2j * np.pi * rng.random(ctx.num_ms1))
-        base = snr(point.ms1_phase, equiv, chan)
+        base = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
         alpha = float(rng.uniform(0, 2 * np.pi))
-        rotated = snr(np.exp(1j * alpha) * point.ms1_phase, equiv, chan)
-        assert rotated == pytest.approx(base, rel=1e-12)
-        swapped = snr(equiv, point.ms1_phase, chan)
-        assert swapped == pytest.approx(base, rel=1e-12)
+        rotated = ctx.pattern_snr_table(
+            np.exp(1j * alpha) * point.ms1_phase, point.ms2_phase
+        )
+        np.testing.assert_allclose(rotated, base, rtol=1e-12)
+        # with one full-size placement the two layers play symmetric roles
+        full = _single_pattern_context(ctx.channels, ctx.iota)
+        equiv = np.exp(2j * np.pi * rng.random(ctx.num_ms1))
+        np.testing.assert_allclose(
+            full.pattern_snr_table(equiv, point.ms1_phase),
+            full.pattern_snr_table(point.ms1_phase, equiv),
+            rtol=1e-12,
+        )
 
 
 def test_matched_filter_attains_coherent_bound():
     rng = np.random.default_rng(8)
     _, scenario, ctx, _ = random_instance(rng)
     m = ctx.num_ms1
-    chan = CascadedChannel(c=ctx.channels[0], iota=float(ctx.iota[0]))
     matched = np.conj(ctx.channels[0])
-    value = snr(matched, np.ones(m, dtype=complex), chan)
-    assert value == pytest.approx(chan.iota * m * m, rel=1e-12)
+    table = ctx.pattern_snr_table(matched, np.ones(ctx.num_ms2, dtype=complex))
+    np.testing.assert_allclose(table[0], ctx.iota[0] * m * m, rtol=1e-12)
 
 
 def test_full_path_equals_cascaded_form():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        geom, scenario, ctx, point = random_instance(rng)
-        scenario = Scenario(
-            geom=geom,
-            mis_arrival=scenario.mis_arrival,
-            users=scenario.users,
-            bs_rows=int(rng.integers(1, 4)),
-            bs_cols=int(rng.integers(1, 4)),
-        )
-        equiv = np.exp(2j * np.pi * rng.random(ctx.num_ms1))
-        k = int(rng.integers(0, ctx.num_users))
-        chan = CascadedChannel(c=ctx.channels[k], iota=float(ctx.iota[k]))
-        direct = snr(point.ms1_phase, equiv, chan)
-        bs_angles = ArrayAngles(
-            float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0, math.pi / 2))
-        )
-        full = snr_full_path(point.ms1_phase, equiv, scenario, k, bs_angles)
-        assert full == pytest.approx(direct, rel=1e-10, abs=1e-18)
+    """The SNR table the solver uses against the explicit matrix model, fed
+    each placement's equivalent phase from the dense selection oracle."""
+    result = check_model_equivalence(9, 20)
+    assert result.passed, result.detail
 
 
 def test_full_path_independent_of_bs_angles():

@@ -175,10 +175,22 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
     assert "iota" in err
 
 
-@pytest.mark.parametrize("key", ["inner_grad_tol", "initial_step"])
+# JSON reads 1e999 as inf; integer keys must not be truncated either.
+_BAD_SOLVER_SETTINGS = {
+    "inner_grad_tol": "1e999",
+    "initial_step": "1e999",
+    "seed": "1e999",
+    "max_inner_iters": "1e999",
+    "restarts": "2.5",
+    "restart_period": "2.5",
+    "max_outer_iters": "2.5",
+}
+
+
+@pytest.mark.parametrize("key", list(_BAD_SOLVER_SETTINGS))
 def test_solve_rejects_infinite_solver_setting(tmp_path, capsys, key):
     config = tmp_path / "config.json"
-    config.write_text(f'{{"{key}": 1e999}}')  # JSON reads 1e999 as inf
+    config.write_text(f'{{"{key}": {_BAD_SOLVER_SETTINGS[key]}}}')
     code, _, err = run(
         [
             "solve",

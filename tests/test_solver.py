@@ -10,14 +10,12 @@ from misopt import (
     ProductPoint,
     Scenario,
     SolverConfig,
-    all_selections,
     conjugate_direction,
-    equivalent_phase,
     evaluate,
     inner_solve,
     line_search,
     pr_beta,
-    snr,
+    snr_full_path,
     solve,
     threshold_schedule,
 )
@@ -35,7 +33,7 @@ from misopt.solver import (
     _retract_point,
     uniform_schedule,
 )
-from helpers import random_instance
+from helpers import dense_selection_oracle, random_instance
 
 
 def test_pr_beta_identical_gradients():
@@ -115,6 +113,30 @@ def test_line_search_zero_direction_returns_initial_step():
     assert not result.stalled
     np.testing.assert_array_equal(result.point.ms1_phase, point.ms1_phase)
     np.testing.assert_array_equal(result.point.schedule, point.schedule)
+
+
+def test_line_search_first_step_argument_overrides_config():
+    point = _exact_point()
+    config = SolverConfig(initial_step=0.75)
+    result = line_search(
+        point, _zero_direction(point), lambda p: 1.5, config, 0.0, initial_step=0.25
+    )
+    assert result.step == 0.25
+    # the search backtracks from the given step, not from config.initial_step
+    direction = TangentTriple(
+        np.zeros_like(point.ms1_phase),
+        np.zeros_like(point.ms2_phase),
+        np.array([[0.25, -0.25], [0.0, 0.0]]),
+    )
+
+    def objective(p):
+        return -((p.schedule[0, 0] - 0.575) ** 2)
+
+    slope = -2.0 * (0.5 - 0.575) * 0.25
+    assert line_search(point, direction, objective, config, slope).step == 0.375
+    result = line_search(point, direction, objective, config, slope, initial_step=0.55)
+    assert result.step == 0.55
+    assert not result.stalled
 
 
 def test_line_search_quadratic_toy():
@@ -450,14 +472,11 @@ def test_solve_single_pattern_schedule_is_all_ones():
 def test_solve_report_consistent_with_scalar_recomputation():
     scenario = _two_user_scenario()
     report = solve(scenario, SolverConfig(rng_seed=2, num_restarts=2))
-    selections = all_selections(scenario.geom)
-    from misopt import cascaded_channel
-
     recomputed = []
-    for k, chan in enumerate(cascaded_channel(scenario)):
-        sel = selections[int(report.chosen_pattern[k]) - 1]
-        equiv = equivalent_phase(report.ms2_phase, sel)
-        recomputed.append(snr(report.ms1_phase, equiv, chan))
+    for k, pattern in enumerate(report.chosen_pattern):
+        dense, padding = dense_selection_oracle(scenario.geom, int(pattern))
+        equiv = dense @ report.ms2_phase + padding
+        recomputed.append(snr_full_path(report.ms1_phase, equiv, scenario, k))
     np.testing.assert_allclose(report.per_user_snr, recomputed, rtol=1e-12)
     assert report.worst_snr == pytest.approx(min(recomputed), rel=1e-12)
     assert report.worst_snr_db == pytest.approx(
@@ -537,11 +556,20 @@ def test_solver_config_validation():
         {"armijo_c1": math.nan},
         {"backtrack_factor": math.nan},
         {"max_backtracks": -1},
+        {"max_inner_iters": math.inf},
+        {"max_inner_iters": 2.5},
+        {"max_outer_iters": 2.5},
+        {"max_backtracks": 3.0},
+        {"restart_period": 2.5},
+        {"rng_seed": math.inf},
+        {"rng_seed": True},
+        {"num_restarts": 2.5},
     ):
         (key,) = bad
         with pytest.raises(ValueError, match=key):
             SolverConfig(**bad)
     SolverConfig(mu_gap_rtol=0.0, max_backtracks=0)
+    SolverConfig(rng_seed=np.int64(3), restart_period=None, num_restarts=np.int32(2))
 
 
 def test_solve_rejects_mismatched_geometry():
