@@ -21,6 +21,7 @@ from .channel import (
 from .experiments import (
     ArcScenarioSpec,
     CaseStudyResult,
+    CoverageArc,
     SweepResult,
     build_arc_scenario,
     case_study,

@@ -1,10 +1,15 @@
 """Command-line front end: config ingestion, subcommand dispatch, result emission.
 
 Configuration is a flat JSON document; command-line flags override file
-values, unknown keys are rejected by name.  Every run writes its CSV results
-plus a JSON manifest (config echo, seed, tool version, digest of the CSV
-bytes) into the output directory and prints SNR figures in both linear and
-dB form.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
+values, unknown keys are rejected by name.  One table, :data:`_SUBCOMMANDS`,
+lists each subcommand's flags; its config keys are those plus the solver
+keys.  Every command first builds all of its inputs (the coverage arc,
+geometries and specs, user counts, the allocation ladder, the solver
+configuration) and only then solves and writes: its CSV results plus a JSON
+manifest (config echo, seed, tool version, digest of the CSV bytes) into the
+output directory, printing SNR figures in both linear and dB form.  Exit
+codes: 0 success, 1 when the configuration or an input built from it is
+invalid, 2 for any failure after that.
 """
 
 from __future__ import annotations
@@ -18,8 +23,11 @@ import sys
 from . import __version__
 from .experiments import (
     ArcScenarioSpec,
+    CoverageArc,
+    allocation_steps,
     build_arc_scenario,
     case_study,
+    case_study_geometry,
     results_digest,
     sweep_allocation,
     sweep_ms2_sizes,
@@ -53,17 +61,6 @@ _SOLVER_KEYS = (
     "initial_step",
     "restart_period",
 )
-_COMMON_KEYS = {"subcommand", "seed", "restarts", "jobs", "out", *_SOLVER_KEYS}
-_ARC_KEYS = {"az_lo_deg", "az_hi_deg", "elev_deg", "iota"}
-_ALLOWED_KEYS = {
-    "solve": _COMMON_KEYS | _ARC_KEYS | {"m_rows", "m_cols", "n_rows", "n_cols", "users"},
-    "sweep-ms2": _COMMON_KEYS | _ARC_KEYS | {"m_rows", "m_cols", "users"},
-    "sweep-alloc": _COMMON_KEYS | _ARC_KEYS | {"total", "scheme", "users"},
-    "sweep-users": _COMMON_KEYS | _ARC_KEYS | {"users"},
-    "case-study": _COMMON_KEYS | _ARC_KEYS | {"figure", "users"},
-    "oracle-check": _COMMON_KEYS,
-    "selftest": _COMMON_KEYS,
-}
 
 _DEFAULTS = {
     "seed": 0,
@@ -75,56 +72,6 @@ _DEFAULTS = {
     "elev_deg": 45.0,
     "iota": 0.01,
 }
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="misopt",
-        description="Beam-pattern design and shift scheduling for stacked movable metasurfaces",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def flags(p, *keys, kind=int):
-        for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
-
-    def common(p, arc=True):
-        p.add_argument("--config", help="flat JSON config file; flags override it")
-        flags(p, "seed", "restarts", "jobs")
-        p.add_argument("--out", help="output directory (created if missing)")
-        if arc:
-            flags(p, "az_lo_deg", "az_hi_deg", "elev_deg", "iota", kind=float)
-
-    p = sub.add_parser("solve", help="solve one coverage scenario")
-    common(p)
-    flags(p, "m_rows", "m_cols", "n_rows", "n_cols", "users")
-
-    p = sub.add_parser("sweep-ms2", help="sweep the movable-layer size")
-    common(p)
-    flags(p, "m_rows", "m_cols")
-    p.add_argument("--users", help="comma-separated user counts, e.g. 8,16")
-
-    p = sub.add_parser("sweep-alloc", help="sweep the element allocation at fixed total")
-    common(p)
-    flags(p, "total")
-    p.add_argument("--scheme", type=int, choices=(1, 2))
-    flags(p, "users")
-
-    p = sub.add_parser("sweep-users", help="worst-case SNR versus user count, 1D and 2D layouts")
-    common(p)
-    p.add_argument("--users", help="comma-separated user counts, e.g. 4,8,16,32")
-
-    p = sub.add_parser("case-study", help="tiny layouts versus their single-layer baseline")
-    common(p)
-    p.add_argument("--figure", type=int, choices=(6, 7))
-    flags(p, "users")
-
-    p = sub.add_parser("oracle-check", help="finite-difference and brute-force ground-truth suite")
-    common(p, arc=False)
-
-    p = sub.add_parser("selftest", help="fast invariant suite")
-    common(p, arc=False)
-    return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -173,13 +120,13 @@ def _solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError(f"bad solver configuration: {exc}")
 
 
-def _arc_kwargs(cfg: dict) -> dict:
-    return {
-        "azimuth_lo": math.radians(float(cfg["az_lo_deg"])),
-        "azimuth_hi": math.radians(float(cfg["az_hi_deg"])),
-        "elevation": math.radians(float(cfg["elev_deg"])),
-        "iota": float(cfg["iota"]),
-    }
+def _arc(cfg: dict) -> CoverageArc:
+    return CoverageArc(
+        azimuth_lo=math.radians(float(cfg["az_lo_deg"])),
+        azimuth_hi=math.radians(float(cfg["az_hi_deg"])),
+        elevation=math.radians(float(cfg["elev_deg"])),
+        iota=float(cfg["iota"]),
+    )
 
 
 def _require(cfg: dict, key: str):
@@ -201,19 +148,19 @@ def _int_key(cfg: dict, key: str) -> int:
 
 
 def _user_list(raw) -> list[int]:
+    """One or more positive user counts from an integer, a list or a
+    comma-separated string."""
     if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
-        return list(raw)
-    if _is_int(raw):
-        return [raw]
-    if isinstance(raw, str):
-        return [int(part) for part in raw.split(",") if part.strip()]
-    raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
-
-
-def _out_dir(cfg: dict) -> str:
-    out = str(cfg.get("out", "misopt_out"))
-    os.makedirs(out, exist_ok=True)
-    return out
+        counts = list(raw)
+    elif _is_int(raw):
+        counts = [raw]
+    elif isinstance(raw, str):
+        counts = [int(part) for part in raw.split(",") if part.strip()]
+    else:
+        raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
+    if min(counts, default=0) < 1:
+        raise ConfigError(f"config key 'users' must be positive counts, got {raw!r}")
+    return counts
 
 
 def _db(value: float) -> str:
@@ -222,7 +169,13 @@ def _db(value: float) -> str:
     return f"{10.0 * math.log10(value):.4f}"
 
 
-def _finish(cfg: dict, out: str, stem: str, write, result) -> None:
+def _out_dir(cfg: dict) -> str:
+    out = str(cfg["out"])
+    os.makedirs(out, exist_ok=True)
+    return out
+
+
+def _finish(cfg: dict, out: str, stem: str, write, result) -> int:
     """Write ``<stem>.csv`` with ``write(result, path)``, then its manifest."""
     path = os.path.join(out, f"{stem}.csv")
     write(result, path)
@@ -236,110 +189,112 @@ def _finish(cfg: dict, out: str, stem: str, write, result) -> None:
     )
     print(f"wrote {path}")
     print(f"results digest sha256:{digest}")
+    return 0
 
 
-def _cmd_solve(cfg: dict) -> int:
+# Each _cmd_* builds every input of its subcommand from ``cfg`` (any failure
+# there is a configuration error) and returns the run, which creates the output
+# directory, solves and writes.
+
+
+def _cmd_solve(cfg: dict):
     geom = MisGeometry(
-        _int_key(cfg, "m_rows"),
-        _int_key(cfg, "m_cols"),
-        _int_key(cfg, "n_rows"),
-        _int_key(cfg, "n_cols"),
+        *(_int_key(cfg, key) for key in ("m_rows", "m_cols", "n_rows", "n_cols"))
     )
-    spec = ArcScenarioSpec(
-        geom=geom, num_users=_int_key(cfg, "users"), **_arc_kwargs(cfg)
-    )
+    spec = ArcScenarioSpec(geom, _int_key(cfg, "users"), _arc(cfg))
     scenario = build_arc_scenario(spec)
     config = _solver_config(cfg)
-    out = _out_dir(cfg)
 
-    report = solve(scenario, config)
-    print(
-        f"worst-case snr: {report.worst_snr:.6g} linear ({_db(report.worst_snr)} dB)"
-    )
-    for k, (snr_val, pattern) in enumerate(
-        zip(report.per_user_snr, report.chosen_pattern)
-    ):
+    def run() -> int:
+        out = _out_dir(cfg)
+        report = solve(scenario, config)
         print(
-            f"  user {k + 1}: snr {snr_val:.6g} linear ({_db(float(snr_val))} dB), "
-            f"pattern {int(pattern)}"
+            f"worst-case snr: {report.worst_snr:.6g} linear ({_db(report.worst_snr)} dB)"
         )
-    _finish(cfg, out, "solve", write_solve_csv, report)
-    return 0
+        for k, (snr_val, pattern) in enumerate(
+            zip(report.per_user_snr, report.chosen_pattern)
+        ):
+            print(
+                f"  user {k + 1}: snr {snr_val:.6g} linear ({_db(float(snr_val))} dB), "
+                f"pattern {int(pattern)}"
+            )
+        return _finish(cfg, out, "solve", write_solve_csv, report)
+
+    return run
 
 
-def _cmd_sweep_ms2(cfg: dict) -> int:
+def _cmd_sweep_ms2(cfg: dict):
+    m_rows, m_cols = _int_key(cfg, "m_rows"), _int_key(cfg, "m_cols")
+    MisGeometry(m_rows, m_cols, m_rows, m_cols)
     users = _user_list(_require(cfg, "users"))
+    arc, config, jobs = _arc(cfg), _solver_config(cfg), _int_key(cfg, "jobs")
+
+    def run() -> int:
+        out = _out_dir(cfg)
+        results = sweep_ms2_sizes(m_rows, m_cols, users, config, jobs=jobs, arc=arc)
+        for count, res in results.items():
+            best = float(res.gain.max())
+            print(f"users={count}: best gain {best:.4f} over single-layer baseline")
+        return _finish(cfg, out, "sweep_ms2", write_sweep_csv, list(results.values()))
+
+    return run
+
+
+def _cmd_sweep_alloc(cfg: dict):
+    total, scheme = _int_key(cfg, "total"), _int_key(cfg, "scheme")
+    users, arc = _int_key(cfg, "users"), _arc(cfg)
+    ArcScenarioSpec(allocation_steps(total, scheme)[0], users, arc)
+    config, jobs = _solver_config(cfg), _int_key(cfg, "jobs")
+
+    def run() -> int:
+        out = _out_dir(cfg)
+        result = sweep_allocation(total, scheme, users, config, jobs=jobs, arc=arc)
+        peak = float(result.gain.max())
+        at = result.cell_labels[int(result.gain.argmax())]
+        print(f"peak gain {peak:.4f} at {at}")
+        return _finish(cfg, out, "sweep_alloc", write_sweep_csv, result)
+
+    return run
+
+
+def _cmd_sweep_users(cfg: dict):
+    counts = _user_list("4,8,16,32" if cfg.get("users") is None else cfg["users"])
+    arc, config, jobs = _arc(cfg), _solver_config(cfg), _int_key(cfg, "jobs")
+
+    def run() -> int:
+        out = _out_dir(cfg)
+        sweep = sweep_users_1d2d(config, user_counts=counts, jobs=jobs, arc=arc)
+        for row in sweep.rows:
+            print(
+                f"{row.label} users={row.num_users}: worst snr {row.worst_snr:.6g} "
+                f"linear ({_db(row.worst_snr)} dB)"
+            )
+        return _finish(cfg, out, "sweep_users", write_users_csv, sweep)
+
+    return run
+
+
+def _cmd_case_study(cfg: dict):
+    figure, arc = _int_key(cfg, "figure"), _arc(cfg)
+    users = 4 if cfg.get("users") is None else _int_key(cfg, "users")
+    ArcScenarioSpec(case_study_geometry(figure), users, arc)
     config = _solver_config(cfg)
-    out = _out_dir(cfg)
-    results = sweep_ms2_sizes(
-        _int_key(cfg, "m_rows"),
-        _int_key(cfg, "m_cols"),
-        users,
-        config,
-        jobs=_int_key(cfg, "jobs"),
-        **_arc_kwargs(cfg),
-    )
-    for count, res in results.items():
-        best = float(res.gain.max())
-        print(f"users={count}: best gain {best:.4f} over single-layer baseline")
-    _finish(cfg, out, "sweep_ms2", write_sweep_csv, list(results.values()))
-    return 0
 
-
-def _cmd_sweep_alloc(cfg: dict) -> int:
-    config = _solver_config(cfg)
-    out = _out_dir(cfg)
-    result = sweep_allocation(
-        _int_key(cfg, "total"),
-        _int_key(cfg, "scheme"),
-        _int_key(cfg, "users"),
-        config,
-        jobs=_int_key(cfg, "jobs"),
-        **_arc_kwargs(cfg),
-    )
-    peak = float(result.gain.max())
-    at = result.cell_labels[int(result.gain.argmax())]
-    print(f"peak gain {peak:.4f} at {at}")
-    _finish(cfg, out, "sweep_alloc", write_sweep_csv, result)
-    return 0
-
-
-def _cmd_sweep_users(cfg: dict) -> int:
-    config = _solver_config(cfg)
-    out = _out_dir(cfg)
-    counts = _user_list(cfg.get("users") or "4,8,16,32")
-    sweep = sweep_users_1d2d(
-        config, user_counts=counts, jobs=_int_key(cfg, "jobs"), **_arc_kwargs(cfg)
-    )
-    for row in sweep.rows:
+    def run() -> int:
+        out = _out_dir(cfg)
+        result = case_study(figure, config, num_users=users, arc=arc)
         print(
-            f"{row.label} users={row.num_users}: worst snr {row.worst_snr:.6g} "
-            f"linear ({_db(row.worst_snr)} dB)"
+            f"two-layer worst snr {result.mis.worst_snr:.6g} linear "
+            f"({_db(result.mis.worst_snr)} dB); single-layer "
+            f"{result.sms.worst_snr:.6g} linear ({_db(result.sms.worst_snr)} dB)"
         )
-    _finish(cfg, out, "sweep_users", write_users_csv, sweep)
-    return 0
+        return _finish(cfg, out, "case_study", write_case_study_csv, result)
+
+    return run
 
 
-def _cmd_case_study(cfg: dict) -> int:
-    config = _solver_config(cfg)
-    out = _out_dir(cfg)
-    result = case_study(
-        _int_key(cfg, "figure"),
-        config,
-        num_users=4 if cfg.get("users") is None else _int_key(cfg, "users"),
-        **_arc_kwargs(cfg),
-    )
-    print(
-        f"two-layer worst snr {result.mis.worst_snr:.6g} linear "
-        f"({_db(result.mis.worst_snr)} dB); single-layer "
-        f"{result.sms.worst_snr:.6g} linear ({_db(result.sms.worst_snr)} dB)"
-    )
-    _finish(cfg, out, "case_study", write_case_study_csv, result)
-    return 0
-
-
-def _run_checks(cfg: dict, runner) -> int:
-    results = runner(_int_key(cfg, "seed"))
+def _run_checks(runner, seed: int) -> int:
+    results = runner(seed)
     failed = 0
     for res in results:
         mark = "ok" if res.passed else "FAIL"
@@ -352,27 +307,84 @@ def _run_checks(cfg: dict, runner) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: dict) -> int:
+def _cmd_selftest(cfg: dict):
     from .checks import run_selftest
 
-    return _run_checks(cfg, run_selftest)
+    seed = _int_key(cfg, "seed")
+    return lambda: _run_checks(run_selftest, seed)
 
 
-def _cmd_oracle_check(cfg: dict) -> int:
+def _cmd_oracle_check(cfg: dict):
     from .checks import run_oracle_check
 
-    return _run_checks(cfg, run_oracle_check)
+    seed = _int_key(cfg, "seed")
+    return lambda: _run_checks(run_oracle_check, seed)
 
 
-_RUNNERS = {
-    "solve": _cmd_solve,
-    "sweep-ms2": _cmd_sweep_ms2,
-    "sweep-alloc": _cmd_sweep_alloc,
-    "sweep-users": _cmd_sweep_users,
-    "case-study": _cmd_case_study,
-    "selftest": _cmd_selftest,
-    "oracle-check": _cmd_oracle_check,
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_ARC_FLAGS = dict.fromkeys(("az_lo_deg", "az_hi_deg", "elev_deg", "iota"), _FLOAT)
+_COMMON_FLAGS = {
+    "seed": _INT,
+    "restarts": _INT,
+    "jobs": _INT,
+    "out": {"help": "output directory (created if missing)"},
 }
+# Subcommand: (help, builder, argparse flags beyond --config and the common ones).
+_SUBCOMMANDS = {
+    "solve": (
+        "solve one coverage scenario",
+        _cmd_solve,
+        {**_ARC_FLAGS, **dict.fromkeys(("m_rows", "m_cols", "n_rows", "n_cols"), _INT),
+         "users": _INT},
+    ),
+    "sweep-ms2": (
+        "sweep the movable-layer size",
+        _cmd_sweep_ms2,
+        {**_ARC_FLAGS, "m_rows": _INT, "m_cols": _INT,
+         "users": {"help": "comma-separated user counts, e.g. 8,16"}},
+    ),
+    "sweep-alloc": (
+        "sweep the element allocation at fixed total",
+        _cmd_sweep_alloc,
+        {**_ARC_FLAGS, "total": _INT, "scheme": {"type": int, "choices": (1, 2)},
+         "users": _INT},
+    ),
+    "sweep-users": (
+        "worst-case SNR versus user count, 1D and 2D layouts",
+        _cmd_sweep_users,
+        {**_ARC_FLAGS, "users": {"help": "comma-separated user counts, e.g. 4,8,16,32"}},
+    ),
+    "case-study": (
+        "tiny layouts versus their single-layer baseline",
+        _cmd_case_study,
+        {**_ARC_FLAGS, "figure": {"type": int, "choices": (6, 7)}, "users": _INT},
+    ),
+    "oracle-check": (
+        "finite-difference and brute-force ground-truth suite",
+        _cmd_oracle_check,
+        {},
+    ),
+    "selftest": ("fast invariant suite", _cmd_selftest, {}),
+}
+_ALLOWED_KEYS = {
+    name: {"subcommand", *_SOLVER_KEYS, *_COMMON_FLAGS, *flags}
+    for name, (_, _, flags) in _SUBCOMMANDS.items()
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="misopt",
+        description="Beam-pattern design and shift scheduling for stacked movable metasurfaces",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        for key, kwargs in {**_COMMON_FLAGS, **flags}.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -384,15 +396,12 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve_config(args)
-        runner = _RUNNERS[args.subcommand]
-    except ConfigError as exc:
+        run = _SUBCOMMANDS[args.subcommand][1](cfg)
+    except Exception as exc:  # building the inputs failed: bad configuration
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return runner(cfg)
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return run()
     except Exception as exc:  # runtime failure distinct from bad input
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

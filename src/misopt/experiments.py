@@ -1,15 +1,19 @@
 """Scenario builders and sweep drivers for the numerical studies.
 
-Users sit on an azimuth arc at a common elevation and a common SNR scale.
-Every sweep normalizes against a single-layer baseline (movable layer grown
-to the full fixed layer, one pattern).  Sweeps that keep the fixed layer
-unchanged seed each movable-layer cell with the baseline solution embedded
-as a feasible point (baseline phases on layer 1, identity phases on layer
-2), so a cell can never report worse than the baseline it is normalized by.
+The target coverage area is a :class:`CoverageArc`: users on an azimuth arc
+at a common elevation and a common SNR scale.  An
+:class:`ArcScenarioSpec` places a user count on that arc over one geometry,
+and every sweep and :func:`case_study` takes the arc as one ``arc=``
+argument.  Every sweep normalizes against a single-layer baseline (movable
+layer grown to the full fixed layer, one pattern).  Sweeps that keep the
+fixed layer unchanged seed each movable-layer cell with the baseline
+solution embedded as a feasible point (baseline phases on layer 1, identity
+phases on layer 2), so a cell can never report worse than the baseline it
+is normalized by.
 
-Sweep cells are independent solves; with ``jobs > 1`` they run in a process
-pool and are gathered by index, so results do not depend on completion
-order.
+Sweep cells (and the two chains of the user sweep) are independent tasks;
+with ``jobs > 1`` :func:`_run_tasks` runs them in a process pool and gathers
+them by index, so results do not depend on completion order.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .objective import EvalContext, ProductPoint
 from .solver import SolveReport, SolverConfig, solve, uniform_schedule
 
 __all__ = [
+    "CoverageArc",
     "ArcScenarioSpec",
     "SweepResult",
     "UsersSweepRow",
@@ -40,6 +45,7 @@ __all__ = [
     "allocation_steps",
     "sweep_allocation",
     "sweep_users_1d2d",
+    "case_study_geometry",
     "case_study",
     "write_sweep_csv",
     "write_users_csv",
@@ -51,11 +57,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ArcScenarioSpec:
-    """Users spread uniformly over an azimuth arc at one elevation and SNR scale."""
+class CoverageArc:
+    """Target coverage area: an azimuth arc at one elevation and SNR scale,
+    lit by a base station whose signal reaches the surface from ``mis_arrival``."""
 
-    geom: MisGeometry
-    num_users: int
     azimuth_lo: float = -math.pi / 3
     azimuth_hi: float = math.pi / 3
     elevation: float = math.pi / 4
@@ -63,21 +68,29 @@ class ArcScenarioSpec:
     mis_arrival: ArrayAngles = BROADSIDE
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
         if not self.azimuth_lo < self.azimuth_hi:
             raise ValueError("azimuth_lo must be below azimuth_hi")
         if not 0 < self.iota < math.inf:
             raise ValueError("iota must be positive and finite")
 
 
+@dataclass(frozen=True)
+class ArcScenarioSpec:
+    """``num_users`` users spread uniformly over ``arc``, served by ``geom``."""
+
+    geom: MisGeometry
+    num_users: int
+    arc: CoverageArc = CoverageArc()
+
+    def __post_init__(self):
+        if self.num_users < 1:
+            raise ValueError("num_users must be >= 1")
+
+
 @dataclass
 class SweepResult:
     """Worst-case SNR of every cell against the shared baseline."""
 
-    kind: str
-    row_labels: list
-    col_labels: list
     mis_snr: np.ndarray
     baseline_snr: np.ndarray
     gain: np.ndarray
@@ -115,11 +128,10 @@ class CaseStudyResult:
 
 def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
     """Place the users at azimuths uniformly spaced over the arc, endpoints included."""
-    azimuths = np.linspace(spec.azimuth_lo, spec.azimuth_hi, spec.num_users)
-    users = [
-        (ArrayAngles(float(az), spec.elevation), spec.iota) for az in azimuths
-    ]
-    return Scenario(geom=spec.geom, mis_arrival=spec.mis_arrival, users=users)
+    arc = spec.arc
+    azimuths = np.linspace(arc.azimuth_lo, arc.azimuth_hi, spec.num_users)
+    users = [(ArrayAngles(float(az), arc.elevation), arc.iota) for az in azimuths]
+    return Scenario(geom=spec.geom, mis_arrival=arc.mis_arrival, users=users)
 
 
 def _single_layer_geom(geom: MisGeometry) -> MisGeometry:
@@ -155,11 +167,41 @@ def _solve_task(args) -> SolveReport:
     return solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
 
 
-def _run_tasks(tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_solve_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_solve_task, tasks))
+def _run_tasks(task, args: list, jobs: int) -> list:
+    """``[task(a) for a in args]``, in a pool of up to ``jobs`` processes when
+    there is more than one task."""
+    if jobs <= 1 or len(args) <= 1:
+        return [task(a) for a in args]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+        return list(pool.map(task, args))
+
+
+def _sweep_result(
+    reports: dict,
+    base_key: str,
+    labels: list,
+    shape,
+    num_users: int,
+    config: SolverConfig,
+) -> SweepResult:
+    """Normalize each cell's worst-case SNR by the baseline cell ``base_key``.
+
+    ``reports`` maps each cell's key to its report in cell order; the
+    baseline cell's gain is 1 by definition.
+    """
+    mis = np.array([rep.worst_snr for rep in reports.values()]).reshape(shape)
+    base = np.full_like(mis, reports[base_key].worst_snr)
+    gain = mis / base
+    gain.flat[list(reports).index(base_key)] = 1.0
+    return SweepResult(
+        mis_snr=mis,
+        baseline_snr=base,
+        gain=gain,
+        cell_labels=labels,
+        num_users=num_users,
+        seed=config.rng_seed,
+        reports=reports,
+    )
 
 
 def sweep_ms2_sizes(
@@ -168,65 +210,30 @@ def sweep_ms2_sizes(
     user_counts,
     config: SolverConfig,
     jobs: int = 1,
-    azimuth_lo: float = -math.pi / 3,
-    azimuth_hi: float = math.pi / 3,
-    elevation: float = math.pi / 4,
-    iota: float = 0.01,
-    mis_arrival: ArrayAngles = BROADSIDE,
+    arc: CoverageArc = CoverageArc(),
 ) -> dict:
     """Grid of movable-layer sizes from 1x1 to the full fixed layer, one
     :class:`SweepResult` per user count, normalized by the full-size cell."""
+    full_geom = MisGeometry(m_rows, m_cols, m_rows, m_cols)
+    specs = [ArcScenarioSpec(full_geom, num_users, arc) for num_users in user_counts]
+    cells = [(nr, nc) for nr in range(1, m_rows + 1) for nc in range(1, m_cols + 1)]
+    labels = [f"ms1={m_rows}x{m_cols}/ms2={nr}x{nc}" for nr, nc in cells]
     results = {}
-    for num_users in user_counts:
-        full_geom = MisGeometry(m_rows, m_cols, m_rows, m_cols)
-        spec = ArcScenarioSpec(
-            geom=full_geom,
-            num_users=num_users,
-            azimuth_lo=azimuth_lo,
-            azimuth_hi=azimuth_hi,
-            elevation=elevation,
-            iota=iota,
-            mis_arrival=mis_arrival,
-        )
+    for spec in specs:
         baseline = sms_baseline(spec, config)
-        cells = [
-            (nr, nc)
-            for nr in range(1, m_rows + 1)
-            for nc in range(1, m_cols + 1)
-            if (nr, nc) != (m_rows, m_cols)
-        ]
         tasks = []
-        for nr, nc in cells:
+        for nr, nc in cells[:-1]:
             cell_geom = MisGeometry(m_rows, m_cols, nr, nc)
-            warm = _embedded_start(baseline, cell_geom, num_users)
+            warm = _embedded_start(baseline, cell_geom, spec.num_users)
             tasks.append((replace(spec, geom=cell_geom), config, warm))
-        reports = _run_tasks(tasks, jobs)
-
-        mis = np.zeros((m_rows, m_cols))
-        report_map = {}
-        for (nr, nc), report in zip(cells, reports):
-            mis[nr - 1, nc - 1] = report.worst_snr
-            report_map[f"{nr}x{nc}"] = report
-        mis[m_rows - 1, m_cols - 1] = baseline.worst_snr
-        report_map[f"{m_rows}x{m_cols}"] = baseline
-        base = np.full_like(mis, baseline.worst_snr)
-        gain = mis / base
-        gain[m_rows - 1, m_cols - 1] = 1.0
-        results[num_users] = SweepResult(
-            kind="ms2-size",
-            row_labels=list(range(1, m_rows + 1)),
-            col_labels=list(range(1, m_cols + 1)),
-            mis_snr=mis,
-            baseline_snr=base,
-            gain=gain,
-            cell_labels=[
-                f"ms1={m_rows}x{m_cols}/ms2={nr}x{nc}"
-                for nr in range(1, m_rows + 1)
-                for nc in range(1, m_cols + 1)
-            ],
-            num_users=num_users,
-            seed=config.rng_seed,
-            reports=report_map,
+        reports = _run_tasks(_solve_task, tasks, jobs) + [baseline]
+        results[spec.num_users] = _sweep_result(
+            {f"{nr}x{nc}": rep for (nr, nc), rep in zip(cells, reports)},
+            f"{m_rows}x{m_cols}",
+            labels,
+            (m_rows, m_cols),
+            spec.num_users,
+            config,
         )
     return results
 
@@ -263,77 +270,43 @@ def sweep_allocation(
     num_users: int,
     config: SolverConfig,
     jobs: int = 1,
-    azimuth_lo: float = -math.pi / 3,
-    azimuth_hi: float = math.pi / 3,
-    elevation: float = math.pi / 4,
-    iota: float = 0.01,
-    mis_arrival: ArrayAngles = BROADSIDE,
+    arc: CoverageArc = CoverageArc(),
 ) -> SweepResult:
     """Worst-case SNR along the allocation ladder; step 0 is the baseline."""
     steps = allocation_steps(total_elements, scheme)
-    specs = [
-        ArcScenarioSpec(
-            geom=geom,
-            num_users=num_users,
-            azimuth_lo=azimuth_lo,
-            azimuth_hi=azimuth_hi,
-            elevation=elevation,
-            iota=iota,
-            mis_arrival=mis_arrival,
-        )
-        for geom in steps
-    ]
+    specs = [ArcScenarioSpec(geom, num_users, arc) for geom in steps]
     baseline = sms_baseline(specs[0], config)
     reports = [baseline] + _run_tasks(
-        [(spec, config, None) for spec in specs[1:]], jobs
+        _solve_task, [(spec, config, None) for spec in specs[1:]], jobs
     )
-    # Movable-layer element count per step; 0 means the single-layer baseline.
-    moved = [0] + [geom.num_ms2 for geom in steps[1:]]
-    mis = np.array([rep.worst_snr for rep in reports])
-    base = np.full_like(mis, baseline.worst_snr)
-    gain = mis / base
-    gain[0] = 1.0
-    labels = [
-        "single-layer"
-        if n == 0
-        else f"ms1={g.m_rows}x{g.m_cols}/ms2={g.n_rows}x{g.n_cols}"
-        for n, g in zip(moved, steps)
+    labels = ["single-layer"] + [
+        f"ms1={g.m_rows}x{g.m_cols}/ms2={g.n_rows}x{g.n_cols}" for g in steps[1:]
     ]
-    return SweepResult(
-        kind="allocation",
-        row_labels=[f"scheme-{scheme}"],
-        col_labels=moved,
-        mis_snr=mis,
-        baseline_snr=base,
-        gain=gain,
-        cell_labels=labels,
-        num_users=num_users,
-        seed=config.rng_seed,
-        reports={lab: rep for lab, rep in zip(labels, reports)},
+    return _sweep_result(
+        dict(zip(labels, reports)), labels[0], labels, len(labels), num_users, config
     )
 
 
 def _solve_chain(args) -> list:
     """Solve one geometry over user counts (largest first), warm-starting each
     count from the previous solution's phases."""
-    geom, user_counts, config, arc_kwargs = args
+    specs, config = args
     out = {}
     warm_phases = None
-    for num_users in sorted(user_counts, reverse=True):
-        spec = ArcScenarioSpec(geom=geom, num_users=num_users, **arc_kwargs)
+    for spec in sorted(specs, key=lambda s: s.num_users, reverse=True):
         warm_starts = ()
         if warm_phases is not None:
             warm_starts = (
                 ProductPoint(
                     ms1_phase=warm_phases[0],
                     ms2_phase=warm_phases[1],
-                    schedule=uniform_schedule(num_users, geom.num_patterns),
+                    schedule=uniform_schedule(spec.num_users, spec.geom.num_patterns),
                 ),
             )
         report = solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
-        out[num_users] = report
+        out[spec.num_users] = report
         warm_phases = (report.ms1_phase, report.ms2_phase)
-    return [out[k] for k in user_counts]
+    return [out[spec.num_users] for spec in specs]
 
 
 def sweep_users_1d2d(
@@ -342,79 +315,58 @@ def sweep_users_1d2d(
     one_d: MisGeometry = MisGeometry(1, 64, 1, 36),
     two_d: MisGeometry = MisGeometry(8, 8, 6, 6),
     jobs: int = 1,
-    azimuth_lo: float = -math.pi / 3,
-    azimuth_hi: float = math.pi / 3,
-    elevation: float = math.pi / 4,
-    iota: float = 0.01,
-    mis_arrival: ArrayAngles = BROADSIDE,
+    arc: CoverageArc = CoverageArc(),
 ) -> UsersSweep:
     """Worst-case SNR versus user count for a 1D and a 2D layout."""
     user_counts = list(user_counts)
-    arc_kwargs = dict(
-        azimuth_lo=azimuth_lo,
-        azimuth_hi=azimuth_hi,
-        elevation=elevation,
-        iota=iota,
-        mis_arrival=mis_arrival,
-    )
-    tasks = [
-        (one_d, user_counts, config, arc_kwargs),
-        (two_d, user_counts, config, arc_kwargs),
+    layouts = ((one_d, "1d"), (two_d, "2d"))
+    chains = [
+        [ArcScenarioSpec(geom, num_users, arc) for num_users in user_counts]
+        for geom, _ in layouts
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, 2)) as pool:
-            chains = list(pool.map(_solve_chain, tasks))
-    else:
-        chains = [_solve_chain(t) for t in tasks]
-
+    reports = _run_tasks(_solve_chain, [(specs, config) for specs in chains], jobs)
     rows = []
-    reports = []
-    for (geom, label), chain in zip(((one_d, "1d"), (two_d, "2d")), chains):
-        for num_users, report in zip(user_counts, chain):
+    for (geom, label), specs, chain in zip(layouts, chains, reports):
+        for spec, report in zip(specs, chain):
             rows.append(
                 UsersSweepRow(
                     label=f"{label}:ms1={geom.m_rows}x{geom.m_cols}/"
                     f"ms2={geom.n_rows}x{geom.n_cols}",
-                    num_users=num_users,
+                    num_users=spec.num_users,
                     num_patterns=geom.num_patterns,
                     worst_snr=report.worst_snr,
                     worst_snr_db=report.worst_snr_db,
                 )
             )
-            reports.append(report)
-    return UsersSweep(rows=rows, seed=config.rng_seed, reports=reports)
+    return UsersSweep(
+        rows=rows, seed=config.rng_seed, reports=[r for chain in reports for r in chain]
+    )
+
+
+def case_study_geometry(figure: int) -> MisGeometry:
+    """Figure 6: a 2x1 fixed layer over a single movable element (two
+    patterns); figure 7: a 2x2 fixed layer (four patterns)."""
+    if figure == 6:
+        return MisGeometry(2, 1, 1, 1)
+    if figure == 7:
+        return MisGeometry(2, 2, 1, 1)
+    raise ValueError("figure must be 6 or 7")
 
 
 def case_study(
     figure: int,
     config: SolverConfig,
     num_users: int = 4,
-    azimuth_lo: float = -math.pi / 3,
-    azimuth_hi: float = math.pi / 3,
-    elevation: float = math.pi / 4,
-    iota: float = 0.01,
+    arc: CoverageArc = CoverageArc(),
 ) -> CaseStudyResult:
     """Tiny two-layer layouts versus their single-layer counterparts.
 
-    Figure 6 uses a 2x1 fixed layer over a single movable element (two
-    patterns); figure 7 a 2x2 fixed layer (four patterns).  Users span the
-    azimuth arc uniformly.  Returns the solved reports plus the full
-    (user, pattern) SNR tables at both solutions.
+    The layout of each figure is :func:`case_study_geometry`; users span the
+    arc uniformly.  Returns the solved reports plus the full (user, pattern)
+    SNR tables at both solutions.
     """
-    if figure == 6:
-        geom = MisGeometry(2, 1, 1, 1)
-    elif figure == 7:
-        geom = MisGeometry(2, 2, 1, 1)
-    else:
-        raise ValueError("figure must be 6 or 7")
-    spec = ArcScenarioSpec(
-        geom=geom,
-        num_users=num_users,
-        azimuth_lo=azimuth_lo,
-        azimuth_hi=azimuth_hi,
-        elevation=elevation,
-        iota=iota,
-    )
+    geom = case_study_geometry(figure)
+    spec = ArcScenarioSpec(geom, num_users, arc)
     sms = sms_baseline(spec, config)
     warm = _embedded_start(sms, geom, num_users)
     mis = solve(build_arc_scenario(spec), config, warm_starts=(warm,))

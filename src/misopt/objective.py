@@ -108,6 +108,12 @@ class EvalContext:
         return gamma
 
     def _amplitudes(self, ms1_phase, ms2_phase):
+        for name, vec, shape in (
+            ("ms1_phase", ms1_phase, self.channels.shape[1:]),
+            ("ms2_phase", ms2_phase, self.sel_index.shape[1:]),
+        ):
+            if vec.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {vec.shape}")
         equiv = self.equiv_phases(ms2_phase)
         combined = equiv * ms1_phase[None, :]
         amps = self.channels @ combined.T

@@ -66,7 +66,6 @@ def _phase_lattice(levels: int, size: int) -> np.ndarray:
 
 def brute_force_solve(
     scenario: Scenario,
-    geom: MisGeometry | None = None,
     cfg: BruteForceConfig = BruteForceConfig(),
 ) -> BruteForceResult:
     """Exhaustive max-min SNR over the phase lattice.
@@ -75,8 +74,6 @@ def brute_force_solve(
     candidate.  Rejects instances whose nominal enumeration size
     ``levels**(M+N) * U**K`` exceeds the configured cap.
     """
-    if geom is not None and geom != scenario.geom:
-        raise ValueError("geom disagrees with scenario.geom")
     ctx = EvalContext.from_scenario(scenario)
     m, n = ctx.num_ms1, ctx.num_ms2
     nominal = cfg.phase_levels ** (m + n) * ctx.num_patterns**ctx.num_users

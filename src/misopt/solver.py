@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import Scenario
-from .geometry import MisGeometry
 from .manifolds import (
     RetractionError,
     TangentTriple,
@@ -78,7 +77,6 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
     max_backtracks: int = 50
-    pr_plus: bool = True
     restart_period: int | None = None
     rng_seed: int = 0
     num_restarts: int = 1
@@ -315,7 +313,7 @@ def inner_solve(
                 g_old = getattr(prev_rgrad, attr)
                 carried_g = transport(kind, base, g_old)
                 carried_dir = transport(kind, base, getattr(prev_dir, attr))
-                beta = pr_beta(g_new, g_old, carried_g, clamp=config.pr_plus)
+                beta = pr_beta(g_new, g_old, carried_g)
                 # conjugate_direction works on the minimized objective, so
                 # feed it the negated ascent gradient.
                 blocks.append(conjugate_direction(-g_new, carried_dir, beta))
@@ -507,7 +505,6 @@ def _validate_warm_start(idx: int, start: ProductPoint, ctx: EvalContext) -> Non
 def solve(
     scenario: Scenario,
     config: SolverConfig | None = None,
-    geom: MisGeometry | None = None,
     warm_starts: tuple = (),
 ) -> SolveReport:
     """Solve one scenario and return the best report across restarts.
@@ -522,8 +519,6 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    if geom is not None and geom != scenario.geom:
-        raise ValueError("geom disagrees with scenario.geom")
     ctx = EvalContext.from_scenario(scenario)
     for idx, start in enumerate(warm_starts):
         _validate_warm_start(idx, start, ctx)

@@ -211,6 +211,7 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
     cases = [
         ("sweep-ms2", ["--m-rows", "2", "--m-cols", "2", "--users", "3"], "sweep_ms2.csv"),
         ("sweep-users", ["--users", "2,3"], "sweep_users.csv"),
+        ("sweep-alloc", ["--total", "16", "--scheme", "2", "--users", "3"], "sweep_alloc.csv"),
     ]
     for subcommand, flags, csv_name in cases:
         outputs = []
@@ -223,3 +224,62 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
             assert code == 0
             outputs.append((out_dir / csv_name).read_bytes())
         assert outputs[0] == outputs[1], subcommand
+
+
+def test_bad_geometry_rejected_before_output_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        ["sweep-ms2", "--m-rows", "0", "--m-cols", "2", "--users", "2", "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 1
+    assert "error" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("users", ["0,4", ""])
+def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch, users):
+    solved = []
+    monkeypatch.setattr("misopt.experiments.solve", lambda *a, **k: solved.append(a))
+    out_dir = tmp_path / "out"
+    code, _, err = run(["sweep-users", "--users", users, "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert "users" in err
+    assert solved == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["case-study"], {"figure": 5}),
+        (["sweep-alloc", "--total", "16", "--users", "2"], {"scheme": 3}),
+    ],
+)
+def test_bad_config_value_exits_one(tmp_path, capsys, argv, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    out_dir = tmp_path / "out"
+    code, _, err = run([*argv, "--config", str(config), "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert next(iter(bad)) in err
+    assert not out_dir.exists()
+
+
+def test_value_error_after_validation_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("misopt.cli.solve", broken_solve)
+    code, _, err = run(
+        [
+            "solve",
+            "--m-rows", "2", "--m-cols", "1",
+            "--n-rows", "1", "--n-cols", "1",
+            "--users", "2",
+            "--out", str(tmp_path / "out"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "runtime failure: internal fault" in err

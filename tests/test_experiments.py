@@ -5,6 +5,7 @@ import pytest
 
 from misopt import (
     ArcScenarioSpec,
+    CoverageArc,
     MisGeometry,
     SolverConfig,
     build_arc_scenario,
@@ -51,7 +52,9 @@ def test_arc_scenario_validation():
         ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=0)
     with pytest.raises(ValueError):
         ArcScenarioSpec(
-            geom=MisGeometry(2, 2, 1, 1), num_users=2, azimuth_lo=1.0, azimuth_hi=-1.0
+            geom=MisGeometry(2, 2, 1, 1),
+            num_users=2,
+            arc=CoverageArc(azimuth_lo=1.0, azimuth_hi=-1.0),
         )
 
 
@@ -59,7 +62,9 @@ def test_arc_scenario_validation():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_arc_scenario_rejects_non_finite_iota(bad):
     with pytest.raises(ValueError, match="iota"):
-        ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=2, iota=bad)
+        ArcScenarioSpec(
+            geom=MisGeometry(2, 2, 1, 1), num_users=2, arc=CoverageArc(iota=bad)
+        )
 
 
 def test_sms_baseline_reduces_to_single_pattern():
@@ -122,7 +127,7 @@ def test_allocation_steps_validation():
 
 def test_sweep_allocation_tiny():
     result = sweep_allocation(4, 1, 2, FAST)
-    assert result.col_labels == [0, 2]
+    assert result.cell_labels == ["single-layer", "ms1=2x1/ms2=2x1"]
     assert result.gain[0] == 1.0
     assert np.all(result.mis_snr > 0)
     assert result.cell_labels[0] == "single-layer"
@@ -218,3 +223,28 @@ def test_case_study_csv_schema(tmp_path):
     assert lines[0] == "scheme,user,pattern,snr,snr_db,chosen"
     # 4 users x 2 patterns for the two-layer run plus 4 x 1 for the baseline
     assert len(lines) == 1 + 8 + 4
+
+
+def test_sweeps_validate_every_user_count_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every input was built")
+
+    monkeypatch.setattr("misopt.experiments.solve", no_solve)
+    with pytest.raises(ValueError, match="num_users"):
+        sweep_ms2_sizes(2, 2, [2, 0], FAST)
+    with pytest.raises(ValueError, match="num_users"):
+        sweep_users_1d2d(
+            FAST,
+            user_counts=(2, 0),
+            one_d=MisGeometry(1, 4, 1, 2),
+            two_d=MisGeometry(2, 2, 1, 1),
+        )
+
+
+def test_case_study_uses_the_given_arc():
+    arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
+    result = case_study(6, FAST, num_users=3, arc=arc)
+    assert result.spec.arc is arc
+    scenario = build_arc_scenario(result.spec)
+    np.testing.assert_allclose([a.azimuth for a, _ in scenario.users], [-0.5, 0.0, 0.5])
+    assert all(iota == 0.02 for _, iota in scenario.users)

@@ -213,3 +213,21 @@ def test_evaluate_rejects_nonpositive_mu():
     _, _, ctx, point = random_instance(rng)
     with pytest.raises(ValueError):
         evaluate(point, 0.0, ctx)
+
+
+
+@pytest.mark.parametrize("bad", ["ms1_phase", "ms2_phase"])
+def test_wrong_phase_length_rejected(bad):
+    # A length-1 vector would broadcast against every element.
+    rng = np.random.default_rng(12)
+    ctx = EvalContext.from_scenario(random_scenario(rng, MisGeometry(3, 3, 2, 2)))
+    point = random_point(rng, ctx)
+    phases = {
+        "ms1_phase": point.ms1_phase,
+        "ms2_phase": point.ms2_phase,
+        bad: np.ones(1, dtype=complex),
+    }
+    with pytest.raises(ValueError, match=bad):
+        ctx.pattern_snr_table(**phases)
+    with pytest.raises(ValueError, match=bad):
+        evaluate(ProductPoint(schedule=point.schedule, **phases), 1.0, ctx)

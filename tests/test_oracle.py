@@ -77,12 +77,6 @@ def test_search_space_cap_enforced():
         )
 
 
-def test_geom_mismatch_rejected():
-    geom = MisGeometry(2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        brute_force_solve(_scenario(geom, [0.0]), geom=MisGeometry(1, 2, 1, 1))
-
-
 def test_fd_constant_function_is_zero():
     rng = np.random.default_rng(0)
     _, _, ctx, point = random_instance(rng)

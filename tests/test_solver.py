@@ -572,12 +572,6 @@ def test_solver_config_validation():
     SolverConfig(rng_seed=np.int64(3), restart_period=None, num_restarts=np.int32(2))
 
 
-def test_solve_rejects_mismatched_geometry():
-    scenario = _two_user_scenario()
-    with pytest.raises(ValueError):
-        solve(scenario, SolverConfig(), geom=MisGeometry(3, 1, 1, 1))
-
-
 def test_solve_validates_warm_starts():
     scenario = _two_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
