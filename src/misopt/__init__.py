@@ -6,7 +6,8 @@ phases.  This package models the layout, evaluates user SNRs under a
 line-of-sight channel, and jointly optimizes both phase profiles and the
 per-user pattern schedule for the worst-case SNR with an annealed Riemannian
 conjugate-gradient solver, plus sweep drivers and brute-force/finite-
-difference ground truth.
+difference ground truth.  Solver internals are imported from their own modules
+(``misopt.manifolds``, ``misopt.solver``, ``misopt.oracle``).
 """
 
 __version__ = "0.1.0"
@@ -31,26 +32,6 @@ from .experiments import (
     sweep_users_1d2d,
 )
 from .geometry import MisGeometry, all_selections
-from .manifolds import (
-    RetractionError,
-    TangentTriple,
-    grad_norm,
-    project_circle_tangent,
-    project_multinomial_tangent,
-    project_simplex,
-    retract_circle,
-    retract_multinomial,
-    transport,
-)
 from .objective import EvalContext, ProductPoint, evaluate
-from .oracle import BruteForceConfig, BruteForceResult, brute_force_solve, fd_directional
-from .solver import (
-    SolveReport,
-    SolverConfig,
-    conjugate_direction,
-    inner_solve,
-    line_search,
-    pr_beta,
-    solve,
-    threshold_schedule,
-)
+from .oracle import BruteForceConfig, brute_force_solve
+from .solver import SolveReport, SolverConfig, solve

@@ -250,7 +250,7 @@ def check_manifold_primitives(seed: int, trials: int) -> CheckResult:
     for _ in range(4 * trials):
         size = int(rng.integers(1, 5))
         vec = rng.standard_normal(size) * float(rng.uniform(0.3, 4.0))
-        ours = project_simplex(vec)
+        ours = project_simplex(vec[None, :])[0]
         positive &= bool(ours.min() > 0.0)
         feasibility = max(feasibility, abs(float(ours.sum()) - 1.0))
         simplex = max(simplex, float(np.max(np.abs(ours - simplex_qp_oracle(vec)))))

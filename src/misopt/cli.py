@@ -59,7 +59,6 @@ _SOLVER_KEYS = (
     "armijo_c1",
     "backtrack_factor",
     "initial_step",
-    "restart_period",
 )
 
 _DEFAULTS = {
@@ -103,6 +102,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     merged["subcommand"] = subcommand
+    if _int_key(merged, "jobs") < 1:
+        raise ConfigError(f"config key 'jobs' must be at least 1, got {merged['jobs']}")
     return merged
 
 
@@ -148,7 +149,7 @@ def _int_key(cfg: dict, key: str) -> int:
 
 
 def _user_list(raw) -> list[int]:
-    """One or more positive user counts from an integer, a list or a
+    """One or more distinct positive user counts from an integer, a list or a
     comma-separated string."""
     if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
         counts = list(raw)
@@ -160,6 +161,8 @@ def _user_list(raw) -> list[int]:
         raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
     if min(counts, default=0) < 1:
         raise ConfigError(f"config key 'users' must be positive counts, got {raw!r}")
+    if len(set(counts)) != len(counts):
+        raise ConfigError(f"config key 'users' repeats a count: {raw!r}")
     return counts
 
 

@@ -167,6 +167,15 @@ def _solve_task(args) -> SolveReport:
     return solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
 
 
+def _distinct(user_counts) -> list:
+    """The user counts as a list; a repeated count is rejected, since results
+    are keyed by count."""
+    counts = list(user_counts)
+    if len(set(counts)) != len(counts):
+        raise ValueError(f"user counts must be distinct, got {counts}")
+    return counts
+
+
 def _run_tasks(task, args: list, jobs: int) -> list:
     """``[task(a) for a in args]``, in a pool of up to ``jobs`` processes when
     there is more than one task."""
@@ -215,7 +224,7 @@ def sweep_ms2_sizes(
     """Grid of movable-layer sizes from 1x1 to the full fixed layer, one
     :class:`SweepResult` per user count, normalized by the full-size cell."""
     full_geom = MisGeometry(m_rows, m_cols, m_rows, m_cols)
-    specs = [ArcScenarioSpec(full_geom, num_users, arc) for num_users in user_counts]
+    specs = [ArcScenarioSpec(full_geom, count, arc) for count in _distinct(user_counts)]
     cells = [(nr, nc) for nr in range(1, m_rows + 1) for nc in range(1, m_cols + 1)]
     labels = [f"ms1={m_rows}x{m_cols}/ms2={nr}x{nc}" for nr, nc in cells]
     results = {}
@@ -318,7 +327,7 @@ def sweep_users_1d2d(
     arc: CoverageArc = CoverageArc(),
 ) -> UsersSweep:
     """Worst-case SNR versus user count for a 1D and a 2D layout."""
-    user_counts = list(user_counts)
+    user_counts = _distinct(user_counts)
     layouts = ((one_d, "1d"), (two_d, "2d"))
     chains = [
         [ArcScenarioSpec(geom, num_users, arc) for num_users in user_counts]

@@ -1,19 +1,22 @@
 """Primitives for the product of two complex-circle factors and a multinomial factor.
 
 Phase vectors live on per-entry unit circles; the schedule matrix lives on
-the strictly positive row simplex.  Each factor gets a tangent projection, a
-retraction, and a vector transport; the schedule factor is flat, so its
-transport is the identity.  The simplex retraction projects each row with
-the sort-and-threshold algorithm and then floors entries at a small epsilon
-to keep the softmin weights and gradients finite.  ``project_schedule_cone``
-gives the one-sided derivative of that retraction at step 0+: the projection
-onto the tangent cone of the simplex, in which entries on the floor may only
-grow.
+the strictly positive row simplex.  Each factor gets a tangent projection
+and a retraction.  A :class:`TangentTriple` holds one block per factor, and
+the product operations act on whole triples: :func:`transport` (the circle
+blocks re-project, the flat schedule block passes through), the product
+metric :func:`inner` and its :func:`grad_norm`.  The simplex retraction
+projects each row with the sort-and-threshold algorithm and then floors
+entries at a small epsilon to keep the softmin weights and gradients
+finite.  ``project_schedule_cone`` gives the one-sided derivative of that
+retraction at step 0+: the projection onto the tangent cone of the simplex,
+in which entries on the floor may only grow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
     "project_simplex",
     "retract_multinomial",
     "transport",
+    "inner",
     "grad_norm",
 ]
 
@@ -38,8 +42,7 @@ class RetractionError(ValueError):
     """A retraction hit a point it cannot normalize (entry collapsed to zero)."""
 
 
-@dataclass(frozen=True)
-class TangentTriple:
+class TangentTriple(NamedTuple):
     """Tangent vector of the product manifold, one block per factor."""
 
     d_ms1_phase: np.ndarray
@@ -109,7 +112,17 @@ def retract_circle(base: np.ndarray, tangent: np.ndarray, step: float) -> np.nda
         raise RetractionError("an entry collapsed to zero during retraction")
     return moved / magnitude
 
-def _project_simplex_rows(mat: np.ndarray, floor: float) -> np.ndarray:
+
+def project_simplex(mat: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex, kept
+    strictly positive.
+
+    Sort-and-threshold projection followed by a floor at ``SIMPLEX_FLOOR``
+    and a renormalization, so every row has positive entries summing to one.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2:
+        raise ValueError("project_simplex expects a matrix, one simplex per row")
     desc = -np.sort(-mat, axis=1)
     csum = np.cumsum(desc, axis=1)
     ranks = np.arange(1, mat.shape[1] + 1)
@@ -118,45 +131,37 @@ def _project_simplex_rows(mat: np.ndarray, floor: float) -> np.ndarray:
     last = mat.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
     threshold = (csum[np.arange(mat.shape[0]), last] - 1.0) / (last + 1)
     out = np.maximum(mat - threshold[:, None], 0.0)
-    out = np.maximum(out, floor)
+    out = np.maximum(out, SIMPLEX_FLOOR)
     return out / out.sum(axis=1, keepdims=True)
 
 
-def project_simplex(vec: np.ndarray, floor: float = SIMPLEX_FLOOR) -> np.ndarray:
-    """Euclidean projection onto the probability simplex, kept strictly positive.
-
-    Sort-and-threshold projection followed by an epsilon floor and a
-    renormalization, so the output always has positive entries summing to one.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError("project_simplex expects a 1-D vector")
-    return _project_simplex_rows(vec[None, :], floor)[0]
-
-
-def retract_multinomial(
-    mat: np.ndarray, tangent: np.ndarray, step: float, floor: float = SIMPLEX_FLOOR
-) -> np.ndarray:
+def retract_multinomial(mat: np.ndarray, tangent: np.ndarray, step: float) -> np.ndarray:
     """Move along ``tangent`` and project every row back onto the simplex."""
-    return _project_simplex_rows(np.asarray(mat, float) + step * tangent, floor)
+    return project_simplex(np.asarray(mat, float) + step * tangent)
 
 
-def transport(kind: str, new_base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Carry a tangent vector to the tangent space at ``new_base``.
+def transport(point, triple: TangentTriple) -> TangentTriple:
+    """Carry a tangent triple to the tangent space at ``point``.
 
-    Circle factors re-project; the multinomial factor is flat and transports
-    by identity.
+    The circle blocks re-project; the multinomial factor is flat and
+    transports by identity.
     """
-    if kind == "circle":
-        return project_circle_tangent(new_base, tangent)
-    if kind == "multinomial":
-        return tangent
-    raise ValueError(f"unknown manifold kind {kind!r}")
+    return TangentTriple(
+        project_circle_tangent(point.ms1_phase, triple.d_ms1_phase),
+        project_circle_tangent(point.ms2_phase, triple.d_ms2_phase),
+        triple.d_schedule,
+    )
+
+
+def inner(a: TangentTriple, b: TangentTriple) -> float:
+    """Product metric: the real inner products of the blocks (Re of the
+    Hermitian product for the phase blocks), summed in block order."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += float(np.real(np.vdot(x, y)))
+    return total
 
 
 def grad_norm(triple: TangentTriple) -> float:
-    """Product-manifold norm: root of the summed squared factor norms."""
-    total = 0.0
-    for block in (triple.d_ms1_phase, triple.d_ms2_phase, triple.d_schedule):
-        total += float(np.real(np.vdot(block, block)))
-    return float(np.sqrt(total))
+    """Product-manifold norm: root of the summed squared block norms."""
+    return math.sqrt(inner(triple, triple))

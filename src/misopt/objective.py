@@ -49,6 +49,11 @@ class ProductPoint:
             raise ValueError("schedule entries must be strictly positive")
 
 
+def _check_shape(name: str, vec: np.ndarray, shape: tuple) -> None:
+    if vec.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {vec.shape}")
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """Problem data shared by every objective evaluation.
@@ -96,6 +101,7 @@ class EvalContext:
         Row ``u`` spreads ``ms2_phase`` onto MS 1's grid for placement ``u + 1``;
         uncovered elements get a unit (zero-phase) entry.
         """
+        _check_shape("ms2_phase", ms2_phase, self.sel_index.shape[1:])
         table = np.ones((self.num_patterns, self.num_ms1), dtype=complex)
         table[np.arange(self.num_patterns)[:, None], self.sel_index] = ms2_phase
         return table
@@ -108,12 +114,7 @@ class EvalContext:
         return gamma
 
     def _amplitudes(self, ms1_phase, ms2_phase):
-        for name, vec, shape in (
-            ("ms1_phase", ms1_phase, self.channels.shape[1:]),
-            ("ms2_phase", ms2_phase, self.sel_index.shape[1:]),
-        ):
-            if vec.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {vec.shape}")
+        _check_shape("ms1_phase", ms1_phase, self.channels.shape[1:])
         equiv = self.equiv_phases(ms2_phase)
         combined = equiv * ms1_phase[None, :]
         amps = self.channels @ combined.T

@@ -3,12 +3,13 @@
 The solver maximizes the softmin surrogate of the worst-case user SNR for a
 fixed smoothing parameter (inner loop), then halves the parameter and
 repeats until the surrogate gap is negligible (outer loop).  Directions use
-the Polak-Ribiere rule with a nonnegativity clamp and an ascent-reset
-safeguard; a single backtracking line search produces one shared step size
-for all three factors.  At the end every user gets its best pattern at the
-final phases, which is the exact schedule optimum for those phases since
-users are scheduled independently, and the report carries the true
-(non-surrogate) worst-case SNR.
+the Polak-Ribiere rule per factor, with a nonnegativity clamp and an
+ascent-reset safeguard, on the product-manifold operations of
+:mod:`misopt.manifolds`; a single backtracking line search produces one
+shared step size for all three factors.  At the end every user gets its
+best pattern at the final phases, which is the exact schedule optimum for
+those phases since users are scheduled independently, and the report
+carries the true (non-surrogate) worst-case SNR.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .manifolds import (
     RetractionError,
     TangentTriple,
     grad_norm,
+    inner,
     project_schedule_cone,
     project_to_tangent,
     retract_circle,
@@ -38,15 +40,16 @@ __all__ = [
     "SolveReport",
     "LineSearchResult",
     "InnerResult",
-    "pr_beta",
-    "conjugate_direction",
     "line_search",
     "inner_solve",
     "solve",
-    "threshold_schedule",
-    "random_point",
     "uniform_schedule",
 ]
+
+# The anneal stops once ``mu * log(K)`` is below this share of the worst SNR.
+MU_GAP_RTOL = 1e-4
+# Rejected candidates after which a line search gives up.
+MAX_BACKTRACKS = 50
 
 
 class NonFiniteObjectiveError(ArithmeticError):
@@ -60,8 +63,8 @@ class SolverConfig:
     ``mu_init=None`` scales the first smoothing parameter from the spread of
     the initial per-user SNRs; ``mu_min=None`` stops the anneal at 1e-6 of
     that starting value.  The anneal also stops once ``mu * log(K)`` drops
-    below ``mu_gap_rtol`` times the current worst-case SNR, since that gap
-    bounds the surrogate error.  Float fields must be finite; integer fields
+    below :data:`MU_GAP_RTOL` times the current worst-case SNR, since that
+    gap bounds the surrogate error.  Float fields must be finite; integer fields
     take Python or numpy integers only, so a float or a bool is rejected,
     never truncated.
     """
@@ -69,15 +72,12 @@ class SolverConfig:
     mu_init: float | None = None
     delta: float = 2.0
     mu_min: float | None = None
-    mu_gap_rtol: float = 1e-4
     inner_grad_tol: float = 1e-6
     max_inner_iters: int = 250
     max_outer_iters: int = 40
     armijo_c1: float = 1e-4
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-    max_backtracks: int = 50
-    restart_period: int | None = None
     rng_seed: int = 0
     num_restarts: int = 1
 
@@ -101,12 +101,8 @@ class SolverConfig:
             (0 < self.backtrack_factor < 1, "backtrack_factor must lie in (0, 1)"),
             (self.initial_step > 0, "initial_step must be positive"),
             (self.inner_grad_tol > 0, "inner_grad_tol must be positive"),
-            (self.mu_gap_rtol >= 0, "mu_gap_rtol must be nonnegative"),
-            (self.max_backtracks >= 0, "max_backtracks must be nonnegative"),
             (min(self.max_inner_iters, self.max_outer_iters) >= 1,
              "iteration limits must be >= 1"),
-            (self.restart_period is None or self.restart_period >= 1,
-             "restart_period must be >= 1 when set"),
             (self.num_restarts >= 1, "num_restarts must be >= 1"),
             (self.rng_seed >= 0, "rng_seed must be nonnegative"),
         ):
@@ -159,42 +155,27 @@ def _rinner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def pr_beta(
-    g_new: np.ndarray,
-    g_old: np.ndarray,
-    g_old_transported: np.ndarray | None = None,
-    clamp: bool = True,
-) -> float:
-    """Polak-Ribiere coefficient for one factor.
+def _conjugate(
+    g: np.ndarray, g_old: np.ndarray, carried_g: np.ndarray, carried_dir: np.ndarray
+) -> np.ndarray:
+    """Polak-Ribiere ascent direction ``g + beta * carried_dir`` for one factor.
 
-    ``g_old_transported`` is the previous gradient carried to the current
-    tangent space for the numerator pairing; the denominator uses the
-    previous gradient at its own base point.  With ``clamp`` the coefficient
-    is floored at zero, which restarts to steepest descent.
+    ``g`` is the current gradient, ``g_old`` the previous one at its own base
+    point, and ``carried_g``/``carried_dir`` the previous gradient and
+    direction transported to the current point.  ``beta`` pairs ``g`` with
+    ``g - carried_g`` over ``|g_old|^2`` and is floored at zero, which
+    restarts to steepest ascent; so does a combination that is not an
+    ascent direction.
     """
     denom = _rinner(g_old, g_old)
     if denom < 1e-30:
-        return 0.0
-    paired = g_old if g_old_transported is None else g_old_transported
-    beta = (_rinner(g_new, g_new) - _rinner(g_new, paired)) / denom
-    if clamp:
-        beta = max(beta, 0.0)
-    return beta
-
-
-def conjugate_direction(
-    g: np.ndarray, prev_dir_transported: np.ndarray | None, beta: float
-) -> np.ndarray:
-    """Conjugate update ``-g + beta * prev`` for the objective being minimized.
-
-    Falls back to steepest descent when there is no predecessor or when the
-    combination fails the descent test against ``-g``.
-    """
-    if prev_dir_transported is None or beta == 0.0:
-        return -g
-    direction = -g + beta * prev_dir_transported
-    if _rinner(direction, -g) <= 0.0:
-        return -g
+        return g
+    beta = max((_rinner(g, g) - _rinner(g, carried_g)) / denom, 0.0)
+    if beta == 0.0:
+        return g
+    direction = g + beta * carried_dir
+    if _rinner(direction, g) <= 0.0:
+        return g
     return direction
 
 
@@ -226,7 +207,7 @@ def line_search(
     ``slope`` is the inner product of the Riemannian gradient with the
     direction.  A retraction failure just backtracks further.  The search
     stalls, returning a zero step and the stalled flag, after
-    ``max_backtracks`` rejections or as soon as the sufficient-increase term
+    :data:`MAX_BACKTRACKS` rejections or as soon as the sufficient-increase term
     ``c1 * step * slope`` is no larger than the float spacing at ``value``:
     from there on the test compares only rounding noise.
 
@@ -244,7 +225,7 @@ def line_search(
     resolution = np.spacing(abs(value))
     evals = 0
     step = config.initial_step if initial_step is None else initial_step
-    for _ in range(config.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         if 0.0 < config.armijo_c1 * step * slope <= resolution:
             break
         try:
@@ -287,46 +268,25 @@ def inner_solve(
     def surrogate(p: ProductPoint) -> float:
         return evaluate(p, mu, ctx).value
 
-    for iteration in range(config.max_inner_iters):
+    for _ in range(config.max_inner_iters):
         gnorm = grad_norm(rgrad)
         gnorm_trace.append(gnorm)
         if gnorm < config.inner_grad_tol:
             break
-        force_restart = (
-            config.restart_period is not None
-            and iteration > 0
-            and iteration % config.restart_period == 0
-        )
-        if prev_rgrad is None or force_restart:
+        direction = rgrad
+        if prev_rgrad is not None:
             direction = TangentTriple(
-                rgrad.d_ms1_phase, rgrad.d_ms2_phase, rgrad.d_schedule
+                *map(
+                    _conjugate,
+                    rgrad,
+                    prev_rgrad,
+                    transport(point, prev_rgrad),
+                    transport(point, prev_dir),
+                )
             )
-        else:
-            blocks = []
-            for kind, attr in (
-                ("circle", "d_ms1_phase"),
-                ("circle", "d_ms2_phase"),
-                ("multinomial", "d_schedule"),
-            ):
-                base = getattr(point, _BASE_OF[attr])
-                g_new = getattr(rgrad, attr)
-                g_old = getattr(prev_rgrad, attr)
-                carried_g = transport(kind, base, g_old)
-                carried_dir = transport(kind, base, getattr(prev_dir, attr))
-                beta = pr_beta(g_new, g_old, carried_g)
-                # conjugate_direction works on the minimized objective, so
-                # feed it the negated ascent gradient.
-                blocks.append(conjugate_direction(-g_new, carried_dir, beta))
-            direction = TangentTriple(*blocks)
-        slope = (
-            _rinner(direction.d_ms1_phase, rgrad.d_ms1_phase)
-            + _rinner(direction.d_ms2_phase, rgrad.d_ms2_phase)
-            + _rinner(direction.d_schedule, rgrad.d_schedule)
-        )
+        slope = inner(direction, rgrad)
         if slope <= 0.0:
-            direction = TangentTriple(
-                rgrad.d_ms1_phase, rgrad.d_ms2_phase, rgrad.d_schedule
-            )
+            direction = rgrad
             slope = gnorm * gnorm
         # Warm-start the backtracking near the previously accepted step (one
         # growth allowed, never above the configured cap).
@@ -384,41 +344,20 @@ def inner_solve(
     )
 
 
-_BASE_OF = {
-    "d_ms1_phase": "ms1_phase",
-    "d_ms2_phase": "ms2_phase",
-    "d_schedule": "schedule",
-}
-
-
-def threshold_schedule(schedule: np.ndarray) -> np.ndarray:
-    """Round each row to one-hot at its largest entry (ties go to the smallest index)."""
-    schedule = np.asarray(schedule)
-    out = np.zeros(schedule.shape, dtype=np.int8)
-    out[np.arange(schedule.shape[0]), np.argmax(schedule, axis=1)] = 1
-    return out
-
-
 def uniform_schedule(num_users: int, num_patterns: int) -> np.ndarray:
     return np.full((num_users, num_patterns), 1.0 / num_patterns)
 
 
-def random_point(ctx: EvalContext, rng: np.random.Generator) -> ProductPoint:
-    """Uniform random phases on the circles; uniform interior schedule."""
-    return ProductPoint(
-        ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
-        ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
-        schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
-    )
-
-
 def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveReport:
     """Report the true worst-case SNR at a point's phases, each user on its
-    best pattern there; no schedule for those phases does better."""
+    best pattern there (ties go to the smallest index); no schedule for those
+    phases does better."""
     gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
-    binary = threshold_schedule(gamma)
     chosen0 = np.argmax(gamma, axis=1)
-    per_user = gamma[np.arange(ctx.num_users), chosen0]
+    users = np.arange(ctx.num_users)
+    binary = np.zeros(gamma.shape, dtype=np.int8)
+    binary[users, chosen0] = 1
+    per_user = gamma[users, chosen0]
     worst = float(per_user.min())
     worst_db = 10.0 * math.log10(worst) if worst > 0 else float("-inf")
     return SolveReport(
@@ -457,16 +396,16 @@ def _anneal_from(
     mu_schedule: list[float] = []
     num_evals = 0
     for _ in range(config.max_outer_iters):
-        inner = inner_solve(point, mu, config, ctx)
-        point = inner.point
-        obj_trace.append(inner.objective_trace)
-        gnorm_trace.append(inner.grad_norm_trace)
+        stage = inner_solve(point, mu, config, ctx)
+        point = stage.point
+        obj_trace.append(stage.objective_trace)
+        gnorm_trace.append(stage.grad_norm_trace)
         mu_schedule.append(mu)
-        num_evals += inner.num_evals
-        current_min = float(inner.evaluation.user_snrs.min())
+        num_evals += stage.num_evals
+        current_min = float(stage.evaluation.user_snrs.min())
         if mu <= mu_min:
             break
-        if mu * log_k < config.mu_gap_rtol * max(current_min, 1e-30):
+        if mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30):
             break
         mu /= config.delta
 
@@ -526,9 +465,12 @@ def solve(
     best: SolveReport | None = None
     for restart in range(config.num_restarts):
         rng = np.random.default_rng([config.rng_seed, restart])
-        report = _anneal_from(
-            random_point(ctx, rng), ctx, config, origin=f"restart-{restart}"
+        start = ProductPoint(
+            ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
+            ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
+            schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
         )
+        report = _anneal_from(start, ctx, config, origin=f"restart-{restart}")
         if _better(report, best):
             best = report
     for idx, start in enumerate(warm_starts):

@@ -182,7 +182,7 @@ _BAD_SOLVER_SETTINGS = {
     "seed": "1e999",
     "max_inner_iters": "1e999",
     "restarts": "2.5",
-    "restart_period": "2.5",
+    "restart_period": "2.5",  # no longer an option: rejected as an unknown key
     "max_outer_iters": "2.5",
 }
 
@@ -226,6 +226,17 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
         assert outputs[0] == outputs[1], subcommand
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected_before_output_dir(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        ["case-study", "--figure", "6", "--jobs", jobs, "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert "jobs" in err
+    assert not out_dir.exists()
+
+
 def test_bad_geometry_rejected_before_output_dir(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = run(
@@ -237,7 +248,7 @@ def test_bad_geometry_rejected_before_output_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("users", ["0,4", ""])
+@pytest.mark.parametrize("users", ["0,4", "", "2,2"])
 def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch, users):
     solved = []
     monkeypatch.setattr("misopt.experiments.solve", lambda *a, **k: solved.append(a))

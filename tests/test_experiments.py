@@ -241,6 +241,22 @@ def test_sweeps_validate_every_user_count_before_solving(monkeypatch):
         )
 
 
+def test_sweeps_reject_repeated_user_counts(monkeypatch):
+    solved = []
+    monkeypatch.setattr("misopt.experiments.sms_baseline", lambda *a: solved.append(a))
+    monkeypatch.setattr("misopt.experiments.solve", lambda *a, **k: solved.append(a))
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_ms2_sizes(2, 1, [2, 2], FAST)
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_users_1d2d(
+            FAST,
+            user_counts=(3, 2, 3),
+            one_d=MisGeometry(1, 4, 1, 2),
+            two_d=MisGeometry(2, 2, 1, 1),
+        )
+    assert solved == []
+
+
 def test_case_study_uses_the_given_arc():
     arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
     result = case_study(6, FAST, num_users=3, arc=arc)

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from misopt import (
+from misopt.manifolds import (
+    SIMPLEX_FLOOR,
     RetractionError,
     TangentTriple,
     grad_norm,
+    inner,
     project_circle_tangent,
     project_multinomial_tangent,
+    project_schedule_cone,
     project_simplex,
     retract_circle,
     retract_multinomial,
     transport,
 )
-from misopt.manifolds import SIMPLEX_FLOOR, project_schedule_cone
+from misopt.objective import ProductPoint
 from helpers import schedule_cone_oracle, simplex_qp_oracle
 
 
@@ -110,33 +113,36 @@ def test_retract_circle_degenerate_entry():
 
 
 def test_project_simplex_identity_on_simplex():
-    vec = np.array([0.25, 0.5, 0.25])
-    np.testing.assert_allclose(project_simplex(vec), vec, atol=1e-12)
+    mat = np.array([[0.25, 0.5, 0.25], [0.1, 0.6, 0.3]])
+    np.testing.assert_allclose(project_simplex(mat), mat, atol=1e-12)
 
 
 def test_project_simplex_known_answer():
-    out = project_simplex(np.array([0.5, 0.5, 1.0]))
+    out = project_simplex(np.array([[0.5, 0.5, 1.0]]))[0]
     np.testing.assert_allclose(out, [1 / 6, 1 / 6, 2 / 3], atol=1e-12)
     np.testing.assert_allclose(out, simplex_qp_oracle(np.array([0.5, 0.5, 1.0])), atol=1e-12)
 
 
 def test_project_simplex_clipped_vertex():
-    out = project_simplex(np.array([2.0, 0.0, 0.0]))
+    out = project_simplex(np.array([[2.0, 0.0, 0.0]]))[0]
     assert out[0] == pytest.approx(1.0, abs=1e-11)
     assert np.all(out > 0.0)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(out, simplex_qp_oracle(np.array([2.0, 0.0, 0.0])), atol=1e-10)
+    with pytest.raises(ValueError, match="matrix"):
+        project_simplex(np.array([2.0, 0.0, 0.0]))
 
 
 def test_project_simplex_matches_qp_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
         size = int(rng.integers(1, 5))
-        vec = rng.standard_normal(size) * float(rng.uniform(0.3, 4.0))
-        ours = project_simplex(vec)
-        np.testing.assert_allclose(ours, simplex_qp_oracle(vec), atol=1e-10)
+        mat = rng.standard_normal((3, size)) * float(rng.uniform(0.3, 4.0))
+        ours = project_simplex(mat)
+        for row, vec in zip(ours, mat):
+            np.testing.assert_allclose(row, simplex_qp_oracle(vec), atol=1e-10)
         assert ours.min() > 0.0
-        assert ours.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(ours.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_retract_multinomial_interior_identity():
@@ -205,24 +211,37 @@ def test_schedule_cone_is_one_sided_retraction_derivative():
     assert np.max(np.abs(project_multinomial_tangent(direction) - cone)) > 0.1
 
 
+def _circle_point(rng):
+    schedule = np.full((2, 3), 1.0 / 3.0)
+    return ProductPoint(random_circle_base(rng), random_circle_base(rng, 3), schedule)
+
+
+def _tangent_at(rng, point):
+    return TangentTriple(
+        project_circle_tangent(point.ms1_phase, random_complex(rng)),
+        project_circle_tangent(point.ms2_phase, random_complex(rng, 3)),
+        rng.standard_normal((2, 3)),
+    )
+
+
 def test_transport_identity_cases():
     rng = np.random.default_rng(9)
-    base = random_circle_base(rng)
-    tangent = project_circle_tangent(base, random_complex(rng))
-    np.testing.assert_allclose(transport("circle", base, tangent), tangent, atol=1e-14)
-    mat = rng.standard_normal((2, 3))
-    np.testing.assert_array_equal(transport("multinomial", None, mat), mat)
-    with pytest.raises(ValueError):
-        transport("sphere", base, tangent)
+    point = _circle_point(rng)
+    tangent = _tangent_at(rng, point)
+    carried = transport(point, tangent)
+    assert isinstance(carried, TangentTriple)
+    np.testing.assert_allclose(carried.d_ms1_phase, tangent.d_ms1_phase, atol=1e-14)
+    np.testing.assert_allclose(carried.d_ms2_phase, tangent.d_ms2_phase, atol=1e-14)
+    # the flat schedule block passes through untouched
+    assert carried.d_schedule is tangent.d_schedule
 
 
 def test_transport_lands_in_new_tangent_space():
     rng = np.random.default_rng(10)
-    old = random_circle_base(rng)
-    new = random_circle_base(rng)
-    tangent = project_circle_tangent(old, random_complex(rng))
-    carried = transport("circle", new, tangent)
-    assert np.max(np.abs(np.real(carried * np.conj(new)))) < 1e-14
+    old, new = _circle_point(rng), _circle_point(rng)
+    carried = transport(new, _tangent_at(rng, old))
+    for block, base in zip(carried[:2], (new.ms1_phase, new.ms2_phase)):
+        assert np.max(np.abs(np.real(block * np.conj(base)))) < 1e-14
 
 
 def test_grad_norm():
@@ -248,3 +267,17 @@ def test_grad_norm():
         ]
     )
     assert grad_norm(rand) == pytest.approx(float(np.linalg.norm(flat)), rel=1e-12)
+
+
+def test_inner_sums_blocks_left_to_right():
+    rng = np.random.default_rng(15)
+    a, b = (
+        TangentTriple(
+            random_complex(rng, 4), random_complex(rng, 3), rng.standard_normal((2, 5))
+        )
+        for _ in range(2)
+    )
+    blocks = [float(np.real(np.vdot(x, y))) for x, y in zip(a, b)]
+    assert inner(a, b) == (blocks[0] + blocks[1]) + blocks[2]
+    assert inner(a, b) == pytest.approx(inner(b, a))
+    assert grad_norm(a) == np.sqrt(inner(a, a))

@@ -231,3 +231,6 @@ def test_wrong_phase_length_rejected(bad):
         ctx.pattern_snr_table(**phases)
     with pytest.raises(ValueError, match=bad):
         evaluate(ProductPoint(schedule=point.schedule, **phases), 1.0, ctx)
+    if bad == "ms2_phase":
+        with pytest.raises(ValueError, match=bad):
+            ctx.equiv_phases(phases[bad])

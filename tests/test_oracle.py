@@ -11,8 +11,8 @@ from misopt import (
     MisGeometry,
     Scenario,
     brute_force_solve,
-    fd_directional,
 )
+from misopt.oracle import fd_directional
 from helpers import random_ambient_triple, random_instance
 
 

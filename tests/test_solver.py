@@ -10,14 +10,9 @@ from misopt import (
     ProductPoint,
     Scenario,
     SolverConfig,
-    conjugate_direction,
     evaluate,
-    inner_solve,
-    line_search,
-    pr_beta,
     snr_full_path,
     solve,
-    threshold_schedule,
 )
 from misopt.manifolds import (
     SIMPLEX_FLOOR,
@@ -27,24 +22,37 @@ from misopt.manifolds import (
     project_to_tangent,
 )
 from misopt.solver import (
+    MAX_BACKTRACKS,
     NonFiniteObjectiveError,
     SolveReport,
     _better,
+    _conjugate,
+    _report_at,
     _retract_point,
+    inner_solve,
+    line_search,
     uniform_schedule,
 )
 from helpers import dense_selection_oracle, random_instance
 
+# The Polak-Ribiere beta is read off _conjugate's output: with a carried
+# direction along which the result stays an ascent direction, the returned
+# direction is g + beta * carried_dir.
+
 
 def test_pr_beta_identical_gradients():
     g = np.array([1.0 + 2.0j, -0.5j])
-    assert pr_beta(g, g, g) == 0.0
+    carried_dir = np.array([1.0 + 0j, 1.0j])
+    assert _conjugate(g, g, g, carried_dir) is g
 
 
 def test_pr_beta_orthogonal_gradients():
     g_old = np.array([1.0 + 0j, 0.0 + 0j])
     g_new = np.array([0.0 + 0j, 0.0 + 2.0j])
-    assert pr_beta(g_new, g_old, g_old) == pytest.approx(4.0, rel=1e-12)
+    carried_dir = np.array([1.0 + 0j, 0.0 + 0j])
+    np.testing.assert_allclose(
+        _conjugate(g_new, g_old, g_old, carried_dir), [4.0, 2.0j], rtol=1e-12
+    )
 
 
 def test_pr_beta_matches_direct_formula_and_clamp():
@@ -52,34 +60,36 @@ def test_pr_beta_matches_direct_formula_and_clamp():
     for _ in range(10):
         g_new = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         g_old = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        carried = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        direct = float(
-            np.real(np.vdot(g_new, g_new - carried)) / np.real(np.vdot(g_old, g_old))
-        )
-        assert pr_beta(g_new, g_old, carried, clamp=False) == pytest.approx(
-            direct, rel=1e-12
-        )
-        assert pr_beta(g_new, g_old, carried) == pytest.approx(
-            max(direct, 0.0), rel=1e-12
-        )
+        random = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        # the second carried gradient, three times g_new, gives a negative beta
+        for carried in (random, 3.0 * g_new):
+            numer = np.real(np.vdot(g_new, g_new - carried))
+            direct = float(numer / np.real(np.vdot(g_old, g_old)))
+            # carrying g_new as the direction keeps every combination ascending
+            out = _conjugate(g_new, g_old, carried, g_new)
+            np.testing.assert_allclose(
+                out, (1.0 + max(direct, 0.0)) * g_new, rtol=1e-12
+            )
+            assert (out is g_new) == (direct <= 0.0)
 
 
 def test_pr_beta_guards_zero_denominator():
     g_new = np.ones(3, dtype=complex)
-    assert pr_beta(g_new, np.zeros(3, dtype=complex), None) == 0.0
+    zero = np.zeros(3, dtype=complex)
+    assert _conjugate(g_new, zero, zero, g_new) is g_new
 
 
 def test_conjugate_direction_cases():
     g = np.array([1.0 + 1.0j, -2.0 + 0j])
     prev = np.array([0.5 + 0j, 0.25j])
-    np.testing.assert_array_equal(conjugate_direction(g, None, 0.7), -g)
-    np.testing.assert_array_equal(conjugate_direction(g, prev, 0.0), -g)
+    # g_old = g and carried_g = 0.7 g give beta = 0.3
     np.testing.assert_allclose(
-        conjugate_direction(g, prev, 0.3), -g + 0.3 * prev, atol=1e-15
+        _conjugate(g, g, 0.7 * g, prev), g + 0.3 * prev, atol=1e-15
     )
+    # beta clamped to zero: steepest ascent
+    assert _conjugate(g, g, 2.0 * g, prev) is g
     # a previous direction opposing the gradient strongly forces a reset
-    overwhelming = 100.0 * g
-    np.testing.assert_array_equal(conjugate_direction(g, overwhelming, 1.0), -g)
+    assert _conjugate(g, g, 0.7 * g, -100.0 * g) is g
 
 
 def _exact_point():
@@ -293,7 +303,7 @@ def _plain_armijo(point, direction, objective, config, slope, value):
     """Armijo backtracking without the float-resolution stop: (step, evals)."""
     step = config.initial_step
     evals = 0
-    for _ in range(config.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         try:
             candidate = _retract_point(point, direction, step)
         except RetractionError:
@@ -418,13 +428,17 @@ def test_inner_solve_trace_monotone_and_feasible():
 
 
 def test_threshold_schedule():
-    np.testing.assert_array_equal(
-        threshold_schedule(np.array([[0.1, 0.7, 0.2]])), [[0, 1, 0]]
+    # every pattern ties at zero SNR: the report picks the first one
+    ctx = _tiny_context(iota=0.0)
+    point = ProductPoint(
+        ms1_phase=np.ones(2, dtype=complex),
+        ms2_phase=np.ones(1, dtype=complex),
+        schedule=uniform_schedule(1, 2),
     )
-    np.testing.assert_array_equal(
-        threshold_schedule(np.full((2, 3), 1.0 / 3.0)), [[1, 0, 0], [1, 0, 0]]
-    )
-    np.testing.assert_array_equal(threshold_schedule(np.array([[1.0]])), [[1]])
+    report = _report_at(point, ctx, origin="tie")
+    assert report.schedule.dtype == np.int8
+    np.testing.assert_array_equal(report.schedule, [[1, 0]])
+    np.testing.assert_array_equal(report.chosen_pattern, [1])
 
 
 def _two_user_scenario():
@@ -502,7 +516,9 @@ def test_solve_reports_each_users_best_pattern():
     assert report.worst_snr == table.max(axis=1).min()
     np.testing.assert_array_equal(report.per_user_snr, table.max(axis=1))
     np.testing.assert_array_equal(report.chosen_pattern, np.argmax(table, axis=1) + 1)
-    np.testing.assert_array_equal(report.schedule, threshold_schedule(table))
+    one_hot = np.zeros(table.shape, dtype=np.int8)
+    one_hot[np.arange(table.shape[0]), np.argmax(table, axis=1)] = 1
+    np.testing.assert_array_equal(report.schedule, one_hot)
 
 
 def test_solve_monotone_traces_within_stages():
@@ -551,16 +567,11 @@ def test_solver_config_validation():
         {"mu_init": math.inf},
         {"mu_min": math.nan},
         {"delta": math.inf},
-        {"mu_gap_rtol": math.inf},
-        {"mu_gap_rtol": -1e-4},
         {"armijo_c1": math.nan},
         {"backtrack_factor": math.nan},
-        {"max_backtracks": -1},
         {"max_inner_iters": math.inf},
         {"max_inner_iters": 2.5},
         {"max_outer_iters": 2.5},
-        {"max_backtracks": 3.0},
-        {"restart_period": 2.5},
         {"rng_seed": math.inf},
         {"rng_seed": True},
         {"num_restarts": 2.5},
@@ -568,8 +579,11 @@ def test_solver_config_validation():
         (key,) = bad
         with pytest.raises(ValueError, match=key):
             SolverConfig(**bad)
-    SolverConfig(mu_gap_rtol=0.0, max_backtracks=0)
-    SolverConfig(rng_seed=np.int64(3), restart_period=None, num_restarts=np.int32(2))
+    SolverConfig(rng_seed=np.int64(3), mu_min=None, num_restarts=np.int32(2))
+    # removed options are not fields any more
+    for gone in ("restart_period", "mu_gap_rtol", "max_backtracks"):
+        with pytest.raises(TypeError, match=gone):
+            SolverConfig(**{gone: 2})
 
 
 def test_solve_validates_warm_starts():
