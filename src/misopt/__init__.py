@@ -12,13 +12,7 @@ difference ground truth.  Solver internals are imported from their own modules
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ArrayAngles,
-    Scenario,
-    cascaded_channel,
-    snr_full_path,
-    upa_steering,
-)
+from .channel import ArrayAngles, Scenario, cascaded_channel, upa_steering
 from .experiments import (
     ArcScenarioSpec,
     CaseStudyResult,

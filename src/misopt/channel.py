@@ -7,9 +7,10 @@ vector: user ``k`` on placement ``u`` gets
 ``iota_k * |sum_m c[k, m] * phi[m] * equiv_u[m]|^2``, with ``c`` the K x M
 matrix of :func:`cascaded_channel`; :class:`misopt.objective.EvalContext`
 evaluates it for every (user, placement) pair.  Only the dimensionless scale
-``iota = P_max * L / sigma^2`` enters it; transmit power, antenna count, and
-noise power are needed separately only by :func:`snr_full_path`, which
-rebuilds the full matrix model as an independent reference.
+``iota = P_max * L / sigma^2`` enters it; transmit power, the base-station
+array and noise power are needed separately only by
+:func:`misopt.oracle.snr_full_path`, which rebuilds the full matrix model as
+an independent reference.
 
 Users on the coverage arc have a fixed elevation angle; the span of the arc
 is expressed in azimuth.
@@ -29,7 +30,6 @@ __all__ = [
     "Scenario",
     "upa_steering",
     "cascaded_channel",
-    "snr_full_path",
 ]
 
 
@@ -61,9 +61,6 @@ class Scenario:
     geom: MisGeometry
     mis_arrival: ArrayAngles
     users: tuple
-    bs_rows: int = 1
-    bs_cols: int = 1
-    bs_spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
@@ -74,18 +71,10 @@ class Scenario:
                 raise TypeError("each user is an (ArrayAngles, iota) pair")
             if not 0 < iota < math.inf:
                 raise ValueError("every user iota must be positive and finite")
-        if self.bs_rows < 1 or self.bs_cols < 1:
-            raise ValueError("base-station array dimensions must be >= 1")
-        if not 0 < self.bs_spacing_over_lambda < math.inf:
-            raise ValueError("bs_spacing_over_lambda must be positive and finite")
 
     @property
     def num_users(self) -> int:
         return len(self.users)
-
-    @property
-    def num_bs_antennas(self) -> int:
-        return self.bs_rows * self.bs_cols
 
 
 def upa_steering(
@@ -124,51 +113,3 @@ def cascaded_channel(scenario: Scenario) -> np.ndarray:
         ]
     )
 
-
-def snr_full_path(
-    ms1_phase: np.ndarray,
-    equiv_ms2_phase: np.ndarray,
-    scenario: Scenario,
-    user_index: int,
-    bs_angles: ArrayAngles = BROADSIDE,
-) -> float:
-    """SNR via the explicit matrix model, as an independent check of the
-    cascaded form ``iota * |sum_m c[k, m] * phi[m] * equiv[m]|^2``.
-
-    Builds the rank-one BS-to-surface channel ``G`` from both steering
-    vectors, applies the maximum-ratio beamformer, and scales by the noise
-    power implied by the user's ``iota``.  The result is independent of the
-    BS departure angles because only the BS array size survives the
-    beamforming norm.
-    """
-    geom = scenario.geom
-    if not 0 <= user_index < scenario.num_users:
-        raise IndexError(f"user index {user_index} out of range")
-    angles, iota = scenario.users[user_index]
-    phi = np.asarray(ms1_phase)
-    equiv = np.asarray(equiv_ms2_phase)
-    if phi.shape != (geom.num_ms1,) or equiv.shape != (geom.num_ms1,):
-        raise ValueError("phase vectors must match the fixed-layer element count")
-
-    a_mis = upa_steering(
-        geom.m_rows, geom.m_cols, geom.spacing_over_lambda, scenario.mis_arrival
-    )
-    a_bs = upa_steering(
-        scenario.bs_rows,
-        scenario.bs_cols,
-        scenario.bs_spacing_over_lambda,
-        bs_angles,
-    )
-    bs_to_surface = np.outer(a_mis, a_bs)
-    h_user = upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
-
-    effective_row = (h_user * equiv * phi) @ bs_to_surface
-    row_norm = np.linalg.norm(effective_row)
-    if row_norm == 0.0:
-        return 0.0
-    # Unit transmit power; noise chosen so P_max * L / sigma^2 equals iota.
-    p_max = 1.0
-    sigma2 = scenario.num_bs_antennas * p_max / iota
-    beamformer = math.sqrt(p_max) * effective_row.conj() / row_norm
-    received = effective_row @ beamformer
-    return float(np.abs(received) ** 2 / sigma2)

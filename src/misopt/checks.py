@@ -3,19 +3,19 @@ and acceptance criteria 1-5.
 
 Each check returns a named pass/fail record with a short detail string; the
 CLI suites and the acceptance tests call the same function, each with its
-own seed and count.  The references (:mod:`misopt.oracle` and
-:func:`misopt.channel.snr_full_path`) share no code path with what they
-check.  The ``random_*`` builders generate the test suite's instances too.
+own seed and count.  The references of :mod:`misopt.oracle` share no
+code path with what they check.  The ``random_*`` builders generate the
+test suite's instances too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayAngles, Scenario, snr_full_path
+from .channel import ArrayAngles, Scenario
 from .geometry import MisGeometry, all_selections
 from .manifolds import (
     TangentTriple,
@@ -32,6 +32,7 @@ from .oracle import (
     dense_selection_oracle,
     fd_directional,
     simplex_qp_oracle,
+    snr_full_path,
 )
 from .solver import SolverConfig, solve
 
@@ -210,15 +211,16 @@ def check_model_equivalence(seed: int, instances: int) -> CheckResult:
     worst = 0.0
     for _ in range(instances):
         geom, scenario, ctx, point = random_instance(rng)
-        bs_rows, bs_cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        scenario = replace(scenario, bs_rows=bs_rows, bs_cols=bs_cols)
+        bs = {"bs_rows": int(rng.integers(1, 4)), "bs_cols": int(rng.integers(1, 4))}
         bs_angles = _random_angles(rng)
         table = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
         for u in range(ctx.num_patterns):
             dense, padding = dense_selection_oracle(geom, u + 1)
             equiv = dense @ point.ms2_phase + padding
             for k in range(ctx.num_users):
-                full = snr_full_path(point.ms1_phase, equiv, scenario, k, bs_angles)
+                full = snr_full_path(
+                    point.ms1_phase, equiv, scenario, k, bs_angles, **bs
+                )
                 direct = float(table[k, u])
                 worst = max(worst, abs(direct - full) / max(abs(direct), 1e-12))
     detail = f"matrix model equals the SNR table, max rel err {worst:.2e}"

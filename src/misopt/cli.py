@@ -2,12 +2,13 @@
 
 Configuration is a flat JSON document; command-line flags override file
 values, unknown keys are rejected by name.  One table, :data:`_SUBCOMMANDS`,
-lists each subcommand's flags; its config keys are those plus the solver
-keys.  Every command first builds all of its inputs (the coverage arc,
-geometries and specs, user counts, the allocation ladder, the solver
-configuration) and only then solves and writes: its CSV results plus a JSON
-manifest (config echo, seed, tool version, digest of the CSV bytes) into the
-output directory, printing SNR figures in both linear and dB form.  Exit
+lists each subcommand's config keys with their flags (the solver keys are
+config-file only); the check suites take only ``seed``.  The CLI is the only
+code that turns configuration into inputs: every command first builds the
+scenario specs and solver configuration it hands on, and only then solves
+and writes: its CSV results plus a JSON manifest (config echo, seed, tool
+version, digest of the CSV bytes) into the output directory, printing SNR
+figures in both linear and dB form.  Exit
 codes: 0 success, 1 when the configuration or an input built from it is
 invalid, 2 for any failure after that.
 """
@@ -22,12 +23,12 @@ import sys
 
 from . import __version__
 from .experiments import (
+    USERS_LAYOUTS,
     ArcScenarioSpec,
     CoverageArc,
     allocation_steps,
     build_arc_scenario,
     case_study,
-    case_study_geometry,
     results_digest,
     sweep_allocation,
     sweep_ms2_sizes,
@@ -60,6 +61,10 @@ _SOLVER_KEYS = (
     "backtrack_factor",
     "initial_step",
 )
+
+# The layout of each case-study figure: a 2x1 fixed layer over a single
+# movable element (two patterns) and a 2x2 one (four patterns).
+_CASE_STUDY_LAYOUTS = {6: MisGeometry(2, 1, 1, 1), 7: MisGeometry(2, 2, 1, 1)}
 
 _DEFAULTS = {
     "seed": 0,
@@ -102,14 +107,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:
             merged[key] = value
     merged["subcommand"] = subcommand
-    if _int_key(merged, "jobs") < 1:
-        raise ConfigError(f"config key 'jobs' must be at least 1, got {merged['jobs']}")
+    # Read by every command that takes them; checked once here.
+    _int_key(merged, "seed", least=0)
+    if "jobs" in allowed:
+        _int_key(merged, "jobs", least=1)
     return merged
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     kwargs = {
-        "rng_seed": _int_key(cfg, "seed"),
+        "rng_seed": cfg["seed"],
         "num_restarts": _int_key(cfg, "restarts"),
     }
     for key in _SOLVER_KEYS:
@@ -123,10 +130,10 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 def _arc(cfg: dict) -> CoverageArc:
     return CoverageArc(
-        azimuth_lo=math.radians(float(cfg["az_lo_deg"])),
-        azimuth_hi=math.radians(float(cfg["az_hi_deg"])),
-        elevation=math.radians(float(cfg["elev_deg"])),
-        iota=float(cfg["iota"]),
+        azimuth_lo=math.radians(_float_key(cfg, "az_lo_deg")),
+        azimuth_hi=math.radians(_float_key(cfg, "az_hi_deg")),
+        elevation=math.radians(_float_key(cfg, "elev_deg")),
+        iota=_float_key(cfg, "iota"),
     )
 
 
@@ -140,12 +147,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_key(cfg: dict, key: str) -> int:
-    """A required integer key; floats and bools are rejected, not truncated."""
+def _int_key(cfg: dict, key: str, least: int | None = None) -> int:
+    """A required integer key, at least ``least`` if given; floats and bools
+    are rejected, not truncated."""
     value = _require(cfg, key)
     if not _is_int(value):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"config key {key!r} must be at least {least}, got {value}")
     return value
+
+
+def _float_key(cfg: dict, key: str) -> float:
+    """A required real-number key; bools and strings are rejected."""
+    value = _require(cfg, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _user_list(raw) -> list[int]:
@@ -228,17 +246,20 @@ def _cmd_solve(cfg: dict):
 
 def _cmd_sweep_ms2(cfg: dict):
     m_rows, m_cols = _int_key(cfg, "m_rows"), _int_key(cfg, "m_cols")
-    MisGeometry(m_rows, m_cols, m_rows, m_cols)
-    users = _user_list(_require(cfg, "users"))
-    arc, config, jobs = _arc(cfg), _solver_config(cfg), _int_key(cfg, "jobs")
+    geom = MisGeometry(m_rows, m_cols, m_rows, m_cols)
+    counts, arc = _user_list(_require(cfg, "users")), _arc(cfg)
+    specs = [ArcScenarioSpec(geom, count, arc) for count in counts]
+    config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
         out = _out_dir(cfg)
-        results = sweep_ms2_sizes(m_rows, m_cols, users, config, jobs=jobs, arc=arc)
-        for count, res in results.items():
+        results = [sweep_ms2_sizes(spec, config, jobs=jobs) for spec in specs]
+        for res in results:
             best = float(res.gain.max())
-            print(f"users={count}: best gain {best:.4f} over single-layer baseline")
-        return _finish(cfg, out, "sweep_ms2", write_sweep_csv, list(results.values()))
+            print(
+                f"users={res.num_users}: best gain {best:.4f} over single-layer baseline"
+            )
+        return _finish(cfg, out, "sweep_ms2", write_sweep_csv, results)
 
     return run
 
@@ -246,12 +267,13 @@ def _cmd_sweep_ms2(cfg: dict):
 def _cmd_sweep_alloc(cfg: dict):
     total, scheme = _int_key(cfg, "total"), _int_key(cfg, "scheme")
     users, arc = _int_key(cfg, "users"), _arc(cfg)
-    ArcScenarioSpec(allocation_steps(total, scheme)[0], users, arc)
-    config, jobs = _solver_config(cfg), _int_key(cfg, "jobs")
+    steps = allocation_steps(total, scheme)
+    specs = [ArcScenarioSpec(geom, users, arc) for geom in steps]
+    config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
         out = _out_dir(cfg)
-        result = sweep_allocation(total, scheme, users, config, jobs=jobs, arc=arc)
+        result = sweep_allocation(specs, config, jobs=jobs)
         peak = float(result.gain.max())
         at = result.cell_labels[int(result.gain.argmax())]
         print(f"peak gain {peak:.4f} at {at}")
@@ -262,11 +284,16 @@ def _cmd_sweep_alloc(cfg: dict):
 
 def _cmd_sweep_users(cfg: dict):
     counts = _user_list("4,8,16,32" if cfg.get("users") is None else cfg["users"])
-    arc, config, jobs = _arc(cfg), _solver_config(cfg), _int_key(cfg, "jobs")
+    arc = _arc(cfg)
+    chains = {
+        label: [ArcScenarioSpec(geom, count, arc) for count in counts]
+        for label, geom in USERS_LAYOUTS.items()
+    }
+    config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
         out = _out_dir(cfg)
-        sweep = sweep_users_1d2d(config, user_counts=counts, jobs=jobs, arc=arc)
+        sweep = sweep_users_1d2d(chains, config, jobs=jobs)
         for row in sweep.rows:
             print(
                 f"{row.label} users={row.num_users}: worst snr {row.worst_snr:.6g} "
@@ -279,13 +306,15 @@ def _cmd_sweep_users(cfg: dict):
 
 def _cmd_case_study(cfg: dict):
     figure, arc = _int_key(cfg, "figure"), _arc(cfg)
+    if figure not in _CASE_STUDY_LAYOUTS:
+        raise ConfigError(f"config key 'figure' must be 6 or 7, got {figure}")
     users = 4 if cfg.get("users") is None else _int_key(cfg, "users")
-    ArcScenarioSpec(case_study_geometry(figure), users, arc)
+    spec = ArcScenarioSpec(_CASE_STUDY_LAYOUTS[figure], users, arc)
     config = _solver_config(cfg)
 
     def run() -> int:
         out = _out_dir(cfg)
-        result = case_study(figure, config, num_users=users, arc=arc)
+        result = case_study(spec, config)
         print(
             f"two-layer worst snr {result.mis.worst_snr:.6g} linear "
             f"({_db(result.mis.worst_snr)} dB); single-layer "
@@ -313,66 +342,66 @@ def _run_checks(runner, seed: int) -> int:
 def _cmd_selftest(cfg: dict):
     from .checks import run_selftest
 
-    seed = _int_key(cfg, "seed")
-    return lambda: _run_checks(run_selftest, seed)
+    return lambda: _run_checks(run_selftest, cfg["seed"])
 
 
 def _cmd_oracle_check(cfg: dict):
     from .checks import run_oracle_check
 
-    seed = _int_key(cfg, "seed")
-    return lambda: _run_checks(run_oracle_check, seed)
+    return lambda: _run_checks(run_oracle_check, cfg["seed"])
 
 
 _INT = {"type": int}
 _FLOAT = {"type": float}
-_ARC_FLAGS = dict.fromkeys(("az_lo_deg", "az_hi_deg", "elev_deg", "iota"), _FLOAT)
-_COMMON_FLAGS = {
+# The keys of every solving subcommand, each with its argparse flag arguments;
+# the solver keys (None) are config-file keys with no flag.
+_RUN_KEYS = {
     "seed": _INT,
     "restarts": _INT,
     "jobs": _INT,
     "out": {"help": "output directory (created if missing)"},
+    **dict.fromkeys(_SOLVER_KEYS),
+    **dict.fromkeys(("az_lo_deg", "az_hi_deg", "elev_deg", "iota"), _FLOAT),
 }
-# Subcommand: (help, builder, argparse flags beyond --config and the common ones).
+# Subcommand: (help, builder, its config keys beyond ``subcommand``).
 _SUBCOMMANDS = {
     "solve": (
         "solve one coverage scenario",
         _cmd_solve,
-        {**_ARC_FLAGS, **dict.fromkeys(("m_rows", "m_cols", "n_rows", "n_cols"), _INT),
+        {**_RUN_KEYS, **dict.fromkeys(("m_rows", "m_cols", "n_rows", "n_cols"), _INT),
          "users": _INT},
     ),
     "sweep-ms2": (
         "sweep the movable-layer size",
         _cmd_sweep_ms2,
-        {**_ARC_FLAGS, "m_rows": _INT, "m_cols": _INT,
+        {**_RUN_KEYS, "m_rows": _INT, "m_cols": _INT,
          "users": {"help": "comma-separated user counts, e.g. 8,16"}},
     ),
     "sweep-alloc": (
         "sweep the element allocation at fixed total",
         _cmd_sweep_alloc,
-        {**_ARC_FLAGS, "total": _INT, "scheme": {"type": int, "choices": (1, 2)},
+        {**_RUN_KEYS, "total": _INT, "scheme": {"type": int, "choices": (1, 2)},
          "users": _INT},
     ),
     "sweep-users": (
         "worst-case SNR versus user count, 1D and 2D layouts",
         _cmd_sweep_users,
-        {**_ARC_FLAGS, "users": {"help": "comma-separated user counts, e.g. 4,8,16,32"}},
+        {**_RUN_KEYS, "users": {"help": "comma-separated user counts, e.g. 4,8,16,32"}},
     ),
     "case-study": (
         "tiny layouts versus their single-layer baseline",
         _cmd_case_study,
-        {**_ARC_FLAGS, "figure": {"type": int, "choices": (6, 7)}, "users": _INT},
+        {**_RUN_KEYS, "figure": {"type": int, "choices": (6, 7)}, "users": _INT},
     ),
     "oracle-check": (
         "finite-difference and brute-force ground-truth suite",
         _cmd_oracle_check,
-        {},
+        {"seed": _INT},
     ),
-    "selftest": ("fast invariant suite", _cmd_selftest, {}),
+    "selftest": ("fast invariant suite", _cmd_selftest, {"seed": _INT}),
 }
 _ALLOWED_KEYS = {
-    name: {"subcommand", *_SOLVER_KEYS, *_COMMON_FLAGS, *flags}
-    for name, (_, _, flags) in _SUBCOMMANDS.items()
+    name: {"subcommand", *keys} for name, (_, _, keys) in _SUBCOMMANDS.items()
 }
 
 
@@ -382,11 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Beam-pattern design and shift scheduling for stacked movable metasurfaces",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, _, keys) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        for key, kwargs in {**_COMMON_FLAGS, **flags}.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
+        for key, kwargs in keys.items():
+            if kwargs is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 

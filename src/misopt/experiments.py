@@ -2,14 +2,14 @@
 
 The target coverage area is a :class:`CoverageArc`: users on an azimuth arc
 at a common elevation and a common SNR scale.  An
-:class:`ArcScenarioSpec` places a user count on that arc over one geometry,
-and every sweep and :func:`case_study` takes the arc as one ``arc=``
-argument.  Every sweep normalizes against a single-layer baseline (movable
-layer grown to the full fixed layer, one pattern).  Sweeps that keep the
-fixed layer unchanged seed each movable-layer cell with the baseline
-solution embedded as a feasible point (baseline phases on layer 1, identity
-phases on layer 2), so a cell can never report worse than the baseline it
-is normalized by.
+:class:`ArcScenarioSpec` places a user count on that arc over one geometry.
+Every sweep and :func:`case_study` takes the specs it solves, built by the
+caller (the CLI builds them from its configuration).  Every sweep
+normalizes against a single-layer baseline (movable layer grown to the full
+fixed layer, one pattern).  Sweeps that keep the fixed layer unchanged seed
+each movable-layer cell with the baseline solution embedded as a feasible
+point (baseline phases on layer 1, identity phases on layer 2), so a cell
+can never report worse than the baseline it is normalized by.
 
 Sweep cells (and the two chains of the user sweep) are independent tasks;
 with ``jobs > 1`` :func:`_run_tasks` runs them in a process pool and gathers
@@ -39,13 +39,13 @@ __all__ = [
     "UsersSweepRow",
     "UsersSweep",
     "CaseStudyResult",
+    "USERS_LAYOUTS",
     "build_arc_scenario",
     "sms_baseline",
     "sweep_ms2_sizes",
     "allocation_steps",
     "sweep_allocation",
     "sweep_users_1d2d",
-    "case_study_geometry",
     "case_study",
     "write_sweep_csv",
     "write_users_csv",
@@ -55,6 +55,8 @@ __all__ = [
     "results_digest",
 ]
 
+# The user sweep's two layouts: a 1D and a 2D surface, 29 and 9 patterns.
+USERS_LAYOUTS = {"1d": MisGeometry(1, 64, 1, 36), "2d": MisGeometry(8, 8, 6, 6)}
 
 @dataclass(frozen=True)
 class CoverageArc:
@@ -70,6 +72,9 @@ class CoverageArc:
     def __post_init__(self):
         if not self.azimuth_lo < self.azimuth_hi:
             raise ValueError("azimuth_lo must be below azimuth_hi")
+        # Every user direction lies between these two; ArrayAngles checks ranges.
+        ArrayAngles(self.azimuth_lo, self.elevation)
+        ArrayAngles(self.azimuth_hi, self.elevation)
         if not 0 < self.iota < math.inf:
             raise ValueError("iota must be positive and finite")
 
@@ -118,7 +123,6 @@ class UsersSweep:
 
 @dataclass
 class CaseStudyResult:
-    figure: int
     spec: ArcScenarioSpec
     mis: SolveReport
     sms: SolveReport
@@ -136,6 +140,10 @@ def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
 
 def _single_layer_geom(geom: MisGeometry) -> MisGeometry:
     return replace(geom, n_rows=geom.m_rows, n_cols=geom.m_cols)
+
+
+def _layout_label(geom: MisGeometry) -> str:
+    return f"ms1={geom.m_rows}x{geom.m_cols}/ms2={geom.n_rows}x{geom.n_cols}"
 
 
 def sms_baseline(spec: ArcScenarioSpec, config: SolverConfig) -> SolveReport:
@@ -167,15 +175,6 @@ def _solve_task(args) -> SolveReport:
     return solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
 
 
-def _distinct(user_counts) -> list:
-    """The user counts as a list; a repeated count is rejected, since results
-    are keyed by count."""
-    counts = list(user_counts)
-    if len(set(counts)) != len(counts):
-        raise ValueError(f"user counts must be distinct, got {counts}")
-    return counts
-
-
 def _run_tasks(task, args: list, jobs: int) -> list:
     """``[task(a) for a in args]``, in a pool of up to ``jobs`` processes when
     there is more than one task."""
@@ -186,65 +185,59 @@ def _run_tasks(task, args: list, jobs: int) -> list:
 
 
 def _sweep_result(
-    reports: dict,
-    base_key: str,
+    reports: list,
+    keys: list,
+    base: int,
     labels: list,
     shape,
     num_users: int,
     config: SolverConfig,
 ) -> SweepResult:
-    """Normalize each cell's worst-case SNR by the baseline cell ``base_key``.
+    """Normalize each cell's worst-case SNR by that of cell ``base``.
 
-    ``reports`` maps each cell's key to its report in cell order; the
-    baseline cell's gain is 1 by definition.
+    ``reports`` and ``keys`` are in cell order; the baseline cell's gain is 1
+    by definition.
     """
-    mis = np.array([rep.worst_snr for rep in reports.values()]).reshape(shape)
-    base = np.full_like(mis, reports[base_key].worst_snr)
-    gain = mis / base
-    gain.flat[list(reports).index(base_key)] = 1.0
+    mis = np.array([rep.worst_snr for rep in reports]).reshape(shape)
+    base_snr = np.full_like(mis, reports[base].worst_snr)
+    gain = mis / base_snr
+    gain.flat[base] = 1.0
     return SweepResult(
         mis_snr=mis,
-        baseline_snr=base,
+        baseline_snr=base_snr,
         gain=gain,
         cell_labels=labels,
         num_users=num_users,
         seed=config.rng_seed,
-        reports=reports,
+        reports=dict(zip(keys, reports)),
     )
 
 
 def sweep_ms2_sizes(
-    m_rows: int,
-    m_cols: int,
-    user_counts,
-    config: SolverConfig,
-    jobs: int = 1,
-    arc: CoverageArc = CoverageArc(),
-) -> dict:
-    """Grid of movable-layer sizes from 1x1 to the full fixed layer, one
-    :class:`SweepResult` per user count, normalized by the full-size cell."""
-    full_geom = MisGeometry(m_rows, m_cols, m_rows, m_cols)
-    specs = [ArcScenarioSpec(full_geom, count, arc) for count in _distinct(user_counts)]
-    cells = [(nr, nc) for nr in range(1, m_rows + 1) for nc in range(1, m_cols + 1)]
-    labels = [f"ms1={m_rows}x{m_cols}/ms2={nr}x{nc}" for nr, nc in cells]
-    results = {}
-    for spec in specs:
-        baseline = sms_baseline(spec, config)
-        tasks = []
-        for nr, nc in cells[:-1]:
-            cell_geom = MisGeometry(m_rows, m_cols, nr, nc)
-            warm = _embedded_start(baseline, cell_geom, spec.num_users)
-            tasks.append((replace(spec, geom=cell_geom), config, warm))
-        reports = _run_tasks(_solve_task, tasks, jobs) + [baseline]
-        results[spec.num_users] = _sweep_result(
-            {f"{nr}x{nc}": rep for (nr, nc), rep in zip(cells, reports)},
-            f"{m_rows}x{m_cols}",
-            labels,
-            (m_rows, m_cols),
-            spec.num_users,
-            config,
-        )
-    return results
+    spec: ArcScenarioSpec, config: SolverConfig, jobs: int = 1
+) -> SweepResult:
+    """Every movable-layer size from 1x1 to ``spec.geom``'s full fixed layer
+    (whose movable layer is ignored), normalized by the full-size cell."""
+    m_rows, m_cols = spec.geom.m_rows, spec.geom.m_cols
+    geoms = [
+        replace(spec.geom, n_rows=nr, n_cols=nc)
+        for nr in range(1, m_rows + 1)
+        for nc in range(1, m_cols + 1)
+    ]
+    baseline = sms_baseline(spec, config)
+    tasks = [
+        (replace(spec, geom=g), config, _embedded_start(baseline, g, spec.num_users))
+        for g in geoms[:-1]
+    ]
+    return _sweep_result(
+        _run_tasks(_solve_task, tasks, jobs) + [baseline],
+        [f"{g.n_rows}x{g.n_cols}" for g in geoms],
+        len(geoms) - 1,
+        [_layout_label(g) for g in geoms],
+        (m_rows, m_cols),
+        spec.num_users,
+        config,
+    )
 
 
 def allocation_steps(total_elements: int, scheme: int) -> list:
@@ -273,36 +266,32 @@ def allocation_steps(total_elements: int, scheme: int) -> list:
     return steps
 
 
-def sweep_allocation(
-    total_elements: int,
-    scheme: int,
-    num_users: int,
-    config: SolverConfig,
-    jobs: int = 1,
-    arc: CoverageArc = CoverageArc(),
-) -> SweepResult:
-    """Worst-case SNR along the allocation ladder; step 0 is the baseline."""
-    steps = allocation_steps(total_elements, scheme)
-    specs = [ArcScenarioSpec(geom, num_users, arc) for geom in steps]
+def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> SweepResult:
+    """Worst-case SNR along an allocation ladder (see :func:`allocation_steps`),
+    normalized by the single-layer baseline of ``specs[0]``.  The specs must
+    share one user count and one arc."""
+    if len({(spec.num_users, spec.arc) for spec in specs}) != 1:
+        raise ValueError("allocation specs must share one user count and one arc")
     baseline = sms_baseline(specs[0], config)
     reports = [baseline] + _run_tasks(
         _solve_task, [(spec, config, None) for spec in specs[1:]], jobs
     )
-    labels = ["single-layer"] + [
-        f"ms1={g.m_rows}x{g.m_cols}/ms2={g.n_rows}x{g.n_cols}" for g in steps[1:]
-    ]
+    labels = ["single-layer"] + [_layout_label(spec.geom) for spec in specs[1:]]
     return _sweep_result(
-        dict(zip(labels, reports)), labels[0], labels, len(labels), num_users, config
+        reports, labels, 0, labels, len(labels), specs[0].num_users, config
     )
 
 
 def _solve_chain(args) -> list:
-    """Solve one geometry over user counts (largest first), warm-starting each
-    count from the previous solution's phases."""
+    """Solve one geometry's specs, largest user count first (equal counts in
+    ``specs`` order), warm-starting each from the previous solution's phases.
+    Returns the reports in ``specs`` order."""
     specs, config = args
-    out = {}
+    order = sorted(range(len(specs)), key=lambda i: specs[i].num_users, reverse=True)
+    out = [None] * len(specs)
     warm_phases = None
-    for spec in sorted(specs, key=lambda s: s.num_users, reverse=True):
+    for i in order:
+        spec = specs[i]
         warm_starts = ()
         if warm_phases is not None:
             warm_starts = (
@@ -312,86 +301,56 @@ def _solve_chain(args) -> list:
                     schedule=uniform_schedule(spec.num_users, spec.geom.num_patterns),
                 ),
             )
-        report = solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
-        out[spec.num_users] = report
-        warm_phases = (report.ms1_phase, report.ms2_phase)
-    return [out[spec.num_users] for spec in specs]
+        out[i] = solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
+        warm_phases = (out[i].ms1_phase, out[i].ms2_phase)
+    return out
 
 
-def sweep_users_1d2d(
-    config: SolverConfig,
-    user_counts=(4, 8, 16, 32),
-    one_d: MisGeometry = MisGeometry(1, 64, 1, 36),
-    two_d: MisGeometry = MisGeometry(8, 8, 6, 6),
-    jobs: int = 1,
-    arc: CoverageArc = CoverageArc(),
-) -> UsersSweep:
-    """Worst-case SNR versus user count for a 1D and a 2D layout."""
-    user_counts = _distinct(user_counts)
-    layouts = ((one_d, "1d"), (two_d, "2d"))
-    chains = [
-        [ArcScenarioSpec(geom, num_users, arc) for num_users in user_counts]
-        for geom, _ in layouts
+def sweep_users_1d2d(chains: dict, config: SolverConfig, jobs: int = 1) -> UsersSweep:
+    """Worst-case SNR versus user count, one warm-started chain per layout.
+
+    ``chains`` maps a layout label (``"1d"``, ``"2d"``) to its specs, one
+    geometry each; rows come out chain by chain, in ``specs`` order.
+    """
+    reports = _run_tasks(
+        _solve_chain, [(specs, config) for specs in chains.values()], jobs
+    )
+    rows = [
+        UsersSweepRow(
+            label=f"{label}:{_layout_label(spec.geom)}",
+            num_users=spec.num_users,
+            num_patterns=spec.geom.num_patterns,
+            worst_snr=report.worst_snr,
+            worst_snr_db=report.worst_snr_db,
+        )
+        for (label, specs), chain in zip(chains.items(), reports)
+        for spec, report in zip(specs, chain)
     ]
-    reports = _run_tasks(_solve_chain, [(specs, config) for specs in chains], jobs)
-    rows = []
-    for (geom, label), specs, chain in zip(layouts, chains, reports):
-        for spec, report in zip(specs, chain):
-            rows.append(
-                UsersSweepRow(
-                    label=f"{label}:ms1={geom.m_rows}x{geom.m_cols}/"
-                    f"ms2={geom.n_rows}x{geom.n_cols}",
-                    num_users=spec.num_users,
-                    num_patterns=geom.num_patterns,
-                    worst_snr=report.worst_snr,
-                    worst_snr_db=report.worst_snr_db,
-                )
-            )
     return UsersSweep(
         rows=rows, seed=config.rng_seed, reports=[r for chain in reports for r in chain]
     )
 
 
-def case_study_geometry(figure: int) -> MisGeometry:
-    """Figure 6: a 2x1 fixed layer over a single movable element (two
-    patterns); figure 7: a 2x2 fixed layer (four patterns)."""
-    if figure == 6:
-        return MisGeometry(2, 1, 1, 1)
-    if figure == 7:
-        return MisGeometry(2, 2, 1, 1)
-    raise ValueError("figure must be 6 or 7")
+def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> CaseStudyResult:
+    """A tiny two-layer layout (the paper's figures 6 and 7) versus its
+    single-layer counterpart, warm-started from the embedded baseline.
 
-
-def case_study(
-    figure: int,
-    config: SolverConfig,
-    num_users: int = 4,
-    arc: CoverageArc = CoverageArc(),
-) -> CaseStudyResult:
-    """Tiny two-layer layouts versus their single-layer counterparts.
-
-    The layout of each figure is :func:`case_study_geometry`; users span the
-    arc uniformly.  Returns the solved reports plus the full (user, pattern)
-    SNR tables at both solutions.
+    Returns the solved reports plus the full (user, pattern) SNR tables at
+    both solutions.
     """
-    geom = case_study_geometry(figure)
-    spec = ArcScenarioSpec(geom, num_users, arc)
     sms = sms_baseline(spec, config)
-    warm = _embedded_start(sms, geom, num_users)
-    mis = solve(build_arc_scenario(spec), config, warm_starts=(warm,))
+    warm = _embedded_start(sms, spec.geom, spec.num_users)
+    scenario = build_arc_scenario(spec)
+    mis = solve(scenario, config, warm_starts=(warm,))
 
-    ctx = EvalContext.from_scenario(build_arc_scenario(spec))
-    table = ctx.pattern_snr_table(mis.ms1_phase, mis.ms2_phase)
-    sms_spec = replace(spec, geom=_single_layer_geom(geom))
+    table = EvalContext.from_scenario(scenario).pattern_snr_table(
+        mis.ms1_phase, mis.ms2_phase
+    )
+    sms_spec = replace(spec, geom=_single_layer_geom(spec.geom))
     sms_ctx = EvalContext.from_scenario(build_arc_scenario(sms_spec))
     sms_table = sms_ctx.pattern_snr_table(sms.ms1_phase, sms.ms2_phase)
     return CaseStudyResult(
-        figure=figure,
-        spec=spec,
-        mis=mis,
-        sms=sms,
-        snr_table=table,
-        sms_snr_table=sms_table,
+        spec=spec, mis=mis, sms=sms, snr_table=table, sms_snr_table=sms_table
     )
 
 

@@ -1,12 +1,14 @@
 """Independent ground truth: exhaustive lattice search, finite differences,
-and first-principles reference operators.
+the full matrix signal model, and first-principles reference operators.
 
 ``brute_force_solve`` enumerates both phase vectors over a uniform phase
 lattice and assigns every user its best pattern, which is the exact schedule
 optimum because users are scheduled independently.  ``fd_directional`` is a
 plain central difference used to audit analytic gradients; complex blocks
 are perturbed directly in the ambient space, where the objective remains a
-polynomial and needs no feasibility.  ``dense_selection_oracle`` (from
+polynomial and needs no feasibility.  ``snr_full_path`` rebuilds a user's
+SNR from the explicit base-station-to-surface matrix model, independent of
+the cascaded form the solver uses.  ``dense_selection_oracle`` (from
 element coordinates) and ``simplex_qp_oracle`` (by active-set enumeration)
 avoid the production code paths; the tests and the CLI check suites share them.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario
+from .channel import BROADSIDE, ArrayAngles, Scenario, upa_steering
 from .geometry import MisGeometry
 from .objective import EvalContext, ProductPoint
 
@@ -28,6 +30,7 @@ __all__ = [
     "BruteForceResult",
     "brute_force_solve",
     "fd_directional",
+    "snr_full_path",
     "dense_selection_oracle",
     "simplex_qp_oracle",
 ]
@@ -134,6 +137,57 @@ def fd_directional(objective, point: ProductPoint, direction, step: float) -> fl
     upper = objective(_shifted(point, direction, +step))
     lower = objective(_shifted(point, direction, -step))
     return (upper - lower) / (2.0 * step)
+
+
+def snr_full_path(
+    ms1_phase: np.ndarray,
+    equiv_ms2_phase: np.ndarray,
+    scenario: Scenario,
+    user_index: int,
+    bs_angles: ArrayAngles = BROADSIDE,
+    *,
+    bs_rows: int = 1,
+    bs_cols: int = 1,
+    bs_spacing_over_lambda: float = 0.5,
+) -> float:
+    """SNR via the explicit matrix model, as an independent check of the
+    cascaded form ``iota * |sum_m c[k, m] * phi[m] * equiv[m]|^2``.
+
+    Builds the rank-one channel ``G`` from a ``bs_rows x bs_cols`` base
+    station to the surface from both steering vectors, applies the
+    maximum-ratio beamformer, and scales by the noise power implied by the
+    user's ``iota``.  The result is independent of the BS departure angles,
+    because only the BS antenna count ``L`` survives the beamforming norm,
+    and ``iota = P_max * L / sigma^2`` already holds that count.
+    """
+    if not 0 < bs_spacing_over_lambda < math.inf:
+        raise ValueError("bs_spacing_over_lambda must be positive and finite")
+    geom = scenario.geom
+    if not 0 <= user_index < scenario.num_users:
+        raise IndexError(f"user index {user_index} out of range")
+    angles, iota = scenario.users[user_index]
+    phi = np.asarray(ms1_phase)
+    equiv = np.asarray(equiv_ms2_phase)
+    if phi.shape != (geom.num_ms1,) or equiv.shape != (geom.num_ms1,):
+        raise ValueError("phase vectors must match the fixed-layer element count")
+
+    a_mis = upa_steering(
+        geom.m_rows, geom.m_cols, geom.spacing_over_lambda, scenario.mis_arrival
+    )
+    a_bs = upa_steering(bs_rows, bs_cols, bs_spacing_over_lambda, bs_angles)
+    bs_to_surface = np.outer(a_mis, a_bs)
+    h_user = upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
+
+    effective_row = (h_user * equiv * phi) @ bs_to_surface
+    row_norm = np.linalg.norm(effective_row)
+    if row_norm == 0.0:
+        return 0.0
+    # Unit transmit power; noise chosen so P_max * L / sigma^2 equals iota.
+    p_max = 1.0
+    sigma2 = bs_rows * bs_cols * p_max / iota
+    beamformer = math.sqrt(p_max) * effective_row.conj() / row_norm
+    received = effective_row @ beamformer
+    return float(np.abs(received) ** 2 / sigma2)
 
 
 def dense_selection_oracle(geom: MisGeometry, pattern: int):

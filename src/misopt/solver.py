@@ -15,6 +15,7 @@ carries the true (non-surrogate) worst-case SNR.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -64,9 +65,9 @@ class SolverConfig:
     the initial per-user SNRs; ``mu_min=None`` stops the anneal at 1e-6 of
     that starting value.  The anneal also stops once ``mu * log(K)`` drops
     below :data:`MU_GAP_RTOL` times the current worst-case SNR, since that
-    gap bounds the surrogate error.  Float fields must be finite; integer fields
-    take Python or numpy integers only, so a float or a bool is rejected,
-    never truncated.
+    gap bounds the surrogate error.  Float fields take finite real numbers
+    only, so a bool or a string is rejected; integer fields take Python or
+    numpy integers only, so a float or a bool is rejected, never truncated.
     """
 
     mu_init: float | None = None
@@ -91,8 +92,12 @@ class SolverConfig:
                 isinstance(value, bool) or not isinstance(value, (int, np.integer))
             ):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if kind == "float" and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for ok, message in (
             (self.mu_init is None or self.mu_init > 0, "mu_init must be positive"),
             (self.delta > 1, "delta must exceed 1"),

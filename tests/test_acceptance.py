@@ -30,6 +30,7 @@ from misopt.checks import (
     check_softmin_sandwich,
 )
 from misopt.cli import main as cli_main
+from misopt.experiments import USERS_LAYOUTS, allocation_steps
 
 SEED = 7
 
@@ -50,7 +51,7 @@ def _ok(num, detail):
 def ms2_sweep():
     config = SolverConfig(rng_seed=SEED, num_restarts=3)
     start = time.perf_counter()
-    result = sweep_ms2_sizes(6, 6, [8], config)[8]
+    result = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(6, 6, 6, 6), 8), config)
     elapsed = time.perf_counter() - start
     _collect("ms2-sweep", result.reports.values())
     return result, elapsed
@@ -60,7 +61,8 @@ def ms2_sweep():
 def alloc_sweep():
     config = SolverConfig(rng_seed=SEED, num_restarts=16)
     start = time.perf_counter()
-    result = sweep_allocation(64, 1, 8, config)
+    specs = [ArcScenarioSpec(geom, 8) for geom in allocation_steps(64, 1)]
+    result = sweep_allocation(specs, config)
     elapsed = time.perf_counter() - start
     _collect("alloc-sweep", result.reports.values())
     return result, elapsed
@@ -70,7 +72,11 @@ def alloc_sweep():
 def users_sweep():
     config = SolverConfig(rng_seed=SEED, num_restarts=2)
     start = time.perf_counter()
-    result = sweep_users_1d2d(config)
+    chains = {
+        label: [ArcScenarioSpec(geom, count) for count in (4, 8, 16, 32)]
+        for label, geom in USERS_LAYOUTS.items()
+    }
+    result = sweep_users_1d2d(chains, config)
     elapsed = time.perf_counter() - start
     _collect("users-sweep", result.reports)
     return result, elapsed

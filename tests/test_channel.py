@@ -9,10 +9,10 @@ from misopt import (
     MisGeometry,
     Scenario,
     cascaded_channel,
-    snr_full_path,
     upa_steering,
 )
 from misopt.checks import check_model_equivalence
+from misopt.oracle import snr_full_path
 from helpers import random_instance, random_scenario
 
 
@@ -174,17 +174,13 @@ def test_full_path_equals_cascaded_form():
 
 def test_full_path_independent_of_bs_angles():
     rng = np.random.default_rng(10)
-    geom, scenario, ctx, point = random_instance(rng)
-    scenario = Scenario(
-        geom=geom,
-        mis_arrival=scenario.mis_arrival,
-        users=scenario.users,
-        bs_rows=2,
-        bs_cols=2,
-    )
+    _, scenario, ctx, point = random_instance(rng)
+    bs = {"bs_rows": 2, "bs_cols": 2}
     equiv = np.exp(2j * np.pi * rng.random(ctx.num_ms1))
-    first = snr_full_path(point.ms1_phase, equiv, scenario, 0, ArrayAngles(0.1, 0.2))
-    second = snr_full_path(point.ms1_phase, equiv, scenario, 0, ArrayAngles(-2.4, 1.2))
+    first, second = (
+        snr_full_path(point.ms1_phase, equiv, scenario, 0, angles, **bs)
+        for angles in (ArrayAngles(0.1, 0.2), ArrayAngles(-2.4, 1.2))
+    )
     assert first == pytest.approx(second, rel=1e-12)
 
 
@@ -194,13 +190,13 @@ def test_full_path_broadside_identity_phases():
         geom=geom,
         mis_arrival=ArrayAngles(0.0, 0.0),
         users=[(ArrayAngles(0.0, 0.0), 0.01)],
-        bs_rows=3,
-        bs_cols=1,
     )
     m = geom.num_ms1
     ones = np.ones(m, dtype=complex)
-    value = snr_full_path(ones, ones, scenario, 0)
+    value = snr_full_path(ones, ones, scenario, 0, bs_rows=3, bs_cols=1)
     assert value == pytest.approx(0.01 * m * m, rel=1e-12)
+    with pytest.raises(ValueError, match="dimensions"):
+        snr_full_path(ones, ones, scenario, 0, bs_rows=0)
 
 
 def test_scenario_validation():
@@ -221,10 +217,9 @@ def test_scenario_rejects_non_finite_inputs(bad):
     geom = MisGeometry(2, 2, 1, 1)
     with pytest.raises(ValueError, match="iota"):
         Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), bad)])
+    scenario = Scenario(
+        geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), 0.01)]
+    )
+    ones = np.ones(geom.num_ms1, dtype=complex)
     with pytest.raises(ValueError, match="bs_spacing"):
-        Scenario(
-            geom=geom,
-            mis_arrival=ArrayAngles(0, 0),
-            users=[(ArrayAngles(0, 0), 0.01)],
-            bs_spacing_over_lambda=bad,
-        )
+        snr_full_path(ones, ones, scenario, 0, bs_spacing_over_lambda=bad)

@@ -175,22 +175,27 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
     assert "iota" in err
 
 
-# JSON reads 1e999 as inf; integer keys must not be truncated either.
-_BAD_SOLVER_SETTINGS = {
-    "inner_grad_tol": "1e999",
-    "initial_step": "1e999",
-    "seed": "1e999",
-    "max_inner_iters": "1e999",
-    "restarts": "2.5",
-    "restart_period": "2.5",  # no longer an option: rejected as an unknown key
-    "max_outer_iters": "2.5",
-}
+# JSON reads 1e999 as inf; integer keys must not be truncated either, and a
+# bool or a string is not a number.
+_BAD_SOLVER_SETTINGS = [
+    pytest.param("inner_grad_tol", "1e999", id="inner_grad_tol"),
+    pytest.param("initial_step", "1e999", id="initial_step"),
+    pytest.param("seed", "1e999", id="seed"),
+    pytest.param("max_inner_iters", "1e999", id="max_inner_iters"),
+    pytest.param("restarts", "2.5", id="restarts"),
+    # no longer an option: rejected as an unknown key
+    pytest.param("restart_period", "2.5", id="restart_period"),
+    pytest.param("max_outer_iters", "2.5", id="max_outer_iters"),
+    pytest.param("iota", "true", id="iota-bool"),
+    pytest.param("initial_step", "true", id="initial_step-bool"),
+    pytest.param("mu_init", '"0.5"', id="mu_init-str"),
+]
 
 
-@pytest.mark.parametrize("key", list(_BAD_SOLVER_SETTINGS))
-def test_solve_rejects_infinite_solver_setting(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, value", _BAD_SOLVER_SETTINGS)
+def test_solve_rejects_infinite_solver_setting(tmp_path, capsys, key, value):
     config = tmp_path / "config.json"
-    config.write_text(f'{{"{key}": {_BAD_SOLVER_SETTINGS[key]}}}')
+    config.write_text(f'{{"{key}": {value}}}')
     code, _, err = run(
         [
             "solve",
@@ -248,16 +253,70 @@ def test_bad_geometry_rejected_before_output_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("users", ["0,4", "", "2,2"])
-def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch, users):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep-users", "--users", "0,4"], id="0,4"),
+        pytest.param(["sweep-users", "--users", ""], id=""),
+        pytest.param(["sweep-users", "--users", "2,2"], id="2,2"),
+        pytest.param(
+            ["sweep-ms2", "--m-rows", "2", "--m-cols", "2", "--users", "2,0"],
+            id="sweep-ms2-2,0",
+        ),
+    ],
+)
+def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv):
     solved = []
     monkeypatch.setattr("misopt.experiments.solve", lambda *a, **k: solved.append(a))
     out_dir = tmp_path / "out"
-    code, _, err = run(["sweep-users", "--users", users, "--out", str(out_dir)], capsys)
+    code, _, err = run([*argv, "--out", str(out_dir)], capsys)
     assert code == 1
     assert "users" in err
     assert solved == []
     assert not out_dir.exists()
+
+
+_STUDY_ARGS = {
+    "sweep-ms2": ["--m-rows", "2", "--m-cols", "2", "--users", "3"],
+    "sweep-alloc": ["--total", "4", "--scheme", "1", "--users", "2"],
+    "sweep-users": ["--users", "2,3"],
+    "case-study": ["--figure", "6"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, angle",
+    [("--elev-deg", "100", "elevation"), ("--az-lo-deg", "-200", "azimuth")],
+    ids=["elev", "az_lo"],
+)
+@pytest.mark.parametrize("subcommand", list(_STUDY_ARGS))
+def test_bad_arc_angle_rejected_before_output_dir(
+    tmp_path, capsys, subcommand, flag, value, angle
+):
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        [subcommand, *_STUDY_ARGS[subcommand], flag, value, "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 1
+    assert angle in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("suite, seed", [("selftest", "-1"), ("oracle-check", "-5")])
+def test_check_suites_take_only_seed(tmp_path, capsys, suite, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"delta": 0.5, "restarts": 0}))
+    code, _, err = run([suite, "--config", str(config)], capsys)
+    assert code == 1
+    assert "delta" in err
+    for flag in ("--restarts", "--jobs", "--out"):
+        code, _, err = run([suite, flag, "1"], capsys)
+        assert code == 1
+        assert flag in err
+    code, _, err = run([suite, "--seed", seed], capsys)
+    assert code == 1
+    assert "seed" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from misopt import (
     sweep_users_1d2d,
 )
 from misopt.experiments import (
+    _solve_chain,
     allocation_steps,
     results_digest,
     write_case_study_csv,
@@ -25,6 +28,19 @@ from misopt.experiments import (
 )
 
 FAST = SolverConfig(rng_seed=0, num_restarts=1, max_inner_iters=60, max_outer_iters=10)
+
+
+def _ladder(total, scheme, num_users, arc=CoverageArc()):
+    return [ArcScenarioSpec(g, num_users, arc) for g in allocation_steps(total, scheme)]
+
+
+def _small_chains(user_counts):
+    """The user sweep's chains on a 1x4/1x2 and a 2x2/1x1 layout."""
+    layouts = {"1d": MisGeometry(1, 4, 1, 2), "2d": MisGeometry(2, 2, 1, 1)}
+    return {
+        label: [ArcScenarioSpec(geom, count) for count in user_counts]
+        for label, geom in layouts.items()
+    }
 
 
 def test_arc_scenario_endpoints():
@@ -56,6 +72,10 @@ def test_arc_scenario_validation():
             num_users=2,
             arc=CoverageArc(azimuth_lo=1.0, azimuth_hi=-1.0),
         )
+    with pytest.raises(ValueError, match="elevation"):
+        CoverageArc(elevation=2.0)
+    with pytest.raises(ValueError, match="azimuth"):
+        CoverageArc(azimuth_lo=-4.0)
 
 
 
@@ -126,16 +146,32 @@ def test_allocation_steps_validation():
 
 
 def test_sweep_allocation_tiny():
-    result = sweep_allocation(4, 1, 2, FAST)
+    result = sweep_allocation(_ladder(4, 1, 2), FAST)
     assert result.cell_labels == ["single-layer", "ms1=2x1/ms2=2x1"]
     assert result.gain[0] == 1.0
     assert np.all(result.mis_snr > 0)
     assert result.cell_labels[0] == "single-layer"
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before every input was checked")
+
+
+def test_sweep_allocation_rejects_mixed_specs(monkeypatch):
+    monkeypatch.setattr("misopt.experiments.solve", _no_solve)
+    ladder = _ladder(4, 1, 2)
+    for bad in (
+        [ladder[0], replace(ladder[1], num_users=3)],
+        [ladder[0], replace(ladder[1], arc=CoverageArc(iota=0.02))],
+        [],
+    ):
+        with pytest.raises(ValueError, match="one user count and one arc"):
+            sweep_allocation(bad, FAST)
+
+
 def test_sweep_ms2_tiny_grid_nesting_and_baseline():
-    results = sweep_ms2_sizes(2, 2, [2], FAST)
-    res = results[2]
+    res = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2), FAST)
+    assert res.num_users == 2
     assert res.gain.shape == (2, 2)
     assert res.gain[1, 1] == 1.0  # full-size cell is the baseline itself
     assert np.all(res.gain >= 1.0 - 1e-6)
@@ -143,19 +179,15 @@ def test_sweep_ms2_tiny_grid_nesting_and_baseline():
 
 
 def test_sweep_ms2_reproducible():
-    first = sweep_ms2_sizes(2, 2, [2], FAST)[2]
-    second = sweep_ms2_sizes(2, 2, [2], FAST)[2]
+    spec = ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2)
+    first = sweep_ms2_sizes(spec, FAST)
+    second = sweep_ms2_sizes(spec, FAST)
     np.testing.assert_array_equal(first.mis_snr, second.mis_snr)
     np.testing.assert_array_equal(first.gain, second.gain)
 
 
 def test_sweep_users_small():
-    sweep = sweep_users_1d2d(
-        FAST,
-        user_counts=(2, 3),
-        one_d=MisGeometry(1, 4, 1, 2),
-        two_d=MisGeometry(2, 2, 1, 1),
-    )
+    sweep = sweep_users_1d2d(_small_chains((2, 3)), FAST)
     assert len(sweep.rows) == 4
     one_d_rows = [r for r in sweep.rows if r.label.startswith("1d")]
     assert [r.num_users for r in one_d_rows] == [2, 3]
@@ -164,20 +196,16 @@ def test_sweep_users_small():
 
 
 def test_case_study_figure_six_improves_on_baseline():
-    result = case_study(6, SolverConfig(rng_seed=7, num_restarts=2))
+    spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 4)
+    result = case_study(spec, SolverConfig(rng_seed=7, num_restarts=2))
     assert result.snr_table.shape == (4, 2)
     assert result.sms_snr_table.shape == (4, 1)
     assert result.mis.worst_snr > result.sms.worst_snr
     assert set(result.mis.chosen_pattern.tolist()) == {1, 2}
 
 
-def test_case_study_rejects_unknown_figure():
-    with pytest.raises(ValueError):
-        case_study(5, FAST)
-
-
 def test_csv_writers_deterministic(tmp_path):
-    result = sweep_allocation(4, 1, 2, FAST)
+    result = sweep_allocation(_ladder(4, 1, 2), FAST)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
     write_sweep_csv(result, path_a)
@@ -189,12 +217,7 @@ def test_csv_writers_deterministic(tmp_path):
 
 
 def test_users_csv_and_manifest(tmp_path):
-    sweep = sweep_users_1d2d(
-        FAST,
-        user_counts=(2,),
-        one_d=MisGeometry(1, 4, 1, 2),
-        two_d=MisGeometry(2, 2, 1, 1),
-    )
+    sweep = sweep_users_1d2d(_small_chains((2,)), FAST)
     path = tmp_path / "users.csv"
     write_users_csv(sweep, path)
     lines = path.read_text().splitlines()
@@ -216,7 +239,8 @@ def test_users_csv_and_manifest(tmp_path):
 
 
 def test_case_study_csv_schema(tmp_path):
-    result = case_study(6, SolverConfig(rng_seed=7, num_restarts=1))
+    spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 4)
+    result = case_study(spec, SolverConfig(rng_seed=7, num_restarts=1))
     path = tmp_path / "case.csv"
     write_case_study_csv(result, path)
     lines = path.read_text().splitlines()
@@ -225,41 +249,30 @@ def test_case_study_csv_schema(tmp_path):
     assert len(lines) == 1 + 8 + 4
 
 
-def test_sweeps_validate_every_user_count_before_solving(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before every input was built")
+def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
+    """A chain solves its largest count first, equal counts in spec order,
+    and returns one report per spec, in spec order."""
+    calls = []
 
-    monkeypatch.setattr("misopt.experiments.solve", no_solve)
-    with pytest.raises(ValueError, match="num_users"):
-        sweep_ms2_sizes(2, 2, [2, 0], FAST)
-    with pytest.raises(ValueError, match="num_users"):
-        sweep_users_1d2d(
-            FAST,
-            user_counts=(2, 0),
-            one_d=MisGeometry(1, 4, 1, 2),
-            two_d=MisGeometry(2, 2, 1, 1),
+    def fake_solve(scenario, config, warm_starts=()):
+        calls.append((scenario.num_users, len(warm_starts)))
+        return SimpleNamespace(
+            call=len(calls) - 1,
+            ms1_phase=np.ones(scenario.geom.num_ms1, dtype=complex),
+            ms2_phase=np.ones(scenario.geom.num_ms2, dtype=complex),
         )
 
-
-def test_sweeps_reject_repeated_user_counts(monkeypatch):
-    solved = []
-    monkeypatch.setattr("misopt.experiments.sms_baseline", lambda *a: solved.append(a))
-    monkeypatch.setattr("misopt.experiments.solve", lambda *a, **k: solved.append(a))
-    with pytest.raises(ValueError, match="distinct"):
-        sweep_ms2_sizes(2, 1, [2, 2], FAST)
-    with pytest.raises(ValueError, match="distinct"):
-        sweep_users_1d2d(
-            FAST,
-            user_counts=(3, 2, 3),
-            one_d=MisGeometry(1, 4, 1, 2),
-            two_d=MisGeometry(2, 2, 1, 1),
-        )
-    assert solved == []
+    monkeypatch.setattr("misopt.experiments.solve", fake_solve)
+    geom = MisGeometry(1, 4, 1, 2)
+    specs = [ArcScenarioSpec(geom, count) for count in (3, 2, 3)]
+    reports = _solve_chain((specs, FAST))
+    assert calls == [(3, 0), (3, 1), (2, 1)]
+    assert [r.call for r in reports] == [0, 2, 1]
 
 
 def test_case_study_uses_the_given_arc():
     arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
-    result = case_study(6, FAST, num_users=3, arc=arc)
+    result = case_study(ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 3, arc), FAST)
     assert result.spec.arc is arc
     scenario = build_arc_scenario(result.spec)
     np.testing.assert_allclose([a.azimuth for a, _ in scenario.users], [-0.5, 0.0, 0.5])

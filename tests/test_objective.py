@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from misopt import EvalContext, MisGeometry, ProductPoint, evaluate, snr_full_path
+from misopt import EvalContext, MisGeometry, ProductPoint, evaluate
 from misopt.checks import check_gradients, check_softmin_sandwich
 from misopt.objective import _softmin
+from misopt.oracle import snr_full_path
 from helpers import (
     dense_selection_oracle,
     random_instance,

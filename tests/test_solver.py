@@ -11,7 +11,6 @@ from misopt import (
     Scenario,
     SolverConfig,
     evaluate,
-    snr_full_path,
     solve,
 )
 from misopt.manifolds import (
@@ -33,6 +32,7 @@ from misopt.solver import (
     line_search,
     uniform_schedule,
 )
+from misopt.oracle import snr_full_path
 from helpers import dense_selection_oracle, random_instance
 
 # The Polak-Ribiere beta is read off _conjugate's output: with a carried

@@ -2,15 +2,16 @@
 
 Usage::
 
-    python tools/csv_digests.py [--src SRC_DIR]
+    python tools/csv_digests.py [--src SRC_DIR [--src SRC_DIR]]
 
-Runs each command of :data:`COMMANDS` through ``misopt.cli.main`` with
-``--jobs 2 --out DIR`` into a temporary directory and prints one markdown
-table row per command: the command and the first 16 hex digits of the
-sha256 of its CSV.  ``--src`` picks the ``misopt`` source tree to import
-(default: the ``src`` directory of this checkout), so running the script
-once against the parent checkout and once against a change shows whether a
-refactor kept every CSV byte-identical.  Exits 1 if a command fails.
+Runs each command of :data:`COMMANDS` as ``python -m misopt.cli`` with
+``--jobs 2 --out DIR`` into a temporary directory, importing ``misopt`` from
+each ``--src`` tree in turn (default: the ``src`` directory of this
+checkout), and prints one markdown table row per command: the command and
+the first 16 hex digits of the sha256 of its CSV, one column per tree.
+Given two trees (the parent checkout's and a change's, or one tree twice to
+check that reruns agree), it exits 1 when any digest differs.  Exits 1 if a
+command fails.
 
 The digests are compared on one host only: the SNR tables come from BLAS
 ``zgemm``, whose bits can differ between CPUs.
@@ -19,11 +20,10 @@ The digests are compared on one host only: the SNR tables come from BLAS
 from __future__ import annotations
 
 import argparse
-import contextlib
 import glob
 import hashlib
-import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -38,30 +38,53 @@ COMMANDS = (
 )
 
 
+def _digest(src: str, command: str, out: str) -> str | None:
+    """Run ``command`` against the ``misopt`` of ``src``; the first 16 hex
+    digits of its CSV's sha256, or None if the command failed."""
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "misopt.cli", *command.split()]
+    proc = subprocess.run(
+        argv + ["--jobs", "2", "--out", out],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.DEVNULL,
+    )
+    if proc.returncode != 0:
+        print(f"`{command}` exited {proc.returncode} with {src}", file=sys.stderr)
+        return None
+    (csv_path,) = glob.glob(os.path.join(out, "*.csv"))
+    with open(csv_path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
+    parser.add_argument(
+        "--src",
+        action="append",
+        help="misopt source tree; give it twice to compare two trees "
+        "(default: this checkout's src)",
+    )
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    from misopt.cli import main as cli_main
+    trees = args.src or [os.path.join(here, os.pardir, "src")]
+    if len(trees) > 2:
+        parser.error("--src is given at most twice")
 
-    print("| Command | sha256[:16] |")
-    print("| --- | --- |")
+    print("| Command | " + " | ".join(trees) + " |")
+    print("| --- |" + " --- |" * len(trees))
+    failed = differ = False
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate(COMMANDS):
-            out = os.path.join(tmp, str(i))
-            argv_i = command.split() + ["--jobs", "2", "--out", out]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(argv_i)
-            if code != 0:
-                print(f"`{command}` exited {code}", file=sys.stderr)
-                return 1
-            (path,) = glob.glob(os.path.join(out, "*.csv"))
-            with open(path, "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()[:16]
-            print(f"| `{command}` | `{digest}` |")
-    return 0
+            digests = [
+                _digest(os.path.abspath(src), command, os.path.join(tmp, f"{i}-{j}"))
+                for j, src in enumerate(trees)
+            ]
+            failed |= None in digests
+            differ |= len(set(digests)) > 1
+            print(f"| `{command}` | " + " | ".join(f"`{d}`" for d in digests) + " |")
+    if differ and not failed:
+        print("digests differ", file=sys.stderr)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":
