@@ -50,17 +50,7 @@ class ConfigError(ValueError):
 
 
 # Config keys passed to SolverConfig under their own names (config file only).
-_SOLVER_KEYS = (
-    "mu_init",
-    "delta",
-    "mu_min",
-    "inner_grad_tol",
-    "max_inner_iters",
-    "max_outer_iters",
-    "armijo_c1",
-    "backtrack_factor",
-    "initial_step",
-)
+_SOLVER_KEYS = ("max_inner_iters", "max_outer_iters")
 
 # The layout of each case-study figure: a 2x1 fixed layer over a single
 # movable element (two patterns) and a 2x2 one (four patterns).
@@ -111,6 +101,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     _int_key(merged, "seed", least=0)
     if "jobs" in allowed:
         _int_key(merged, "jobs", least=1)
+    out = merged.get("out", "")
+    if "out" in allowed and not (isinstance(out, str) and out):
+        raise ConfigError(f"config key 'out' must be a non-empty path, got {out!r}")
     return merged
 
 
@@ -174,7 +167,10 @@ def _user_list(raw) -> list[int]:
     elif _is_int(raw):
         counts = [raw]
     elif isinstance(raw, str):
-        counts = [int(part) for part in raw.split(",") if part.strip()]
+        try:
+            counts = [int(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
     else:
         raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
     if min(counts, default=0) < 1:
@@ -191,9 +187,8 @@ def _db(value: float) -> str:
 
 
 def _out_dir(cfg: dict) -> str:
-    out = str(cfg["out"])
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(cfg["out"], exist_ok=True)
+    return cfg["out"]
 
 
 def _finish(cfg: dict, out: str, stem: str, write, result) -> int:
@@ -277,7 +272,7 @@ def _cmd_sweep_alloc(cfg: dict):
         peak = float(result.gain.max())
         at = result.cell_labels[int(result.gain.argmax())]
         print(f"peak gain {peak:.4f} at {at}")
-        return _finish(cfg, out, "sweep_alloc", write_sweep_csv, result)
+        return _finish(cfg, out, "sweep_alloc", write_sweep_csv, [result])
 
     return run
 

@@ -102,7 +102,7 @@ class SweepResult:
     cell_labels: list
     num_users: int
     seed: int
-    reports: dict
+    reports: list
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,6 @@ def _run_tasks(task, args: list, jobs: int) -> list:
 
 def _sweep_result(
     reports: list,
-    keys: list,
     base: int,
     labels: list,
     shape,
@@ -195,8 +194,8 @@ def _sweep_result(
 ) -> SweepResult:
     """Normalize each cell's worst-case SNR by that of cell ``base``.
 
-    ``reports`` and ``keys`` are in cell order; the baseline cell's gain is 1
-    by definition.
+    ``reports`` and ``labels`` are in cell order; the baseline cell's gain is
+    1 by definition.
     """
     mis = np.array([rep.worst_snr for rep in reports]).reshape(shape)
     base_snr = np.full_like(mis, reports[base].worst_snr)
@@ -209,7 +208,7 @@ def _sweep_result(
         cell_labels=labels,
         num_users=num_users,
         seed=config.rng_seed,
-        reports=dict(zip(keys, reports)),
+        reports=reports,
     )
 
 
@@ -231,7 +230,6 @@ def sweep_ms2_sizes(
     ]
     return _sweep_result(
         _run_tasks(_solve_task, tasks, jobs) + [baseline],
-        [f"{g.n_rows}x{g.n_cols}" for g in geoms],
         len(geoms) - 1,
         [_layout_label(g) for g in geoms],
         (m_rows, m_cols),
@@ -277,9 +275,7 @@ def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> SweepR
         _solve_task, [(spec, config, None) for spec in specs[1:]], jobs
     )
     labels = ["single-layer"] + [_layout_label(spec.geom) for spec in specs[1:]]
-    return _sweep_result(
-        reports, labels, 0, labels, len(labels), specs[0].num_users, config
-    )
+    return _sweep_result(reports, 0, labels, len(labels), specs[0].num_users, config)
 
 
 def _solve_chain(args) -> list:
@@ -359,12 +355,8 @@ def _fmt(value: float) -> str:
 
 
 def write_sweep_csv(results, path) -> None:
-    """One row per cell: geometry, users, seed, baseline SNR, achieved SNR, gain.
-
-    ``results`` is a single :class:`SweepResult` or an iterable of them.
-    """
-    if isinstance(results, SweepResult):
-        results = [results]
+    """One row per cell of each :class:`SweepResult` in ``results``: geometry,
+    users, seed, baseline SNR, achieved SNR, gain."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"])

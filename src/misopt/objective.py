@@ -23,6 +23,9 @@ from .geometry import MisGeometry, all_selections
 
 __all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate"]
 
+# How far a feasible point's moduli and schedule row sums may stray from one.
+FEASIBILITY_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ProductPoint:
@@ -32,18 +35,19 @@ class ProductPoint:
     ms2_phase: np.ndarray
     schedule: np.ndarray
 
-    def validate(self, atol: float = 1e-9) -> None:
-        """Raise unless the point sits on the feasible set to within atol."""
+    def validate(self) -> None:
+        """Raise unless the point sits on the feasible set to within
+        :data:`FEASIBILITY_ATOL`."""
         for name in ("ms1_phase", "ms2_phase", "schedule"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has non-finite entries")
-        if np.max(np.abs(np.abs(self.ms1_phase) - 1.0)) > atol:
+        if np.max(np.abs(np.abs(self.ms1_phase) - 1.0)) > FEASIBILITY_ATOL:
             raise ValueError("ms1_phase entries are not unit modulus")
-        if np.max(np.abs(np.abs(self.ms2_phase) - 1.0)) > atol:
+        if np.max(np.abs(np.abs(self.ms2_phase) - 1.0)) > FEASIBILITY_ATOL:
             raise ValueError("ms2_phase entries are not unit modulus")
         if self.schedule.ndim != 2:
             raise ValueError("schedule must be a K x U matrix")
-        if np.max(np.abs(self.schedule.sum(axis=1) - 1.0)) > atol:
+        if np.max(np.abs(self.schedule.sum(axis=1) - 1.0)) > FEASIBILITY_ATOL:
             raise ValueError("schedule rows must sum to one")
         if np.min(self.schedule) <= 0.0:
             raise ValueError("schedule entries must be strictly positive")

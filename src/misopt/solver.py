@@ -10,12 +10,17 @@ shared step size for all three factors.  At the end every user gets its
 best pattern at the final phases, which is the exact schedule optimum for
 those phases since users are scheduled independently, and the report
 carries the true (non-surrogate) worst-case SNR.
+
+The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
+:data:`INNER_GRAD_TOL`) and the step rule (:data:`ARMIJO_C1`,
+:data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP`, :data:`MAX_BACKTRACKS`) are
+module constants, not options; the first smoothing parameter comes from the
+spread of the initial per-user SNRs.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -47,9 +52,20 @@ __all__ = [
     "uniform_schedule",
 ]
 
-# The anneal stops once ``mu * log(K)`` is below this share of the worst SNR.
+# Each anneal stage divides mu by DELTA; the anneal stops once mu is below
+# MU_MIN_RATIO of its start or ``mu * log(K)`` below MU_GAP_RTOL of the worst
+# SNR.  An inner stage stops once the Riemannian gradient norm is below
+# INNER_GRAD_TOL.
+DELTA = 2.0
+MU_MIN_RATIO = 1e-6
 MU_GAP_RTOL = 1e-4
-# Rejected candidates after which a line search gives up.
+INNER_GRAD_TOL = 1e-6
+# A line search tries INITIAL_STEP (or less) first, tests Armijo with ARMIJO_C1,
+# multiplies the step by BACKTRACK_FACTOR per rejected candidate and gives up
+# after MAX_BACKTRACKS rejections.
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+INITIAL_STEP = 1.0
 MAX_BACKTRACKS = 50
 
 
@@ -59,53 +75,24 @@ class NonFiniteObjectiveError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable parameters of the annealed conjugate-gradient solver.
+    """The values callers vary: the iteration caps, the seed and the restart
+    count.  The rest of the algorithm is the module constants :data:`DELTA`,
+    :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`, :data:`INNER_GRAD_TOL`,
+    :data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP` and
+    :data:`MAX_BACKTRACKS`.  Fields take Python or numpy integers only; a
+    float or a bool is rejected, never truncated."""
 
-    ``mu_init=None`` scales the first smoothing parameter from the spread of
-    the initial per-user SNRs; ``mu_min=None`` stops the anneal at 1e-6 of
-    that starting value.  The anneal also stops once ``mu * log(K)`` drops
-    below :data:`MU_GAP_RTOL` times the current worst-case SNR, since that
-    gap bounds the surrogate error.  Float fields take finite real numbers
-    only, so a bool or a string is rejected; integer fields take Python or
-    numpy integers only, so a float or a bool is rejected, never truncated.
-    """
-
-    mu_init: float | None = None
-    delta: float = 2.0
-    mu_min: float | None = None
-    inner_grad_tol: float = 1e-6
     max_inner_iters: int = 250
     max_outer_iters: int = 40
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     rng_seed: int = 0
     num_restarts: int = 1
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = f.type.removesuffix(" | None")
-            if value is None and kind != f.type:
-                continue
-            if kind == "int" and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if kind == "float" and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for ok, message in (
-            (self.mu_init is None or self.mu_init > 0, "mu_init must be positive"),
-            (self.delta > 1, "delta must exceed 1"),
-            (self.mu_min is None or self.mu_min > 0, "mu_min must be positive"),
-            (0 < self.armijo_c1 < 1, "armijo_c1 must lie in (0, 1)"),
-            (0 < self.backtrack_factor < 1, "backtrack_factor must lie in (0, 1)"),
-            (self.initial_step > 0, "initial_step must be positive"),
-            (self.inner_grad_tol > 0, "inner_grad_tol must be positive"),
             (min(self.max_inner_iters, self.max_outer_iters) >= 1,
              "iteration limits must be >= 1"),
             (self.num_restarts >= 1, "num_restarts must be >= 1"),
@@ -198,56 +185,53 @@ def line_search(
     point: ProductPoint,
     direction: TangentTriple,
     objective,
-    config: SolverConfig,
     slope: float,
-    value: float | None = None,
-    grad: TangentTriple | None = None,
-    initial_step: float | None = None,
+    value: float,
+    grad: TangentTriple,
+    initial_step: float,
 ) -> LineSearchResult:
     """Backtracking Armijo search along an ascent direction.
 
-    Tests ``step = initial_step * backtrack_factor**j``, with ``initial_step``
-    defaulting to ``config.initial_step``, and accepts the first
-    step whose retracted objective clears ``value + c1 * step * slope``;
-    ``slope`` is the inner product of the Riemannian gradient with the
-    direction.  A retraction failure just backtracks further.  The search
-    stalls, returning a zero step and the stalled flag, after
-    :data:`MAX_BACKTRACKS` rejections or as soon as the sufficient-increase term
-    ``c1 * step * slope`` is no larger than the float spacing at ``value``:
-    from there on the test compares only rounding noise.
+    Tests ``step = initial_step * BACKTRACK_FACTOR**j`` and accepts the first
+    step whose retracted objective clears ``value + ARMIJO_C1 * step * slope``;
+    ``value`` is the objective at ``point`` and ``slope`` the inner product
+    of the Riemannian gradient ``grad`` with the direction.  A retraction
+    failure just backtracks further.  The search stalls, returning a zero
+    step and the stalled flag, after :data:`MAX_BACKTRACKS` rejections or as
+    soon as the sufficient-increase term ``ARMIJO_C1 * step * slope`` is no
+    larger than the float spacing at ``value``: from there on the test
+    compares only rounding noise.
 
-    Given the Riemannian gradient ``grad``, the search also stalls after its
-    first evaluated candidate fails when the slope the retraction can reach
-    is at most ``c1 * slope``.  That reach swaps the schedule block of the
-    direction for its projection onto the simplex's tangent cone (floored
-    entries may only grow), the one-sided derivative of the retraction at
-    step 0+; to first order no smaller step can then pass.
+    The search also stalls after its first evaluated candidate fails when
+    the slope the retraction can reach is at most ``ARMIJO_C1 * slope``.
+    That reach swaps the schedule block of the direction for its projection
+    onto the simplex's tangent cone (floored entries may only grow), the
+    one-sided derivative of the retraction at step 0+; to first order no
+    smaller step can then pass.
     """
-    if value is None:
-        value = objective(point)
     if not math.isfinite(value):
         raise NonFiniteObjectiveError(f"objective value {value} is not finite")
     resolution = np.spacing(abs(value))
     evals = 0
-    step = config.initial_step if initial_step is None else initial_step
+    step = initial_step
     for _ in range(MAX_BACKTRACKS + 1):
-        if 0.0 < config.armijo_c1 * step * slope <= resolution:
+        if 0.0 < ARMIJO_C1 * step * slope <= resolution:
             break
         try:
             candidate = _retract_point(point, direction, step)
         except RetractionError:
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
             continue
         cand_value = objective(candidate)
         evals += 1
-        if cand_value >= value + config.armijo_c1 * step * slope:
+        if cand_value >= value + ARMIJO_C1 * step * slope:
             return LineSearchResult(step, candidate, cand_value, False, evals)
-        if evals == 1 and grad is not None:
+        if evals == 1:
             d_sched = direction.d_schedule
             blocked = project_schedule_cone(point.schedule, d_sched) - d_sched
-            if slope + _rinner(blocked, grad.d_schedule) <= config.armijo_c1 * slope:
+            if slope + _rinner(blocked, grad.d_schedule) <= ARMIJO_C1 * slope:
                 break
-        step *= config.backtrack_factor
+        step *= BACKTRACK_FACTOR
     return LineSearchResult(0.0, point, value, True, evals)
 
 
@@ -276,7 +260,7 @@ def inner_solve(
     for _ in range(config.max_inner_iters):
         gnorm = grad_norm(rgrad)
         gnorm_trace.append(gnorm)
-        if gnorm < config.inner_grad_tol:
+        if gnorm < INNER_GRAD_TOL:
             break
         direction = rgrad
         if prev_rgrad is not None:
@@ -294,20 +278,11 @@ def inner_solve(
             direction = rgrad
             slope = gnorm * gnorm
         # Warm-start the backtracking near the previously accepted step (one
-        # growth allowed, never above the configured cap).
-        start = config.initial_step
+        # growth allowed, never above INITIAL_STEP).
+        start = INITIAL_STEP
         if prev_step is not None:
-            start = min(start, max(prev_step / config.backtrack_factor, 1e-12))
-        result = line_search(
-            point,
-            direction,
-            surrogate,
-            config,
-            slope,
-            ev.value,
-            grad=rgrad,
-            initial_step=start,
-        )
+            start = min(start, max(prev_step / BACKTRACK_FACTOR, 1e-12))
+        result = line_search(point, direction, surrogate, slope, ev.value, rgrad, start)
         num_evals += result.num_evals
         iters += 1
         if result.stalled:
@@ -388,12 +363,9 @@ def _anneal_from(
         point.schedule,
         ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase),
     )
-    if config.mu_init is not None:
-        mu = config.mu_init
-    else:
-        spread = float(snr0.max() - snr0.min())
-        mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
-    mu_min = config.mu_min if config.mu_min is not None else 1e-6 * mu
+    spread = float(snr0.max() - snr0.min())
+    mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
+    mu_min = MU_MIN_RATIO * mu
     log_k = math.log(ctx.num_users)
 
     obj_trace: list[np.ndarray] = []
@@ -412,7 +384,7 @@ def _anneal_from(
             break
         if mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30):
             break
-        mu /= config.delta
+        mu /= DELTA
 
     report = _report_at(point, ctx, origin)
     report.objective_trace = obj_trace
@@ -448,7 +420,7 @@ def _validate_warm_start(idx: int, start: ProductPoint, ctx: EvalContext) -> Non
 
 def solve(
     scenario: Scenario,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     warm_starts: tuple = (),
 ) -> SolveReport:
     """Solve one scenario and return the best report across restarts.
@@ -461,8 +433,6 @@ def solve(
     full anneal.
     Ties keep the earliest candidate, so results are seed-deterministic.
     """
-    if config is None:
-        config = SolverConfig()
     ctx = EvalContext.from_scenario(scenario)
     for idx, start in enumerate(warm_starts):
         _validate_warm_start(idx, start, ctx)

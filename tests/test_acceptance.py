@@ -53,7 +53,7 @@ def ms2_sweep():
     start = time.perf_counter()
     result = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(6, 6, 6, 6), 8), config)
     elapsed = time.perf_counter() - start
-    _collect("ms2-sweep", result.reports.values())
+    _collect("ms2-sweep", result.reports)
     return result, elapsed
 
 
@@ -64,7 +64,7 @@ def alloc_sweep():
     specs = [ArcScenarioSpec(geom, 8) for geom in allocation_steps(64, 1)]
     result = sweep_allocation(specs, config)
     elapsed = time.perf_counter() - start
-    _collect("alloc-sweep", result.reports.values())
+    _collect("alloc-sweep", result.reports)
     return result, elapsed
 
 

@@ -176,14 +176,14 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
 
 
 # JSON reads 1e999 as inf; integer keys must not be truncated either, and a
-# bool or a string is not a number.
+# bool or a string is not a number.  Options that became solver constants
+# (inner_grad_tol, initial_step, mu_init, restart_period) are unknown keys.
 _BAD_SOLVER_SETTINGS = [
     pytest.param("inner_grad_tol", "1e999", id="inner_grad_tol"),
     pytest.param("initial_step", "1e999", id="initial_step"),
     pytest.param("seed", "1e999", id="seed"),
     pytest.param("max_inner_iters", "1e999", id="max_inner_iters"),
     pytest.param("restarts", "2.5", id="restarts"),
-    # no longer an option: rejected as an unknown key
     pytest.param("restart_period", "2.5", id="restart_period"),
     pytest.param("max_outer_iters", "2.5", id="max_outer_iters"),
     pytest.param("iota", "true", id="iota-bool"),
@@ -263,6 +263,11 @@ def test_bad_geometry_rejected_before_output_dir(tmp_path, capsys):
             ["sweep-ms2", "--m-rows", "2", "--m-cols", "2", "--users", "2,0"],
             id="sweep-ms2-2,0",
         ),
+        pytest.param(["sweep-users", "--users", "4,x"], id="4,x"),
+        pytest.param(
+            ["sweep-ms2", "--m-rows", "2", "--m-cols", "2", "--users", "2.5"],
+            id="sweep-ms2-2.5",
+        ),
     ],
 )
 def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv):
@@ -322,18 +327,23 @@ def test_check_suites_take_only_seed(tmp_path, capsys, suite, seed):
 @pytest.mark.parametrize(
     "argv, bad",
     [
-        (["case-study"], {"figure": 5}),
-        (["sweep-alloc", "--total", "16", "--users", "2"], {"scheme": 3}),
+        (["case-study", "--out", "out"], {"figure": 5}),
+        (["sweep-alloc", "--total", "16", "--users", "2", "--out", "out"], {"scheme": 3}),
+        pytest.param(["case-study", "--figure", "6"], {"out": None}, id="out-null"),
+        # the empty flag overrides the file's valid value
+        pytest.param(
+            ["case-study", "--figure", "6", "--out", ""], {"out": "out"}, id="out-empty"
+        ),
     ],
 )
-def test_bad_config_value_exits_one(tmp_path, capsys, argv, bad):
+def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, argv, bad):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(bad))
-    out_dir = tmp_path / "out"
-    code, _, err = run([*argv, "--config", str(config), "--out", str(out_dir)], capsys)
+    code, _, err = run([*argv, "--config", str(config)], capsys)
     assert code == 1
     assert next(iter(bad)) in err
-    assert not out_dir.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_value_error_after_validation_is_runtime_failure(tmp_path, capsys, monkeypatch):

@@ -153,6 +153,16 @@ def test_sweep_allocation_tiny():
     assert result.cell_labels[0] == "single-layer"
 
 
+def test_sweep_allocation_keeps_a_repeated_geometry():
+    ladder = _ladder(4, 1, 2)
+    result = sweep_allocation([ladder[0], ladder[1], ladder[1]], FAST)
+    assert len(result.cell_labels) == result.mis_snr.size == 3
+    assert len(result.reports) == 3
+    np.testing.assert_array_equal(
+        result.mis_snr, [report.worst_snr for report in result.reports]
+    )
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("solved before every input was checked")
 
@@ -175,7 +185,8 @@ def test_sweep_ms2_tiny_grid_nesting_and_baseline():
     assert res.gain.shape == (2, 2)
     assert res.gain[1, 1] == 1.0  # full-size cell is the baseline itself
     assert np.all(res.gain >= 1.0 - 1e-6)
-    assert np.all(res.baseline_snr == res.reports["2x2"].worst_snr)
+    assert len(res.reports) == 4
+    assert np.all(res.baseline_snr == res.reports[-1].worst_snr)
 
 
 def test_sweep_ms2_reproducible():
@@ -208,8 +219,8 @@ def test_csv_writers_deterministic(tmp_path):
     result = sweep_allocation(_ladder(4, 1, 2), FAST)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_sweep_csv(result, path_a)
-    write_sweep_csv(result, path_b)
+    write_sweep_csv([result], path_a)
+    write_sweep_csv([result], path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "geometry,users,seed,baseline_snr,mis_snr,gain"

@@ -21,6 +21,9 @@ from misopt.manifolds import (
     project_to_tangent,
 )
 from misopt.solver import (
+    ARMIJO_C1,
+    BACKTRACK_FACTOR,
+    INITIAL_STEP,
     MAX_BACKTRACKS,
     NonFiniteObjectiveError,
     SolveReport,
@@ -109,6 +112,13 @@ def _zero_direction(point):
     )
 
 
+def _schedule_move(point, d_schedule):
+    """A tangent triple that moves only the schedule."""
+    return TangentTriple(
+        np.zeros_like(point.ms1_phase), np.zeros_like(point.ms2_phase), d_schedule
+    )
+
+
 def test_line_search_zero_direction_returns_initial_step():
     point = _exact_point()
     calls = []
@@ -117,8 +127,8 @@ def test_line_search_zero_direction_returns_initial_step():
         calls.append(1)
         return 1.5
 
-    config = SolverConfig(initial_step=0.75)
-    result = line_search(point, _zero_direction(point), objective, config, slope=0.0)
+    zero = _zero_direction(point)
+    result = line_search(point, zero, objective, 0.0, 1.5, zero, 0.75)
     assert result.step == 0.75
     assert not result.stalled
     np.testing.assert_array_equal(result.point.ms1_phase, point.ms1_phase)
@@ -127,24 +137,21 @@ def test_line_search_zero_direction_returns_initial_step():
 
 def test_line_search_first_step_argument_overrides_config():
     point = _exact_point()
-    config = SolverConfig(initial_step=0.75)
-    result = line_search(
-        point, _zero_direction(point), lambda p: 1.5, config, 0.0, initial_step=0.25
-    )
-    assert result.step == 0.25
-    # the search backtracks from the given step, not from config.initial_step
-    direction = TangentTriple(
-        np.zeros_like(point.ms1_phase),
-        np.zeros_like(point.ms2_phase),
-        np.array([[0.25, -0.25], [0.0, 0.0]]),
-    )
+    zero = _zero_direction(point)
+    result = line_search(point, zero, lambda p: 1.5, 0.0, 1.5, zero, 0.25)
+    assert result.step == 0.25 != INITIAL_STEP
+    # the search backtracks from the given step, not from INITIAL_STEP
+    direction = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
+    grad = _schedule_move(point, np.array([[0.075, -0.075], [0.0, 0.0]]))
 
     def objective(p):
         return -((p.schedule[0, 0] - 0.575) ** 2)
 
     slope = -2.0 * (0.5 - 0.575) * 0.25
-    assert line_search(point, direction, objective, config, slope).step == 0.375
-    result = line_search(point, direction, objective, config, slope, initial_step=0.55)
+    value = objective(point)
+    result = line_search(point, direction, objective, slope, value, grad, 0.75)
+    assert result.step == 0.375
+    result = line_search(point, direction, objective, slope, value, grad, 0.55)
     assert result.step == 0.55
     assert not result.stalled
 
@@ -153,23 +160,21 @@ def test_line_search_quadratic_toy():
     point = _exact_point()
     target = 0.575
     slope_dir = 0.25
-    direction = TangentTriple(
-        np.zeros_like(point.ms1_phase),
-        np.zeros_like(point.ms2_phase),
-        np.array([[slope_dir, -slope_dir], [0.0, 0.0]]),
-    )
+    direction = _schedule_move(point, np.array([[slope_dir, -slope_dir], [0.0, 0.0]]))
+    grad = _schedule_move(point, np.array([[0.075, -0.075], [0.0, 0.0]]))
 
     def objective(p):
         return -((p.schedule[0, 0] - target) ** 2)
 
     slope = -2.0 * (0.5 - target) * slope_dir  # h'(0) = 0.0375
-    config = SolverConfig(initial_step=1.0, backtrack_factor=0.5, armijo_c1=1e-4)
-    result = line_search(point, direction, objective, config, slope=slope)
+    result = line_search(
+        point, direction, objective, slope, objective(point), grad, INITIAL_STEP
+    )
     optimum = (target - 0.5) / slope_dir  # 0.3
-    boundary = 2.0 * optimum * (1.0 - config.armijo_c1)
+    boundary = 2.0 * optimum * (1.0 - ARMIJO_C1)
     assert not result.stalled
     assert result.step <= boundary + 1e-12
-    assert result.step > boundary * config.backtrack_factor - 1e-12
+    assert result.step > boundary * BACKTRACK_FACTOR - 1e-12
     assert result.value == pytest.approx(objective(result.point))
 
 
@@ -180,34 +185,27 @@ def test_line_search_armijo_holds_post_hoc():
     ev = evaluate(point, mu, ctx, want_grad=True)
     rgrad = project_to_tangent(point, ev.grads)
     slope = grad_norm(rgrad) ** 2
-    config = SolverConfig()
 
     def objective(p):
         return evaluate(p, mu, ctx).value
 
-    result = line_search(point, rgrad, objective, config, slope, ev.value)
+    result = line_search(point, rgrad, objective, slope, ev.value, rgrad, INITIAL_STEP)
     assert not result.stalled
-    assert result.value >= ev.value + config.armijo_c1 * result.step * slope
+    assert result.value >= ev.value + ARMIJO_C1 * result.step * slope
     # the accepted step sits on the tested geometric grid
-    j = round(math.log(result.step / config.initial_step, config.backtrack_factor))
-    assert result.step == pytest.approx(
-        config.initial_step * config.backtrack_factor**j, rel=1e-12
-    )
+    j = round(math.log(result.step / INITIAL_STEP, BACKTRACK_FACTOR))
+    assert result.step == pytest.approx(INITIAL_STEP * BACKTRACK_FACTOR**j, rel=1e-12)
 
 
 def test_line_search_stall_returns_zero_step():
     point = _exact_point()
-    direction = TangentTriple(
-        np.zeros_like(point.ms1_phase),
-        np.zeros_like(point.ms2_phase),
-        np.array([[0.25, -0.25], [0.0, 0.0]]),
-    )
+    direction = grad = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
 
     def objective(p):
         return -((p.schedule[0, 0] - 0.5) ** 2)  # already at the maximum
 
     result = line_search(
-        point, direction, objective, SolverConfig(), slope=1.0, value=objective(point)
+        point, direction, objective, 1.0, objective(point), grad, INITIAL_STEP
     )
     assert result.stalled
     assert result.step == 0.0
@@ -216,21 +214,16 @@ def test_line_search_stall_returns_zero_step():
 
 def test_line_search_stops_below_float_resolution():
     point = _exact_point()
-    direction = TangentTriple(
-        np.zeros_like(point.ms1_phase),
-        np.zeros_like(point.ms2_phase),
-        np.array([[0.25, -0.25], [0.0, 0.0]]),
-    )
+    direction = grad = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
     calls = []
 
     def objective(p):
         calls.append(1)
         return 1e6
 
-    config = SolverConfig()
     slope = 1e-8
-    assert config.armijo_c1 * config.initial_step * slope <= np.spacing(1e6)
-    result = line_search(point, direction, objective, config, slope, value=1e6)
+    assert ARMIJO_C1 * INITIAL_STEP * slope <= np.spacing(1e6)
+    result = line_search(point, direction, objective, slope, 1e6, grad, INITIAL_STEP)
     assert result.stalled
     assert result.step == 0.0
     assert result.num_evals == 0
@@ -253,10 +246,14 @@ def _blocked_search(point):
     """A linear objective whose ascent direction pushes further into the vertex,
     so the floored retraction cannot move: (direction, gradient, slope)."""
     sched = np.array([[-0.5, 1.0, -0.5], [1.0, -0.5, -0.5]])
-    grad = TangentTriple(
-        np.zeros_like(point.ms1_phase), np.zeros_like(point.ms2_phase), sched
-    )
+    grad = _schedule_move(point, sched)
     return grad, grad, float(np.sum(sched * sched))
+
+
+def _unblocked(grad):
+    """``grad`` with its schedule block zeroed: the reach then equals the slope,
+    so the cone stop never fires."""
+    return grad._replace(d_schedule=np.zeros_like(grad.d_schedule))
 
 
 def test_line_search_blocked_schedule_stalls_after_one_evaluation():
@@ -270,49 +267,49 @@ def test_line_search_blocked_schedule_stalls_after_one_evaluation():
 
     value = objective(point)
     calls.clear()
-    config = SolverConfig()
-    result = line_search(point, direction, objective, config, slope, value, grad=grad)
+    result = line_search(point, direction, objective, slope, value, grad, INITIAL_STEP)
     assert result.stalled
     assert result.step == 0.0
     assert result.point is point
     assert result.value == value
     assert result.num_evals == 1
     assert calls == [1]
-    # without the gradient the search backtracks down to the floor's scale
-    plain = line_search(point, direction, objective, config, slope, value)
+    # without the cone stop the search backtracks down to the floor's scale
+    plain = line_search(
+        point, direction, objective, slope, value, _unblocked(grad), INITIAL_STEP
+    )
     assert plain.num_evals > 30
 
 
 def test_line_search_passing_first_candidate_ignores_reach():
     point = _vertex_point()
     direction, grad, slope = _blocked_search(point)
-    config = SolverConfig(initial_step=0.75)
 
     def objective(p):
         return 10.0
 
-    with_grad = line_search(point, direction, objective, config, slope, 0.0, grad=grad)
-    plain = line_search(point, direction, objective, config, slope, 0.0)
+    with_grad = line_search(point, direction, objective, slope, 0.0, grad, 0.75)
+    plain = line_search(point, direction, objective, slope, 0.0, _unblocked(grad), 0.75)
     assert not with_grad.stalled
     assert with_grad.step == plain.step == 0.75
     assert with_grad.num_evals == plain.num_evals == 1
     np.testing.assert_array_equal(with_grad.point.schedule, plain.point.schedule)
 
 
-def _plain_armijo(point, direction, objective, config, slope, value):
-    """Armijo backtracking without the float-resolution stop: (step, evals)."""
-    step = config.initial_step
+def _plain_armijo(point, direction, objective, slope, value, step):
+    """Armijo backtracking from ``step`` with neither the float-resolution
+    nor the cone stop: (step, evals)."""
     evals = 0
     for _ in range(MAX_BACKTRACKS + 1):
         try:
             candidate = _retract_point(point, direction, step)
         except RetractionError:
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
             continue
         evals += 1
-        if objective(candidate) >= value + config.armijo_c1 * step * slope:
+        if objective(candidate) >= value + ARMIJO_C1 * step * slope:
             return step, evals
-        step *= config.backtrack_factor
+        step *= BACKTRACK_FACTOR
     return 0.0, evals
 
 
@@ -328,12 +325,15 @@ def test_line_search_resolvable_threshold_accepts_same_step(seed):
     def objective(p):
         return evaluate(p, mu, ctx).value
 
-    for initial_step in (1.0, 1e-3):
-        config = SolverConfig(initial_step=initial_step)
-        result = line_search(point, rgrad, objective, config, slope, ev.value)
-        step, evals = _plain_armijo(point, rgrad, objective, config, slope, ev.value)
+    for initial_step in (INITIAL_STEP, 1e-3):
+        result = line_search(
+            point, rgrad, objective, slope, ev.value, rgrad, initial_step
+        )
+        step, evals = _plain_armijo(
+            point, rgrad, objective, slope, ev.value, initial_step
+        )
         assert not result.stalled
-        assert config.armijo_c1 * result.step * slope > np.spacing(abs(ev.value))
+        assert ARMIJO_C1 * result.step * slope > np.spacing(abs(ev.value))
         assert result.step == step
         assert result.num_evals == evals
 
@@ -344,9 +344,7 @@ def test_line_search_rejects_non_finite_value(bad):
     direction = _zero_direction(point)
     assert not issubclass(NonFiniteObjectiveError, ValueError)
     with pytest.raises(NonFiniteObjectiveError):
-        line_search(point, direction, lambda p: 0.0, SolverConfig(), 1.0, value=bad)
-    with pytest.raises(NonFiniteObjectiveError):
-        line_search(point, direction, lambda p: bad, SolverConfig(), 1.0)
+        line_search(point, direction, lambda p: 0.0, 1.0, bad, direction, INITIAL_STEP)
 
 
 def _report_with(worst):
@@ -424,7 +422,10 @@ def test_inner_solve_trace_monotone_and_feasible():
     result = inner_solve(point, 0.3, SolverConfig(max_inner_iters=60), ctx)
     trace = result.objective_trace
     assert np.all(np.diff(trace) >= 0.0)
-    result.point.validate(atol=1e-12)
+    result.point.validate()
+    np.testing.assert_allclose(np.abs(result.point.ms1_phase), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(result.point.ms2_phase), 1.0, atol=1e-12)
+    np.testing.assert_allclose(result.point.schedule.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_threshold_schedule():
@@ -552,23 +553,8 @@ def test_solve_warm_start_floor():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(delta=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(num_restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(mu_init=-1.0)
     for bad in (
-        {"inner_grad_tol": math.inf},
-        {"initial_step": math.inf},
-        {"mu_init": math.inf},
-        {"mu_min": math.nan},
-        {"delta": math.inf},
-        {"armijo_c1": math.nan},
-        {"backtrack_factor": math.nan},
         {"max_inner_iters": math.inf},
         {"max_inner_iters": 2.5},
         {"max_outer_iters": 2.5},
@@ -579,9 +565,20 @@ def test_solver_config_validation():
         (key,) = bad
         with pytest.raises(ValueError, match=key):
             SolverConfig(**bad)
-    SolverConfig(rng_seed=np.int64(3), mu_min=None, num_restarts=np.int32(2))
+    SolverConfig(rng_seed=np.int64(3), num_restarts=np.int32(2))
     # removed options are not fields any more
-    for gone in ("restart_period", "mu_gap_rtol", "max_backtracks"):
+    for gone in (
+        "restart_period",
+        "mu_gap_rtol",
+        "max_backtracks",
+        "mu_init",
+        "delta",
+        "mu_min",
+        "inner_grad_tol",
+        "armijo_c1",
+        "backtrack_factor",
+        "initial_step",
+    ):
         with pytest.raises(TypeError, match=gone):
             SolverConfig(**{gone: 2})
 
