@@ -101,9 +101,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     _int_key(merged, "seed", least=0)
     if "jobs" in allowed:
         _int_key(merged, "jobs", least=1)
-    out = merged.get("out", "")
-    if "out" in allowed and not (isinstance(out, str) and out):
-        raise ConfigError(f"config key 'out' must be a non-empty path, got {out!r}")
+    if "out" in allowed and not (isinstance(merged["out"], str) and merged["out"]):
+        raise ConfigError(
+            f"config key 'out' must be a non-empty path, got {merged['out']!r}"
+        )
     return merged
 
 
@@ -113,7 +114,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
         "num_restarts": _int_key(cfg, "restarts"),
     }
     for key in _SOLVER_KEYS:
-        if cfg.get(key) is not None:
+        if key in cfg:
             kwargs[key] = cfg[key]
     try:
         return SolverConfig(**kwargs)

@@ -183,6 +183,7 @@ _BAD_SOLVER_SETTINGS = [
     pytest.param("initial_step", "1e999", id="initial_step"),
     pytest.param("seed", "1e999", id="seed"),
     pytest.param("max_inner_iters", "1e999", id="max_inner_iters"),
+    pytest.param("max_inner_iters", "null", id="max_inner_iters-null"),
     pytest.param("restarts", "2.5", id="restarts"),
     pytest.param("restart_period", "2.5", id="restart_period"),
     pytest.param("max_outer_iters", "2.5", id="max_outer_iters"),

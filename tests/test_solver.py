@@ -423,9 +423,9 @@ def test_inner_solve_trace_monotone_and_feasible():
     trace = result.objective_trace
     assert np.all(np.diff(trace) >= 0.0)
     result.point.validate()
-    np.testing.assert_allclose(np.abs(result.point.ms1_phase), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(result.point.ms2_phase), 1.0, atol=1e-12)
-    np.testing.assert_allclose(result.point.schedule.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(result.point.ms1_phase), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(result.point.ms2_phase), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.point.schedule.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_threshold_schedule():
