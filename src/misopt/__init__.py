@@ -27,5 +27,5 @@ from .experiments import (
 )
 from .geometry import MisGeometry, all_selections
 from .objective import EvalContext, ProductPoint, evaluate
-from .oracle import BruteForceConfig, brute_force_solve
+from .oracle import brute_force_solve
 from .solver import SolveReport, SolverConfig, solve

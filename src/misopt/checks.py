@@ -27,7 +27,6 @@ from .manifolds import (
 )
 from .objective import EvalContext, ProductPoint, evaluate
 from .oracle import (
-    BruteForceConfig,
     brute_force_solve,
     dense_selection_oracle,
     fd_directional,
@@ -284,7 +283,7 @@ def check_oracle_optimality(seed: int) -> CheckResult:
     16-level brute-force optimum on a two-user, two-pattern instance."""
     users = [(ArrayAngles(az, math.pi / 4), 0.01) for az in (-math.pi / 3, math.pi / 3)]
     scenario = Scenario(MisGeometry(2, 1, 1, 1), ArrayAngles(0.0, 0.0), users)
-    reference = brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=16))
+    reference = brute_force_solve(scenario, phase_levels=16)
     report = solve(scenario, SolverConfig(rng_seed=seed, num_restarts=8))
     ratio = report.worst_snr / reference.value
     detail = f"solver reaches {ratio:.4f} of the 16-level brute-force optimum"

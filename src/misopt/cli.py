@@ -279,7 +279,7 @@ def _cmd_sweep_alloc(cfg: dict):
 
 
 def _cmd_sweep_users(cfg: dict):
-    counts = _user_list("4,8,16,32" if cfg.get("users") is None else cfg["users"])
+    counts = _user_list(cfg["users"] if "users" in cfg else "4,8,16,32")
     arc = _arc(cfg)
     chains = {
         label: [ArcScenarioSpec(geom, count, arc) for count in counts]
@@ -304,7 +304,7 @@ def _cmd_case_study(cfg: dict):
     figure, arc = _int_key(cfg, "figure"), _arc(cfg)
     if figure not in _CASE_STUDY_LAYOUTS:
         raise ConfigError(f"config key 'figure' must be 6 or 7, got {figure}")
-    users = 4 if cfg.get("users") is None else _int_key(cfg, "users")
+    users = _int_key(cfg, "users") if "users" in cfg else 4
     spec = ArcScenarioSpec(_CASE_STUDY_LAYOUTS[figure], users, arc)
     config = _solver_config(cfg)
 

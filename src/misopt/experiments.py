@@ -6,14 +6,15 @@ at a common elevation and a common SNR scale.  An
 Every sweep and :func:`case_study` takes the specs it solves, built by the
 caller (the CLI builds them from its configuration).  Every sweep
 normalizes against a single-layer baseline (movable layer grown to the full
-fixed layer, one pattern).  Sweeps that keep the fixed layer unchanged seed
-each movable-layer cell with the baseline solution embedded as a feasible
-point (baseline phases on layer 1, identity phases on layer 2), so a cell
-can never report worse than the baseline it is normalized by.
+fixed layer, one pattern).  Sweeps that keep the fixed layer unchanged
+warm-start each movable-layer cell from the baseline solution embedded as a
+phase pair (baseline phases on layer 1, identity phases on layer 2), so a
+cell can never report worse than the baseline it is normalized by.
 
-Sweep cells (and the two chains of the user sweep) are independent tasks;
-with ``jobs > 1`` :func:`_run_tasks` runs them in a process pool and gathers
-them by index, so results do not depend on completion order.
+Sweep cells (the allocation baseline among them, and the two chains of the
+user sweep) are independent tasks; with ``jobs > 1`` :func:`_run_tasks`
+runs them in a process pool and gathers them by index, so results do not
+depend on completion order.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 
 from .channel import BROADSIDE, ArrayAngles, Scenario
 from .geometry import MisGeometry
-from .objective import EvalContext, ProductPoint
-from .solver import SolveReport, SolverConfig, solve, uniform_schedule
+from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
     "CoverageArc",
@@ -126,8 +126,6 @@ class CaseStudyResult:
     spec: ArcScenarioSpec
     mis: SolveReport
     sms: SolveReport
-    snr_table: np.ndarray
-    sms_snr_table: np.ndarray
 
 
 def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
@@ -153,26 +151,23 @@ def sms_baseline(spec: ArcScenarioSpec, config: SolverConfig) -> SolveReport:
     return solve(build_arc_scenario(sms_spec), config)
 
 
-def _embedded_start(
-    baseline: SolveReport, cell_geom: MisGeometry, num_users: int
-) -> ProductPoint:
-    """Map a single-layer solution into a cell's product manifold.
+def _embedded_start(baseline: SolveReport, cell_geom: MisGeometry) -> tuple:
+    """Map a single-layer solution onto a cell's two layers as a warm-start
+    phase pair.
 
     The baseline's combined per-element phase goes onto layer 1 (its one
     placement covers every element in order, so that phase is ms2 * ms1);
     layer 2 is all ones, so every pattern reproduces the baseline beam exactly.
     """
-    return ProductPoint(
-        ms1_phase=baseline.ms2_phase * baseline.ms1_phase,
-        ms2_phase=np.ones(cell_geom.num_ms2, dtype=complex),
-        schedule=uniform_schedule(num_users, cell_geom.num_patterns),
+    return (
+        baseline.ms2_phase * baseline.ms1_phase,
+        np.ones(cell_geom.num_ms2, dtype=complex),
     )
 
 
 def _solve_task(args) -> SolveReport:
     spec, config, warm = args
-    warm_starts = (warm,) if warm is not None else ()
-    return solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
+    return solve(build_arc_scenario(spec), config, warm=warm)
 
 
 def _run_tasks(task, args: list, jobs: int) -> list:
@@ -225,7 +220,7 @@ def sweep_ms2_sizes(
     ]
     baseline = sms_baseline(spec, config)
     tasks = [
-        (replace(spec, geom=g), config, _embedded_start(baseline, g, spec.num_users))
+        (replace(spec, geom=g), config, _embedded_start(baseline, g))
         for g in geoms[:-1]
     ]
     return _sweep_result(
@@ -266,13 +261,13 @@ def allocation_steps(total_elements: int, scheme: int) -> list:
 
 def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> SweepResult:
     """Worst-case SNR along an allocation ladder (see :func:`allocation_steps`),
-    normalized by the single-layer baseline of ``specs[0]``.  The specs must
-    share one user count and one arc."""
+    normalized by the single-layer baseline of ``specs[0]``, which is the
+    first task of the pool.  The specs must share one user count and one arc."""
     if len({(spec.num_users, spec.arc) for spec in specs}) != 1:
         raise ValueError("allocation specs must share one user count and one arc")
-    baseline = sms_baseline(specs[0], config)
-    reports = [baseline] + _run_tasks(
-        _solve_task, [(spec, config, None) for spec in specs[1:]], jobs
+    sms_spec = replace(specs[0], geom=_single_layer_geom(specs[0].geom))
+    reports = _run_tasks(
+        _solve_task, [(spec, config, None) for spec in (sms_spec, *specs[1:])], jobs
     )
     labels = ["single-layer"] + [_layout_label(spec.geom) for spec in specs[1:]]
     return _sweep_result(reports, 0, labels, len(labels), specs[0].num_users, config)
@@ -285,20 +280,10 @@ def _solve_chain(args) -> list:
     specs, config = args
     order = sorted(range(len(specs)), key=lambda i: specs[i].num_users, reverse=True)
     out = [None] * len(specs)
-    warm_phases = None
+    warm = None
     for i in order:
-        spec = specs[i]
-        warm_starts = ()
-        if warm_phases is not None:
-            warm_starts = (
-                ProductPoint(
-                    ms1_phase=warm_phases[0],
-                    ms2_phase=warm_phases[1],
-                    schedule=uniform_schedule(spec.num_users, spec.geom.num_patterns),
-                ),
-            )
-        out[i] = solve(build_arc_scenario(spec), config, warm_starts=warm_starts)
-        warm_phases = (out[i].ms1_phase, out[i].ms2_phase)
+        out[i] = solve(build_arc_scenario(specs[i]), config, warm=warm)
+        warm = (out[i].ms1_phase, out[i].ms2_phase)
     return out
 
 
@@ -329,25 +314,12 @@ def sweep_users_1d2d(chains: dict, config: SolverConfig, jobs: int = 1) -> Users
 
 def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> CaseStudyResult:
     """A tiny two-layer layout (the paper's figures 6 and 7) versus its
-    single-layer counterpart, warm-started from the embedded baseline.
-
-    Returns the solved reports plus the full (user, pattern) SNR tables at
-    both solutions.
-    """
+    single-layer counterpart, warm-started from the embedded baseline; each
+    report carries its (user, pattern) SNR table."""
     sms = sms_baseline(spec, config)
-    warm = _embedded_start(sms, spec.geom, spec.num_users)
-    scenario = build_arc_scenario(spec)
-    mis = solve(scenario, config, warm_starts=(warm,))
-
-    table = EvalContext.from_scenario(scenario).pattern_snr_table(
-        mis.ms1_phase, mis.ms2_phase
-    )
-    sms_spec = replace(spec, geom=_single_layer_geom(spec.geom))
-    sms_ctx = EvalContext.from_scenario(build_arc_scenario(sms_spec))
-    sms_table = sms_ctx.pattern_snr_table(sms.ms1_phase, sms.ms2_phase)
-    return CaseStudyResult(
-        spec=spec, mis=mis, sms=sms, snr_table=table, sms_snr_table=sms_table
-    )
+    warm = _embedded_start(sms, spec.geom)
+    mis = solve(build_arc_scenario(spec), config, warm=warm)
+    return CaseStudyResult(spec=spec, mis=mis, sms=sms)
 
 
 def _fmt(value: float) -> str:
@@ -397,10 +369,8 @@ def write_case_study_csv(result: CaseStudyResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["scheme", "user", "pattern", "snr", "snr_db", "chosen"])
-        for scheme, table, report in (
-            ("mis", result.snr_table, result.mis),
-            ("sms", result.sms_snr_table, result.sms),
-        ):
+        for scheme, report in (("mis", result.mis), ("sms", result.sms)):
+            table = report.snr_table
             for k in range(table.shape[0]):
                 for u in range(table.shape[1]):
                     snr = float(table[k, u])

@@ -5,7 +5,7 @@ to the true minimum is bounded by ``mu * log(K)``; annealing ``mu`` toward
 zero tightens the surrogate.  :class:`EvalContext` is the signal model: the
 U x N placement index table and the K x M cascaded channels, built once per
 problem, so one :func:`evaluate` call (value, user SNRs, softmin weights,
-SNR table, optional gradients) is a handful of dense matrix products.
+optional gradients) is a handful of dense matrix products.
 
 Gradient convention for complex blocks: the returned ``g`` satisfies
 ``d/de f(z + e*t)|_0 = Re(g^H t)`` for any complex direction ``t``.
@@ -129,12 +129,11 @@ class EvalContext:
 @dataclass(frozen=True)
 class Evaluation:
     """One objective evaluation: surrogate value, per-user SNRs, softmin weights,
-    the full (user, pattern) SNR table, and optionally the Euclidean gradients."""
+    and optionally the Euclidean gradients."""
 
     value: float
     user_snrs: np.ndarray
     weights: np.ndarray
-    snr_table: np.ndarray
     grads: tuple | None = None
 
 
@@ -170,6 +169,4 @@ def evaluate(
         grad_ms2 = np.take_along_axis(covered, ctx.sel_index, axis=1).sum(axis=0)
         grad_schedule = weights[:, None] * gamma
         grads = (grad_ms1, grad_ms2, grad_schedule)
-    return Evaluation(
-        value=value, user_snrs=snrs, weights=weights, snr_table=gamma, grads=grads
-    )
+    return Evaluation(value=value, user_snrs=snrs, weights=weights, grads=grads)

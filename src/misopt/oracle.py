@@ -26,7 +26,6 @@ from .geometry import MisGeometry
 from .objective import EvalContext, ProductPoint
 
 __all__ = [
-    "BruteForceConfig",
     "BruteForceResult",
     "brute_force_solve",
     "fd_directional",
@@ -36,18 +35,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BruteForceConfig:
-    """Lattice resolution and a hard cap on the nominal enumeration size."""
-
-    phase_levels: int = 16
-    max_search_space: int = 50_000_000
-
-    def __post_init__(self):
-        if self.phase_levels < 2:
-            raise ValueError("phase_levels must be >= 2")
-        if self.max_search_space < 1:
-            raise ValueError("max_search_space must be >= 1")
+# The largest nominal enumeration size brute_force_solve accepts.
+MAX_SEARCH_SPACE = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -67,26 +56,23 @@ def _phase_lattice(levels: int, size: int) -> np.ndarray:
     return np.exp(1j * np.stack([g.ravel() for g in grids], axis=1))
 
 
-def brute_force_solve(
-    scenario: Scenario,
-    cfg: BruteForceConfig = BruteForceConfig(),
-) -> BruteForceResult:
-    """Exhaustive max-min SNR over the phase lattice.
+def brute_force_solve(scenario: Scenario, phase_levels: int = 16) -> BruteForceResult:
+    """Exhaustive max-min SNR over a lattice of ``phase_levels`` phases.
 
     The phase lattice contains zero, so the identity profile is always a
-    candidate.  Rejects instances whose nominal enumeration size
-    ``levels**(M+N) * U**K`` exceeds the configured cap.
+    candidate.  Rejects fewer than two levels and instances whose nominal
+    enumeration size ``levels**(M+N) * U**K`` exceeds :data:`MAX_SEARCH_SPACE`.
     """
+    if phase_levels < 2:
+        raise ValueError("phase_levels must be >= 2")
     ctx = EvalContext.from_scenario(scenario)
     m, n = ctx.num_ms1, ctx.num_ms2
-    nominal = cfg.phase_levels ** (m + n) * ctx.num_patterns**ctx.num_users
-    if nominal > cfg.max_search_space:
-        raise ValueError(
-            f"enumeration size {nominal} exceeds cap {cfg.max_search_space}"
-        )
+    nominal = phase_levels ** (m + n) * ctx.num_patterns**ctx.num_users
+    if nominal > MAX_SEARCH_SPACE:
+        raise ValueError(f"enumeration size {nominal} exceeds cap {MAX_SEARCH_SPACE}")
 
-    ms1_lattice = _phase_lattice(cfg.phase_levels, m)
-    angles = 2.0 * np.pi * np.arange(cfg.phase_levels) / cfg.phase_levels
+    ms1_lattice = _phase_lattice(phase_levels, m)
+    angles = 2.0 * np.pi * np.arange(phase_levels) / phase_levels
     best_value = -np.inf
     best_ms1 = None
     best_ms2 = None

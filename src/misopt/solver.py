@@ -9,7 +9,9 @@ ascent-reset safeguard, on the product-manifold operations of
 shared step size for all three factors.  At the end every user gets its
 best pattern at the final phases, which is the exact schedule optimum for
 those phases since users are scheduled independently, and the report
-carries the true (non-surrogate) worst-case SNR.
+carries the true (non-surrogate) worst-case SNR and the (user, pattern) SNR
+table it was read from.  Every start, random or warm, begins from the
+uniform schedule, so a warm start is just a pair of phase profiles.
 
 The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
 :data:`INNER_GRAD_TOL`) and the step rule (:data:`ARMIJO_C1`,
@@ -21,7 +23,6 @@ spread of the initial per-user SNRs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "line_search",
     "inner_solve",
     "solve",
-    "uniform_schedule",
 ]
 
 # Each anneal stage divides mu by DELTA; the anneal stops once mu is below
@@ -104,7 +104,8 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Solution plus solve-time diagnostics for one scenario."""
+    """Solution plus solve-time diagnostics for one scenario; ``snr_table``
+    is the K x U SNR of every (user, pattern) pair at the reported phases."""
 
     ms1_phase: np.ndarray
     ms2_phase: np.ndarray
@@ -113,11 +114,10 @@ class SolveReport:
     worst_snr: float
     worst_snr_db: float
     chosen_pattern: np.ndarray
+    snr_table: np.ndarray
     objective_trace: list = field(default_factory=list)
-    grad_norm_trace: list = field(default_factory=list)
     mu_schedule: list = field(default_factory=list)
     num_evals: int = 0
-    wall_time: float = 0.0
     origin: str = ""
 
 
@@ -135,7 +135,6 @@ class InnerResult:
     point: ProductPoint
     evaluation: Evaluation
     objective_trace: np.ndarray
-    grad_norm_trace: np.ndarray
     num_iters: int
     num_evals: int
     stalled: bool
@@ -251,7 +250,6 @@ def inner_solve(
     tiny_steps = 0
     stalled_out = False
     obj_trace = [ev.value]
-    gnorm_trace = []
     iters = 0
 
     def surrogate(p: ProductPoint) -> float:
@@ -259,7 +257,6 @@ def inner_solve(
 
     for _ in range(config.max_inner_iters):
         gnorm = grad_norm(rgrad)
-        gnorm_trace.append(gnorm)
         if gnorm < INNER_GRAD_TOL:
             break
         direction = rgrad
@@ -317,15 +314,10 @@ def inner_solve(
         point=point,
         evaluation=ev,
         objective_trace=np.array(obj_trace),
-        grad_norm_trace=np.array(gnorm_trace),
         num_iters=iters,
         num_evals=num_evals,
         stalled=stalled_out,
     )
-
-
-def uniform_schedule(num_users: int, num_patterns: int) -> np.ndarray:
-    return np.full((num_users, num_patterns), 1.0 / num_patterns)
 
 
 def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveReport:
@@ -348,6 +340,7 @@ def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveRepor
         worst_snr=worst,
         worst_snr_db=worst_db,
         chosen_pattern=chosen0.astype(int) + 1,
+        snr_table=gamma,
         origin=origin,
     )
 
@@ -356,7 +349,6 @@ def _anneal_from(
     start: ProductPoint, ctx: EvalContext, config: SolverConfig, origin: str
 ) -> SolveReport:
     """Full anneal: inner conjugate-gradient solves over a shrinking mu."""
-    t0 = time.perf_counter()
     point = start
     snr0 = np.einsum(
         "ku,ku->k",
@@ -369,14 +361,12 @@ def _anneal_from(
     log_k = math.log(ctx.num_users)
 
     obj_trace: list[np.ndarray] = []
-    gnorm_trace: list[np.ndarray] = []
     mu_schedule: list[float] = []
     num_evals = 0
     for _ in range(config.max_outer_iters):
         stage = inner_solve(point, mu, config, ctx)
         point = stage.point
         obj_trace.append(stage.objective_trace)
-        gnorm_trace.append(stage.grad_norm_trace)
         mu_schedule.append(mu)
         num_evals += stage.num_evals
         current_min = float(stage.evaluation.user_snrs.min())
@@ -388,10 +378,8 @@ def _anneal_from(
 
     report = _report_at(point, ctx, origin)
     report.objective_trace = obj_trace
-    report.grad_norm_trace = gnorm_trace
     report.mu_schedule = mu_schedule
     report.num_evals = num_evals
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -407,35 +395,37 @@ def _better(candidate: SolveReport, incumbent: SolveReport | None) -> bool:
     )
 
 
-def _validate_warm_start(idx: int, start: ProductPoint, ctx: EvalContext) -> None:
-    shapes = (ctx.num_ms1,), (ctx.num_ms2,), (ctx.num_users, ctx.num_patterns)
-    try:
-        for name, shape in zip(("ms1_phase", "ms2_phase", "schedule"), shapes):
-            if np.shape(getattr(start, name)) != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-        start.validate()
-    except ValueError as exc:
-        raise ValueError(f"warm start {idx}: {exc}") from exc
-
-
 def solve(
     scenario: Scenario,
     config: SolverConfig = SolverConfig(),
-    warm_starts: tuple = (),
+    warm: tuple | None = None,
 ) -> SolveReport:
     """Solve one scenario and return the best report across restarts.
 
-    Random restarts draw independent seeded phases with the schedule started
-    at the uniform interior point.  Each entry of ``warm_starts`` is a
-    feasible :class:`ProductPoint`, checked up front (a ``ValueError`` names
-    its index), that competes twice: once evaluated as-is (its phases with
-    each user's best pattern, no optimization) and once as the start of a
-    full anneal.
-    Ties keep the earliest candidate, so results are seed-deterministic.
+    Random restarts draw independent seeded phases.  ``warm`` is an optional
+    ``(ms1_phase, ms2_phase)`` pair, checked up front (a ``ValueError`` names
+    the warm start), that competes twice after the restarts: once evaluated
+    as-is (its phases with each user's best pattern, no optimization) and
+    once as the start of a full anneal.  Every start begins from the
+    uniform schedule.  Ties keep the earliest candidate, so results are
+    seed-deterministic.
     """
     ctx = EvalContext.from_scenario(scenario)
-    for idx, start in enumerate(warm_starts):
-        _validate_warm_start(idx, start, ctx)
+    uniform = np.full((ctx.num_users, ctx.num_patterns), 1.0 / ctx.num_patterns)
+    warm_point = None
+    if warm is not None:
+        try:
+            ms1_phase, ms2_phase = warm
+            for name, phase, size in (
+                ("ms1_phase", ms1_phase, ctx.num_ms1),
+                ("ms2_phase", ms2_phase, ctx.num_ms2),
+            ):
+                if np.shape(phase) != (size,):
+                    raise ValueError(f"{name} must have shape {(size,)}")
+            warm_point = ProductPoint(ms1_phase, ms2_phase, uniform)
+            warm_point.validate()
+        except ValueError as exc:
+            raise ValueError(f"warm start: {exc}") from exc
 
     best: SolveReport | None = None
     for restart in range(config.num_restarts):
@@ -443,16 +433,16 @@ def solve(
         start = ProductPoint(
             ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
             ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
-            schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
+            schedule=uniform,
         )
         report = _anneal_from(start, ctx, config, origin=f"restart-{restart}")
         if _better(report, best):
             best = report
-    for idx, start in enumerate(warm_starts):
-        direct = _report_at(start, ctx, origin=f"warm-{idx}-direct")
+    if warm_point is not None:
+        direct = _report_at(warm_point, ctx, origin="warm-direct")
         if _better(direct, best):
             best = direct
-        report = _anneal_from(start, ctx, config, origin=f"warm-{idx}-annealed")
+        report = _anneal_from(warm_point, ctx, config, origin="warm-annealed")
         if _better(report, best):
             best = report
     return best

@@ -335,6 +335,14 @@ def test_check_suites_take_only_seed(tmp_path, capsys, suite, seed):
         pytest.param(
             ["case-study", "--figure", "6", "--out", ""], {"out": "out"}, id="out-empty"
         ),
+        # a null is a bad value, not an absent key with a default
+        pytest.param(
+            ["case-study", "--figure", "6", "--out", "out"], {"users": None},
+            id="case-study-users-null",
+        ),
+        pytest.param(
+            ["sweep-users", "--out", "out"], {"users": None}, id="sweep-users-users-null"
+        ),
     ],
 )
 def test_bad_config_value_exits_one(tmp_path, capsys, monkeypatch, argv, bad):

@@ -8,6 +8,7 @@ import pytest
 from misopt import (
     ArcScenarioSpec,
     CoverageArc,
+    EvalContext,
     MisGeometry,
     SolverConfig,
     build_arc_scenario,
@@ -209,8 +210,8 @@ def test_sweep_users_small():
 def test_case_study_figure_six_improves_on_baseline():
     spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 4)
     result = case_study(spec, SolverConfig(rng_seed=7, num_restarts=2))
-    assert result.snr_table.shape == (4, 2)
-    assert result.sms_snr_table.shape == (4, 1)
+    assert result.mis.snr_table.shape == (4, 2)
+    assert result.sms.snr_table.shape == (4, 1)
     assert result.mis.worst_snr > result.sms.worst_snr
     assert set(result.mis.chosen_pattern.tolist()) == {1, 2}
 
@@ -265,8 +266,8 @@ def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
     and returns one report per spec, in spec order."""
     calls = []
 
-    def fake_solve(scenario, config, warm_starts=()):
-        calls.append((scenario.num_users, len(warm_starts)))
+    def fake_solve(scenario, config, warm=None):
+        calls.append((scenario.num_users, warm is not None))
         return SimpleNamespace(
             call=len(calls) - 1,
             ms1_phase=np.ones(scenario.geom.num_ms1, dtype=complex),
@@ -277,8 +278,23 @@ def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
     geom = MisGeometry(1, 4, 1, 2)
     specs = [ArcScenarioSpec(geom, count) for count in (3, 2, 3)]
     reports = _solve_chain((specs, FAST))
-    assert calls == [(3, 0), (3, 1), (2, 1)]
+    assert calls == [(3, False), (3, True), (2, True)]
     assert [r.call for r in reports] == [0, 2, 1]
+
+
+def test_case_study_snr_table_is_the_table_at_its_phases():
+    spec = ArcScenarioSpec(MisGeometry(2, 2, 1, 1), 3)
+    result = case_study(spec, FAST)
+    sms_spec = replace(spec, geom=MisGeometry(2, 2, 2, 2))
+    for report, scenario in (
+        (result.mis, build_arc_scenario(spec)),
+        (result.sms, build_arc_scenario(sms_spec)),
+    ):
+        table = EvalContext.from_scenario(scenario).pattern_snr_table(
+            report.ms1_phase, report.ms2_phase
+        )
+        np.testing.assert_array_equal(report.snr_table, table)
+        np.testing.assert_array_equal(report.per_user_snr, table.max(axis=1))
 
 
 def test_case_study_uses_the_given_arc():

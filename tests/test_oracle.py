@@ -6,7 +6,6 @@ import pytest
 
 from misopt import (
     ArrayAngles,
-    BruteForceConfig,
     EvalContext,
     MisGeometry,
     Scenario,
@@ -23,14 +22,14 @@ def _scenario(geom, azimuths, iota=0.01, elevation=math.pi / 4):
 
 def test_single_element_instance_is_phase_invariant():
     geom = MisGeometry(1, 1, 1, 1)
-    result = brute_force_solve(_scenario(geom, [0.7]), cfg=BruteForceConfig(phase_levels=4))
+    result = brute_force_solve(_scenario(geom, [0.7]), phase_levels=4)
     assert result.value == pytest.approx(0.01, rel=1e-12)
     assert result.chosen_pattern.tolist() == [1]
 
 
 def test_lattice_optimum_close_to_matched_filter_bound():
     geom = MisGeometry(2, 1, 1, 1)
-    result = brute_force_solve(_scenario(geom, [0.4]), cfg=BruteForceConfig(phase_levels=16))
+    result = brute_force_solve(_scenario(geom, [0.4]), phase_levels=16)
     bound = 0.01 * 4.0
     # every element phase can land within half a lattice step of ideal
     assert result.value <= bound * (1 + 1e-12)
@@ -41,7 +40,7 @@ def test_value_monotone_in_lattice_refinement():
     geom = MisGeometry(2, 1, 1, 1)
     scenario = _scenario(geom, [-math.pi / 3, math.pi / 3])
     values = [
-        brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=levels)).value
+        brute_force_solve(scenario, phase_levels=levels).value
         for levels in (4, 8, 16)
     ]
     assert values[0] <= values[1] + 1e-15
@@ -51,11 +50,11 @@ def test_value_monotone_in_lattice_refinement():
 def test_schedule_separability_matches_exhaustive_enumeration():
     geom = MisGeometry(2, 1, 1, 1)
     scenario = _scenario(geom, [-1.0, 0.3])
-    cfg = BruteForceConfig(phase_levels=4)
-    result = brute_force_solve(scenario, cfg=cfg)
+    levels = 4
+    result = brute_force_solve(scenario, phase_levels=levels)
 
     ctx = EvalContext.from_scenario(scenario)
-    angles = 2.0 * np.pi * np.arange(cfg.phase_levels) / cfg.phase_levels
+    angles = 2.0 * np.pi * np.arange(levels) / levels
     best = -np.inf
     for phases in itertools.product(angles, repeat=ctx.num_ms1 + ctx.num_ms2):
         ms1 = np.exp(1j * np.asarray(phases[: ctx.num_ms1]))
@@ -72,9 +71,9 @@ def test_schedule_separability_matches_exhaustive_enumeration():
 def test_search_space_cap_enforced():
     geom = MisGeometry(3, 3, 2, 2)
     with pytest.raises(ValueError, match="exceeds"):
-        brute_force_solve(
-            _scenario(geom, [0.1]), cfg=BruteForceConfig(phase_levels=16, max_search_space=1000)
-        )
+        brute_force_solve(_scenario(geom, [0.1]), phase_levels=16)
+    with pytest.raises(ValueError, match="phase_levels"):
+        brute_force_solve(_scenario(MisGeometry(1, 1, 1, 1), [0.1]), phase_levels=1)
 
 
 def test_fd_constant_function_is_zero():
@@ -116,7 +115,7 @@ def test_fd_rejects_nonpositive_step():
 def test_brute_force_result_is_feasible_and_consistent():
     geom = MisGeometry(2, 1, 1, 1)
     scenario = _scenario(geom, [-math.pi / 3, math.pi / 3])
-    result = brute_force_solve(scenario, cfg=BruteForceConfig(phase_levels=8))
+    result = brute_force_solve(scenario, phase_levels=8)
     np.testing.assert_allclose(np.abs(result.ms1_phase), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(result.ms2_phase), 1.0, atol=1e-12)
     ctx = EvalContext.from_scenario(scenario)

@@ -33,10 +33,13 @@ from misopt.solver import (
     _retract_point,
     inner_solve,
     line_search,
-    uniform_schedule,
 )
 from misopt.oracle import snr_full_path
 from helpers import dense_selection_oracle, random_instance
+
+
+def _uniform(num_users, num_patterns):
+    return np.full((num_users, num_patterns), 1.0 / num_patterns)
 
 # The Polak-Ribiere beta is read off _conjugate's output: with a carried
 # direction along which the result stays an ascent direction, the returned
@@ -356,6 +359,7 @@ def _report_with(worst):
         worst_snr=worst,
         worst_snr_db=0.0,
         chosen_pattern=np.ones(1, dtype=int),
+        snr_table=np.array([[worst]]),
     )
 
 
@@ -391,7 +395,7 @@ def test_inner_solve_stationary_start_returns_immediately():
     point = ProductPoint(
         ms1_phase=np.ones(2, dtype=complex),
         ms2_phase=np.ones(1, dtype=complex),
-        schedule=uniform_schedule(1, 2),
+        schedule=_uniform(1, 2),
     )
     result = inner_solve(point, 0.5, SolverConfig(), ctx)
     assert result.num_iters == 0
@@ -410,7 +414,7 @@ def test_inner_solve_reaches_matched_filter_optimum():
     point = ProductPoint(
         ms1_phase=np.exp(2j * np.pi * rng.random(4)),
         ms2_phase=np.exp(2j * np.pi * rng.random(4)),
-        schedule=uniform_schedule(1, 1),
+        schedule=_uniform(1, 1),
     )
     result = inner_solve(point, 1.0, SolverConfig(max_inner_iters=500), ctx)
     assert float(result.evaluation.user_snrs[0]) >= 0.999 * 0.01 * 16
@@ -434,7 +438,7 @@ def test_threshold_schedule():
     point = ProductPoint(
         ms1_phase=np.ones(2, dtype=complex),
         ms2_phase=np.ones(1, dtype=complex),
-        schedule=uniform_schedule(1, 2),
+        schedule=_uniform(1, 2),
     )
     report = _report_at(point, ctx, origin="tie")
     assert report.schedule.dtype == np.int8
@@ -538,16 +542,11 @@ def test_solve_warm_start_floor():
     ctx = EvalContext.from_scenario(scenario)
     # hand a deliberately good feasible point as a warm start
     strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=4))
-    warm = ProductPoint(
-        ms1_phase=strong.ms1_phase,
-        ms2_phase=strong.ms2_phase,
-        schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
-    )
     weak_config = SolverConfig(rng_seed=9, num_restarts=1, max_inner_iters=2, max_outer_iters=1)
-    floored = solve(scenario, weak_config, warm_starts=(warm,))
+    floored = solve(scenario, weak_config, warm=(strong.ms1_phase, strong.ms2_phase))
     table = ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase)
-    # the unoptimized warm candidate thresholds its uniform schedule to pattern 1
-    direct_floor = float(table[:, 0].min())
+    # the unoptimized warm candidate gives each user its best pattern
+    direct_floor = float(table.max(axis=1).min())
     assert floored.worst_snr >= direct_floor * (1 - 1e-12)
 
 
@@ -586,24 +585,12 @@ def test_solver_config_validation():
 def test_solve_validates_warm_starts():
     scenario = _two_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
-    good = ProductPoint(
-        ms1_phase=np.ones(ctx.num_ms1, dtype=complex),
-        ms2_phase=np.ones(ctx.num_ms2, dtype=complex),
-        schedule=uniform_schedule(ctx.num_users, ctx.num_patterns),
-    )
-    all_nan = ProductPoint(
-        ms1_phase=np.full(ctx.num_ms1, np.nan + 0j),
-        ms2_phase=np.full(ctx.num_ms2, np.nan + 0j),
-        schedule=np.full((ctx.num_users, ctx.num_patterns), np.nan),
-    )
-    wrong_shape = ProductPoint(
-        ms1_phase=np.ones(ctx.num_ms1 + 1, dtype=complex),
-        ms2_phase=good.ms2_phase,
-        schedule=good.schedule,
-    )
+    good = (np.ones(ctx.num_ms1, dtype=complex), np.ones(ctx.num_ms2, dtype=complex))
+    all_nan = (np.full(ctx.num_ms1, np.nan + 0j), np.full(ctx.num_ms2, np.nan + 0j))
+    wrong_shape = (np.ones(ctx.num_ms1 + 1, dtype=complex), good[1])
     config = SolverConfig(max_inner_iters=2, max_outer_iters=1)
-    with pytest.raises(ValueError, match="warm start 1: ms1_phase has non-finite"):
-        solve(scenario, config, warm_starts=(good, all_nan))
-    with pytest.raises(ValueError, match="warm start 0: ms1_phase must have shape"):
-        solve(scenario, config, warm_starts=(wrong_shape,))
-    solve(scenario, config, warm_starts=(good,))
+    with pytest.raises(ValueError, match="warm start: ms1_phase has non-finite"):
+        solve(scenario, config, warm=all_nan)
+    with pytest.raises(ValueError, match="warm start: ms1_phase must have shape"):
+        solve(scenario, config, warm=wrong_shape)
+    solve(scenario, config, warm=good)
