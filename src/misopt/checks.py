@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 GEOMETRY_GRID = ((2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3))
+# Size caps of the random instances: fixed-layer elements, movable-layer
+# elements and users.
+MAX_M, MAX_N, MAX_USERS = 16, 4, 4
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,17 @@ def _random_angles(rng) -> ArrayAngles:
     )
 
 
-def random_geometry(rng, max_m: int = 16, max_n: int = 4) -> MisGeometry:
-    """Fixed layer up to 4x4 with at most ``max_m`` elements; movable layer
-    shrunk to at most ``max_n`` elements."""
+def random_geometry(rng) -> MisGeometry:
+    """Fixed layer up to 4x4 with at most :data:`MAX_M` elements; movable
+    layer shrunk to at most :data:`MAX_N` elements."""
     while True:
         m_rows = int(rng.integers(1, 5))
         m_cols = int(rng.integers(1, 5))
-        if m_rows * m_cols <= max_m:
+        if m_rows * m_cols <= MAX_M:
             break
     n_rows = int(rng.integers(1, m_rows + 1))
     n_cols = int(rng.integers(1, m_cols + 1))
-    while n_rows * n_cols > max_n:
+    while n_rows * n_cols > MAX_N:
         if n_rows > 1:
             n_rows -= 1
         else:
@@ -89,11 +92,11 @@ def random_geometry(rng, max_m: int = 16, max_n: int = 4) -> MisGeometry:
     return MisGeometry(m_rows, m_cols, n_rows, n_cols)
 
 
-def random_scenario(rng, geom: MisGeometry | None = None, max_users: int = 4) -> Scenario:
-    """Up to ``max_users`` users at random angles and SNR scales in [0.005, 0.05]."""
+def random_scenario(rng, geom: MisGeometry | None = None) -> Scenario:
+    """Up to MAX_USERS users at random angles and SNR scales in [0.005, 0.05]."""
     if geom is None:
         geom = random_geometry(rng)
-    num_users = int(rng.integers(1, max_users + 1))
+    num_users = int(rng.integers(1, MAX_USERS + 1))
     users = [
         (_random_angles(rng), float(rng.uniform(0.005, 0.05)))
         for _ in range(num_users)
@@ -111,9 +114,9 @@ def random_point(rng, ctx: EvalContext) -> ProductPoint:
     )
 
 
-def random_instance(rng, max_m: int = 16, max_n: int = 4, max_users: int = 4):
+def random_instance(rng):
     """Random geometry, scenario, context and feasible point."""
-    scenario = random_scenario(rng, random_geometry(rng, max_m, max_n), max_users)
+    scenario = random_scenario(rng)
     ctx = EvalContext.from_scenario(scenario)
     return scenario.geom, scenario, ctx, random_point(rng, ctx)
 

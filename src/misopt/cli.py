@@ -5,12 +5,12 @@ values, unknown keys are rejected by name.  One table, :data:`_SUBCOMMANDS`,
 lists each subcommand's config keys with their flags (the solver keys are
 config-file only); the check suites take only ``seed``.  The CLI is the only
 code that turns configuration into inputs: every command first builds the
-scenario specs and solver configuration it hands on, and only then solves
-and writes: its CSV results plus a JSON manifest (config echo, seed, tool
-version, digest of the CSV bytes) into the output directory, printing SNR
-figures in both linear and dB form.  Exit
-codes: 0 success, 1 when the configuration or an input built from it is
-invalid, 2 for any failure after that.
+scenario specs and solver configuration it hands on and creates the output
+directory, and only then solves and writes: its CSV results plus a JSON
+manifest (config echo, seed, tool version, digest of the CSV bytes) into the
+output directory, printing SNR figures in both linear and dB form.  Exit
+codes: 0 success, 1 when the configuration, an input built from it or the
+output directory is invalid, 2 for any failure after that.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import os
 import sys
 
-from . import __version__
 from .experiments import (
     USERS_LAYOUTS,
     ArcScenarioSpec,
@@ -29,6 +28,7 @@ from .experiments import (
     allocation_steps,
     build_arc_scenario,
     case_study,
+    format_db,
     results_digest,
     sweep_allocation,
     sweep_ms2_sizes,
@@ -181,28 +181,13 @@ def _user_list(raw) -> list[int]:
     return counts
 
 
-def _db(value: float) -> str:
-    if value <= 0:
-        return "-inf"
-    return f"{10.0 * math.log10(value):.4f}"
-
-
-def _out_dir(cfg: dict) -> str:
-    os.makedirs(cfg["out"], exist_ok=True)
-    return cfg["out"]
-
-
-def _finish(cfg: dict, out: str, stem: str, write, result) -> int:
+def _finish(cfg: dict, stem: str, write, result) -> int:
     """Write ``<stem>.csv`` with ``write(result, path)``, then its manifest."""
-    path = os.path.join(out, f"{stem}.csv")
+    path = os.path.join(cfg["out"], f"{stem}.csv")
     write(result, path)
-    digest = results_digest([path])
+    digest = results_digest(path)
     write_manifest(
-        os.path.join(out, f"{stem}_manifest.json"),
-        config=cfg,
-        seed=cfg["seed"],
-        digest=digest,
-        tool_version=__version__,
+        os.path.join(cfg["out"], f"{stem}_manifest.json"), config=cfg, digest=digest
     )
     print(f"wrote {path}")
     print(f"results digest sha256:{digest}")
@@ -210,8 +195,7 @@ def _finish(cfg: dict, out: str, stem: str, write, result) -> int:
 
 
 # Each _cmd_* builds every input of its subcommand from ``cfg`` (any failure
-# there is a configuration error) and returns the run, which creates the output
-# directory, solves and writes.
+# there is a configuration error) and returns the run, which solves and writes.
 
 
 def _cmd_solve(cfg: dict):
@@ -223,19 +207,19 @@ def _cmd_solve(cfg: dict):
     config = _solver_config(cfg)
 
     def run() -> int:
-        out = _out_dir(cfg)
         report = solve(scenario, config)
         print(
-            f"worst-case snr: {report.worst_snr:.6g} linear ({_db(report.worst_snr)} dB)"
+            f"worst-case snr: {report.worst_snr:.6g} linear "
+            f"({format_db(report.worst_snr)} dB)"
         )
         for k, (snr_val, pattern) in enumerate(
             zip(report.per_user_snr, report.chosen_pattern)
         ):
             print(
-                f"  user {k + 1}: snr {snr_val:.6g} linear ({_db(float(snr_val))} dB), "
+                f"  user {k + 1}: snr {snr_val:.6g} linear ({format_db(snr_val)} dB), "
                 f"pattern {int(pattern)}"
             )
-        return _finish(cfg, out, "solve", write_solve_csv, report)
+        return _finish(cfg, "solve", write_solve_csv, report)
 
     return run
 
@@ -248,14 +232,13 @@ def _cmd_sweep_ms2(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        out = _out_dir(cfg)
         results = [sweep_ms2_sizes(spec, config, jobs=jobs) for spec in specs]
         for res in results:
             best = float(res.gain.max())
             print(
                 f"users={res.num_users}: best gain {best:.4f} over single-layer baseline"
             )
-        return _finish(cfg, out, "sweep_ms2", write_sweep_csv, results)
+        return _finish(cfg, "sweep_ms2", write_sweep_csv, results)
 
     return run
 
@@ -268,12 +251,11 @@ def _cmd_sweep_alloc(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        out = _out_dir(cfg)
         result = sweep_allocation(specs, config, jobs=jobs)
         peak = float(result.gain.max())
         at = result.cell_labels[int(result.gain.argmax())]
         print(f"peak gain {peak:.4f} at {at}")
-        return _finish(cfg, out, "sweep_alloc", write_sweep_csv, [result])
+        return _finish(cfg, "sweep_alloc", write_sweep_csv, [result])
 
     return run
 
@@ -288,14 +270,13 @@ def _cmd_sweep_users(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        out = _out_dir(cfg)
         sweep = sweep_users_1d2d(chains, config, jobs=jobs)
-        for row in sweep.rows:
+        for label, spec, report in sweep.entries:
             print(
-                f"{row.label} users={row.num_users}: worst snr {row.worst_snr:.6g} "
-                f"linear ({_db(row.worst_snr)} dB)"
+                f"{label} users={spec.num_users}: worst snr {report.worst_snr:.6g} "
+                f"linear ({format_db(report.worst_snr)} dB)"
             )
-        return _finish(cfg, out, "sweep_users", write_users_csv, sweep)
+        return _finish(cfg, "sweep_users", write_users_csv, sweep)
 
     return run
 
@@ -309,14 +290,13 @@ def _cmd_case_study(cfg: dict):
     config = _solver_config(cfg)
 
     def run() -> int:
-        out = _out_dir(cfg)
         result = case_study(spec, config)
         print(
             f"two-layer worst snr {result.mis.worst_snr:.6g} linear "
-            f"({_db(result.mis.worst_snr)} dB); single-layer "
-            f"{result.sms.worst_snr:.6g} linear ({_db(result.sms.worst_snr)} dB)"
+            f"({format_db(result.mis.worst_snr)} dB); single-layer "
+            f"{result.sms.worst_snr:.6g} linear ({format_db(result.sms.worst_snr)} dB)"
         )
-        return _finish(cfg, out, "case_study", write_case_study_csv, result)
+        return _finish(cfg, "case_study", write_case_study_csv, result)
 
     return run
 
@@ -426,6 +406,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         run = _SUBCOMMANDS[args.subcommand][1](cfg)
+        if "out" in cfg:
+            try:
+                os.makedirs(cfg["out"], exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"config key 'out' is not a usable directory: {exc}")
     except Exception as exc:  # building the inputs failed: bad configuration
         print(f"error: {exc}", file=sys.stderr)
         return 1

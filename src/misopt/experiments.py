@@ -11,6 +11,9 @@ warm-start each movable-layer cell from the baseline solution embedded as a
 phase pair (baseline phases on layer 1, identity phases on layer 2), so a
 cell can never report worse than the baseline it is normalized by.
 
+A user-sweep entry and a case study hold their reports and copy nothing out
+of them; the CSV writers render every dB value with :func:`format_db`.
+
 Sweep cells (the allocation baseline among them, and the two chains of the
 user sweep) are independent tasks; with ``jobs > 1`` :func:`_run_tasks`
 runs them in a process pool and gathers them by index, so results do not
@@ -28,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .channel import BROADSIDE, ArrayAngles, Scenario
 from .geometry import MisGeometry
 from .solver import SolveReport, SolverConfig, solve
@@ -36,7 +40,6 @@ __all__ = [
     "CoverageArc",
     "ArcScenarioSpec",
     "SweepResult",
-    "UsersSweepRow",
     "UsersSweep",
     "CaseStudyResult",
     "USERS_LAYOUTS",
@@ -51,6 +54,7 @@ __all__ = [
     "write_users_csv",
     "write_case_study_csv",
     "write_solve_csv",
+    "format_db",
     "write_manifest",
     "results_digest",
 ]
@@ -94,10 +98,10 @@ class ArcScenarioSpec:
 
 @dataclass
 class SweepResult:
-    """Worst-case SNR of every cell against the shared baseline."""
+    """Worst-case SNR of every cell against the shared baseline SNR."""
 
     mis_snr: np.ndarray
-    baseline_snr: np.ndarray
+    baseline_snr: float
     gain: np.ndarray
     cell_labels: list
     num_users: int
@@ -105,25 +109,18 @@ class SweepResult:
     reports: list
 
 
-@dataclass(frozen=True)
-class UsersSweepRow:
-    label: str
-    num_users: int
-    num_patterns: int
-    worst_snr: float
-    worst_snr_db: float
-
-
 @dataclass
 class UsersSweep:
-    rows: list
+    """One ``(label, spec, report)`` entry per solved spec, chain by chain."""
+
+    entries: list
     seed: int
-    reports: list
 
 
 @dataclass
 class CaseStudyResult:
-    spec: ArcScenarioSpec
+    """The two-layer report and its single-layer baseline's."""
+
     mis: SolveReport
     sms: SolveReport
 
@@ -193,7 +190,7 @@ def _sweep_result(
     1 by definition.
     """
     mis = np.array([rep.worst_snr for rep in reports]).reshape(shape)
-    base_snr = np.full_like(mis, reports[base].worst_snr)
+    base_snr = reports[base].worst_snr
     gain = mis / base_snr
     gain.flat[base] = 1.0
     return SweepResult(
@@ -291,25 +288,18 @@ def sweep_users_1d2d(chains: dict, config: SolverConfig, jobs: int = 1) -> Users
     """Worst-case SNR versus user count, one warm-started chain per layout.
 
     ``chains`` maps a layout label (``"1d"``, ``"2d"``) to its specs, one
-    geometry each; rows come out chain by chain, in ``specs`` order.
+    geometry each; entries come out chain by chain, in ``specs`` order, each
+    labelled ``<layout label>:<geometry>``.
     """
     reports = _run_tasks(
         _solve_chain, [(specs, config) for specs in chains.values()], jobs
     )
-    rows = [
-        UsersSweepRow(
-            label=f"{label}:{_layout_label(spec.geom)}",
-            num_users=spec.num_users,
-            num_patterns=spec.geom.num_patterns,
-            worst_snr=report.worst_snr,
-            worst_snr_db=report.worst_snr_db,
-        )
+    entries = [
+        (f"{label}:{_layout_label(spec.geom)}", spec, report)
         for (label, specs), chain in zip(chains.items(), reports)
         for spec, report in zip(specs, chain)
     ]
-    return UsersSweep(
-        rows=rows, seed=config.rng_seed, reports=[r for chain in reports for r in chain]
-    )
+    return UsersSweep(entries=entries, seed=config.rng_seed)
 
 
 def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> CaseStudyResult:
@@ -319,53 +309,59 @@ def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> CaseStudyResult:
     sms = sms_baseline(spec, config)
     warm = _embedded_start(sms, spec.geom)
     mis = solve(build_arc_scenario(spec), config, warm=warm)
-    return CaseStudyResult(spec=spec, mis=mis, sms=sms)
+    return CaseStudyResult(mis=mis, sms=sms)
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def format_db(snr: float) -> str:
+    """``10 log10(snr)`` to four decimals, ``-inf`` unless ``snr > 0``."""
+    return f"{10.0 * math.log10(snr):.4f}" if snr > 0 else "-inf"
+
+
 def write_sweep_csv(results, path) -> None:
-    """One row per cell of each :class:`SweepResult` in ``results``: geometry,
-    users, seed, baseline SNR, achieved SNR, gain."""
+    """One row per cell of each :class:`SweepResult` in ``results``: geometry
+    (the cell label), users, seed, baseline_snr, mis_snr, gain."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"])
         for res in results:
-            flat_mis = res.mis_snr.ravel()
-            flat_base = res.baseline_snr.ravel()
-            flat_gain = res.gain.ravel()
-            for label, mis, base, gain in zip(
-                res.cell_labels, flat_mis, flat_base, flat_gain
+            base = _fmt(res.baseline_snr)
+            for label, mis, gain in zip(
+                res.cell_labels, res.mis_snr.ravel(), res.gain.ravel()
             ):
                 writer.writerow(
-                    [label, res.num_users, res.seed, _fmt(base), _fmt(mis), _fmt(gain)]
+                    [label, res.num_users, res.seed, base, _fmt(mis), _fmt(gain)]
                 )
 
 
 def write_users_csv(sweep: UsersSweep, path) -> None:
+    """One row per entry of ``sweep``: config (its label), users,
+    num_patterns, worst_snr, worst_snr_db, seed."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["config", "users", "num_patterns", "worst_snr", "worst_snr_db", "seed"]
         )
-        for row in sweep.rows:
+        for label, spec, report in sweep.entries:
             writer.writerow(
                 [
-                    row.label,
-                    row.num_users,
-                    row.num_patterns,
-                    _fmt(row.worst_snr),
-                    f"{row.worst_snr_db:.4f}",
+                    label,
+                    spec.num_users,
+                    spec.geom.num_patterns,
+                    _fmt(report.worst_snr),
+                    format_db(report.worst_snr),
                     sweep.seed,
                 ]
             )
 
 
 def write_case_study_csv(result: CaseStudyResult, path) -> None:
-    """Per-(scheme, user, pattern) SNR rows for both the two-layer and the
-    single-layer solution, with the chosen pattern flagged."""
+    """Per-(scheme, user, pattern) SNR rows for both the two-layer (``mis``)
+    and the single-layer (``sms``) solution: scheme, user, pattern, snr,
+    snr_db, chosen (1 for the user's scheduled pattern, else 0)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["scheme", "user", "pattern", "snr", "snr_db", "chosen"])
@@ -374,43 +370,43 @@ def write_case_study_csv(result: CaseStudyResult, path) -> None:
             for k in range(table.shape[0]):
                 for u in range(table.shape[1]):
                     snr = float(table[k, u])
-                    snr_db = 10.0 * math.log10(snr) if snr > 0 else float("-inf")
                     writer.writerow(
                         [
                             scheme,
                             k + 1,
                             u + 1,
                             _fmt(snr),
-                            f"{snr_db:.4f}",
+                            format_db(snr),
                             int(report.chosen_pattern[k] == u + 1),
                         ]
                     )
 
 
 def write_solve_csv(report: SolveReport, path) -> None:
+    """One row per user of ``report``: user, pattern (its scheduled
+    placement), snr, snr_db."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["user", "pattern", "snr", "snr_db"])
         for k, (snr, pattern) in enumerate(
             zip(report.per_user_snr, report.chosen_pattern)
         ):
-            snr_db = 10.0 * math.log10(snr) if snr > 0 else float("-inf")
-            writer.writerow([k + 1, int(pattern), _fmt(float(snr)), f"{snr_db:.4f}"])
+            writer.writerow([k + 1, int(pattern), _fmt(float(snr)), format_db(snr)])
 
 
-def results_digest(paths) -> str:
-    digest = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()
+def results_digest(path) -> str:
+    """Hex sha256 of the bytes of the file at ``path``."""
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
-def write_manifest(path, config: dict, seed: int, digest: str, tool_version: str) -> None:
+def write_manifest(path, config: dict, digest: str) -> None:
+    """JSON manifest of a run: its config, the config's seed, the misopt
+    version and the digest of its results."""
     payload = {
         "config": config,
-        "seed": seed,
-        "tool_version": tool_version,
+        "seed": config["seed"],
+        "tool_version": __version__,
         "results_digest": digest,
     }
     with open(path, "w", encoding="utf-8") as handle:

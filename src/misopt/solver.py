@@ -8,10 +8,11 @@ ascent-reset safeguard, on the product-manifold operations of
 :mod:`misopt.manifolds`; a single backtracking line search produces one
 shared step size for all three factors.  At the end every user gets its
 best pattern at the final phases, which is the exact schedule optimum for
-those phases since users are scheduled independently, and the report
-carries the true (non-surrogate) worst-case SNR and the (user, pattern) SNR
-table it was read from.  Every start, random or warm, begins from the
-uniform schedule, so a warm start is just a pair of phase profiles.
+those phases since users are scheduled independently; the report carries
+that binary schedule as one placement per user, the true (non-surrogate)
+worst-case SNR and the (user, pattern) SNR table it was read from.  Every
+start, random or warm, begins from the uniform schedule, so a warm start is
+just a pair of phase profiles.
 
 The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
 :data:`INNER_GRAD_TOL`) and the step rule (:data:`ARMIJO_C1`,
@@ -104,15 +105,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Solution plus solve-time diagnostics for one scenario; ``snr_table``
-    is the K x U SNR of every (user, pattern) pair at the reported phases."""
+    """Solution plus solve-time diagnostics for one scenario; ``chosen_pattern``
+    is the binary schedule (each user's 1-based placement) and ``snr_table``
+    the K x U SNR of every (user, pattern) pair at the reported phases."""
 
     ms1_phase: np.ndarray
     ms2_phase: np.ndarray
-    schedule: np.ndarray
     per_user_snr: np.ndarray
     worst_snr: float
-    worst_snr_db: float
     chosen_pattern: np.ndarray
     snr_table: np.ndarray
     objective_trace: list = field(default_factory=list)
@@ -243,12 +243,10 @@ def inner_solve(
     ev = evaluate(point, mu, ctx, want_grad=True)
     rgrad = project_to_tangent(point, ev.grads)
     num_evals = 1
-    prev_rgrad: TangentTriple | None = None
-    prev_dir: TangentTriple | None = None
-    prev_step: float | None = None
+    # (gradient, direction, step) of the last accepted step; a stall clears it.
+    last: tuple | None = None
     stalls = 0
     tiny_steps = 0
-    stalled_out = False
     obj_trace = [ev.value]
     iters = 0
 
@@ -256,47 +254,32 @@ def inner_solve(
         return evaluate(p, mu, ctx).value
 
     for _ in range(config.max_inner_iters):
-        gnorm = grad_norm(rgrad)
-        if gnorm < INNER_GRAD_TOL:
+        if grad_norm(rgrad) < INNER_GRAD_TOL:
             break
-        direction = rgrad
-        if prev_rgrad is not None:
-            direction = TangentTriple(
-                *map(
-                    _conjugate,
-                    rgrad,
-                    prev_rgrad,
-                    transport(point, prev_rgrad),
-                    transport(point, prev_dir),
-                )
-            )
+        direction, start = rgrad, INITIAL_STEP
+        if last is not None:
+            last_rgrad, last_dir, last_step = last
+            carried = transport(point, last_rgrad), transport(point, last_dir)
+            direction = TangentTriple(*map(_conjugate, rgrad, last_rgrad, *carried))
+            # Warm-start the backtracking near the last accepted step (one
+            # growth allowed, never above INITIAL_STEP).
+            start = min(start, max(last_step / BACKTRACK_FACTOR, 1e-12))
+        # Each block of the direction is its gradient block or an ascent
+        # direction for it, so the slope is positive at a nonzero gradient.
         slope = inner(direction, rgrad)
-        if slope <= 0.0:
-            direction = rgrad
-            slope = gnorm * gnorm
-        # Warm-start the backtracking near the previously accepted step (one
-        # growth allowed, never above INITIAL_STEP).
-        start = INITIAL_STEP
-        if prev_step is not None:
-            start = min(start, max(prev_step / BACKTRACK_FACTOR, 1e-12))
         result = line_search(point, direction, surrogate, slope, ev.value, rgrad, start)
         num_evals += result.num_evals
         iters += 1
         if result.stalled:
             stalls += 1
-            prev_rgrad = None
-            prev_dir = None
-            prev_step = None
+            last = None
             if stalls >= 2:
-                stalled_out = True
                 break
             continue
         stalls = 0
         improvement = result.value - ev.value
         point = result.point
-        prev_rgrad = rgrad
-        prev_dir = direction
-        prev_step = result.step
+        last = (rgrad, direction, result.step)
         ev = evaluate(point, mu, ctx, want_grad=True)
         num_evals += 1
         rgrad = project_to_tangent(point, ev.grads)
@@ -316,7 +299,7 @@ def inner_solve(
         objective_trace=np.array(obj_trace),
         num_iters=iters,
         num_evals=num_evals,
-        stalled=stalled_out,
+        stalled=stalls >= 2,
     )
 
 
@@ -326,19 +309,12 @@ def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveRepor
     phases does better."""
     gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
     chosen0 = np.argmax(gamma, axis=1)
-    users = np.arange(ctx.num_users)
-    binary = np.zeros(gamma.shape, dtype=np.int8)
-    binary[users, chosen0] = 1
-    per_user = gamma[users, chosen0]
-    worst = float(per_user.min())
-    worst_db = 10.0 * math.log10(worst) if worst > 0 else float("-inf")
+    per_user = gamma[np.arange(ctx.num_users), chosen0]
     return SolveReport(
         ms1_phase=point.ms1_phase,
         ms2_phase=point.ms2_phase,
-        schedule=binary,
         per_user_snr=per_user,
-        worst_snr=worst,
-        worst_snr_db=worst_db,
+        worst_snr=float(per_user.min()),
         chosen_pattern=chosen0.astype(int) + 1,
         snr_table=gamma,
         origin=origin,

@@ -33,6 +33,8 @@ from misopt.cli import main as cli_main
 from misopt.experiments import USERS_LAYOUTS, allocation_steps
 
 SEED = 7
+# Pool width of the three sweep fixtures; results do not depend on it.
+JOBS = 2
 
 # Reports collected from every acceptance solve, for the trace criterion.
 _collected = []
@@ -51,7 +53,9 @@ def _ok(num, detail):
 def ms2_sweep():
     config = SolverConfig(rng_seed=SEED, num_restarts=3)
     start = time.perf_counter()
-    result = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(6, 6, 6, 6), 8), config)
+    result = sweep_ms2_sizes(
+        ArcScenarioSpec(MisGeometry(6, 6, 6, 6), 8), config, jobs=JOBS
+    )
     elapsed = time.perf_counter() - start
     _collect("ms2-sweep", result.reports)
     return result, elapsed
@@ -62,7 +66,7 @@ def alloc_sweep():
     config = SolverConfig(rng_seed=SEED, num_restarts=16)
     start = time.perf_counter()
     specs = [ArcScenarioSpec(geom, 8) for geom in allocation_steps(64, 1)]
-    result = sweep_allocation(specs, config)
+    result = sweep_allocation(specs, config, jobs=JOBS)
     elapsed = time.perf_counter() - start
     _collect("alloc-sweep", result.reports)
     return result, elapsed
@@ -76,9 +80,9 @@ def users_sweep():
         label: [ArcScenarioSpec(geom, count) for count in (4, 8, 16, 32)]
         for label, geom in USERS_LAYOUTS.items()
     }
-    result = sweep_users_1d2d(chains, config)
+    result = sweep_users_1d2d(chains, config, jobs=JOBS)
     elapsed = time.perf_counter() - start
-    _collect("users-sweep", result.reports)
+    _collect("users-sweep", [report for _, _, report in result.entries])
     return result, elapsed
 
 
@@ -169,9 +173,9 @@ def test_criterion_08b_allocation_peak_gain(alloc_sweep):
 def test_criterion_08c_worst_snr_monotone_in_users(users_sweep):
     result, elapsed = users_sweep
     by_label = {}
-    for row in result.rows:
-        by_label.setdefault(row.label.split(":")[0], []).append(
-            (row.num_users, row.worst_snr)
+    for label, spec, report in result.entries:
+        by_label.setdefault(label.split(":")[0], []).append(
+            (spec.num_users, report.worst_snr)
         )
     for label, pairs in by_label.items():
         pairs.sort()

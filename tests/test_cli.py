@@ -331,6 +331,9 @@ def test_check_suites_take_only_seed(tmp_path, capsys, suite, seed):
         (["case-study", "--out", "out"], {"figure": 5}),
         (["sweep-alloc", "--total", "16", "--users", "2", "--out", "out"], {"scheme": 3}),
         pytest.param(["case-study", "--figure", "6"], {"out": None}, id="out-null"),
+        pytest.param(
+            ["case-study", "--figure", "6"], {"out": "config.json"}, id="out-is-a-file"
+        ),
         # the empty flag overrides the file's valid value
         pytest.param(
             ["case-study", "--figure", "6", "--out", ""], {"out": "out"}, id="out-empty"

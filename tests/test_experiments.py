@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import misopt
 from misopt import (
     ArcScenarioSpec,
     CoverageArc,
@@ -21,6 +22,7 @@ from misopt import (
 from misopt.experiments import (
     _solve_chain,
     allocation_steps,
+    format_db,
     results_digest,
     write_case_study_csv,
     write_manifest,
@@ -91,7 +93,7 @@ def test_arc_scenario_rejects_non_finite_iota(bad):
 def test_sms_baseline_reduces_to_single_pattern():
     spec = ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=2)
     report = sms_baseline(spec, FAST)
-    assert report.schedule.shape == (2, 1)
+    assert report.snr_table.shape == (2, 1)
     np.testing.assert_array_equal(report.chosen_pattern, [1, 1])
 
 
@@ -187,7 +189,7 @@ def test_sweep_ms2_tiny_grid_nesting_and_baseline():
     assert res.gain[1, 1] == 1.0  # full-size cell is the baseline itself
     assert np.all(res.gain >= 1.0 - 1e-6)
     assert len(res.reports) == 4
-    assert np.all(res.baseline_snr == res.reports[-1].worst_snr)
+    assert res.baseline_snr == res.reports[-1].worst_snr
 
 
 def test_sweep_ms2_reproducible():
@@ -200,11 +202,11 @@ def test_sweep_ms2_reproducible():
 
 def test_sweep_users_small():
     sweep = sweep_users_1d2d(_small_chains((2, 3)), FAST)
-    assert len(sweep.rows) == 4
-    one_d_rows = [r for r in sweep.rows if r.label.startswith("1d")]
-    assert [r.num_users for r in one_d_rows] == [2, 3]
-    assert all(r.num_patterns == 3 for r in one_d_rows)
-    assert all(r.worst_snr > 0 for r in sweep.rows)
+    assert len(sweep.entries) == 4
+    one_d = [(spec, rep) for label, spec, rep in sweep.entries if label.startswith("1d")]
+    assert [spec.num_users for spec, _ in one_d] == [2, 3]
+    assert all(rep.snr_table.shape == (spec.num_users, 3) for spec, rep in one_d)
+    assert all(rep.worst_snr > 0 for _, _, rep in sweep.entries)
 
 
 def test_case_study_figure_six_improves_on_baseline():
@@ -225,7 +227,7 @@ def test_csv_writers_deterministic(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "geometry,users,seed,baseline_snr,mis_snr,gain"
-    assert results_digest([path_a]) == results_digest([path_b])
+    assert results_digest(path_a) == results_digest(path_b)
 
 
 def test_users_csv_and_manifest(tmp_path):
@@ -235,19 +237,32 @@ def test_users_csv_and_manifest(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "config,users,num_patterns,worst_snr,worst_snr_db,seed"
     assert len(lines) == 3
+    label, spec, report = sweep.entries[0]
+    assert lines[1].split(",") == [
+        label, "2", "3", repr(report.worst_snr), format_db(report.worst_snr), "0"
+    ]
 
     manifest = tmp_path / "manifest.json"
-    write_manifest(
-        manifest,
-        config={"subcommand": "sweep-users", "seed": 0},
-        seed=0,
-        digest=results_digest([path]),
-        tool_version="0.1.0",
-    )
+    config = {"subcommand": "sweep-users", "seed": 4}
+    write_manifest(manifest, config=config, digest=results_digest(path))
     import json
 
     payload = json.loads(manifest.read_text())
-    assert set(payload) == {"config", "seed", "tool_version", "results_digest"}
+    assert payload == {
+        "config": config,
+        "seed": 4,
+        "tool_version": misopt.__version__,
+        "results_digest": results_digest(path),
+    }
+
+
+@pytest.mark.parametrize(
+    "snr, text",
+    [(1.0, "0.0000"), (10.0, "10.0000"), (np.float64(0.5), "-3.0103"),
+     (0.0, "-inf"), (-1.0, "-inf"), (math.nan, "-inf"), (math.inf, "inf")],
+)
+def test_format_db(snr, text):
+    assert format_db(snr) == text
 
 
 def test_case_study_csv_schema(tmp_path):
@@ -299,8 +314,18 @@ def test_case_study_snr_table_is_the_table_at_its_phases():
 
 def test_case_study_uses_the_given_arc():
     arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
-    result = case_study(ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 3, arc), FAST)
-    assert result.spec.arc is arc
-    scenario = build_arc_scenario(result.spec)
+    spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 3, arc)
+    result = case_study(spec, FAST)
+    scenario = build_arc_scenario(spec)
     np.testing.assert_allclose([a.azimuth for a, _ in scenario.users], [-0.5, 0.0, 0.5])
     assert all(iota == 0.02 for _, iota in scenario.users)
+    # the report's table is the custom arc's table, not the default arc's
+    mis = result.mis
+    table = EvalContext.from_scenario(scenario).pattern_snr_table(
+        mis.ms1_phase, mis.ms2_phase
+    )
+    np.testing.assert_array_equal(mis.snr_table, table)
+    default = EvalContext.from_scenario(build_arc_scenario(replace(spec, arc=CoverageArc())))
+    assert not np.allclose(
+        mis.snr_table, default.pattern_snr_table(mis.ms1_phase, mis.ms2_phase)
+    )
