@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 from .channel import ArrayAngles, Scenario, cascaded_channel, upa_steering
 from .experiments import (
     ArcScenarioSpec,
-    CaseStudyResult,
     CoverageArc,
-    SweepResult,
+    Study,
     build_arc_scenario,
     case_study,
     sms_baseline,

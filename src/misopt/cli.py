@@ -181,10 +181,10 @@ def _user_list(raw) -> list[int]:
     return counts
 
 
-def _finish(cfg: dict, stem: str, write, result) -> int:
-    """Write ``<stem>.csv`` with ``write(result, path)``, then its manifest."""
+def _finish(cfg: dict, stem: str, write) -> int:
+    """Write ``<stem>.csv`` with ``write(path)``, then its manifest."""
     path = os.path.join(cfg["out"], f"{stem}.csv")
-    write(result, path)
+    write(path)
     digest = results_digest(path)
     write_manifest(
         os.path.join(cfg["out"], f"{stem}_manifest.json"), config=cfg, digest=digest
@@ -219,7 +219,7 @@ def _cmd_solve(cfg: dict):
                 f"  user {k + 1}: snr {snr_val:.6g} linear ({format_db(snr_val)} dB), "
                 f"pattern {int(pattern)}"
             )
-        return _finish(cfg, "solve", write_solve_csv, report)
+        return _finish(cfg, "solve", lambda path: write_solve_csv(report, path))
 
     return run
 
@@ -232,13 +232,15 @@ def _cmd_sweep_ms2(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        results = [sweep_ms2_sizes(spec, config, jobs=jobs) for spec in specs]
-        for res in results:
-            best = float(res.gain.max())
+        studies = [sweep_ms2_sizes(spec, config, jobs=jobs) for spec in specs]
+        for spec, study in zip(specs, studies):
+            best = float(study.gains().max())
             print(
-                f"users={res.num_users}: best gain {best:.4f} over single-layer baseline"
+                f"users={spec.num_users}: best gain {best:.4f} over single-layer baseline"
             )
-        return _finish(cfg, "sweep_ms2", write_sweep_csv, results)
+        return _finish(
+            cfg, "sweep_ms2", lambda path: write_sweep_csv(studies, cfg["seed"], path)
+        )
 
     return run
 
@@ -251,11 +253,13 @@ def _cmd_sweep_alloc(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        result = sweep_allocation(specs, config, jobs=jobs)
-        peak = float(result.gain.max())
-        at = result.cell_labels[int(result.gain.argmax())]
-        print(f"peak gain {peak:.4f} at {at}")
-        return _finish(cfg, "sweep_alloc", write_sweep_csv, [result])
+        study = sweep_allocation(specs, config, jobs=jobs)
+        gains = study.gains()
+        at = study.entries[int(gains.argmax())][0]
+        print(f"peak gain {float(gains.max()):.4f} at {at}")
+        return _finish(
+            cfg, "sweep_alloc", lambda path: write_sweep_csv([study], cfg["seed"], path)
+        )
 
     return run
 
@@ -270,13 +274,15 @@ def _cmd_sweep_users(cfg: dict):
     config, jobs = _solver_config(cfg), cfg["jobs"]
 
     def run() -> int:
-        sweep = sweep_users_1d2d(chains, config, jobs=jobs)
-        for label, spec, report in sweep.entries:
+        study = sweep_users_1d2d(chains, config, jobs=jobs)
+        for label, spec, report in study.entries:
             print(
                 f"{label} users={spec.num_users}: worst snr {report.worst_snr:.6g} "
                 f"linear ({format_db(report.worst_snr)} dB)"
             )
-        return _finish(cfg, "sweep_users", write_users_csv, sweep)
+        return _finish(
+            cfg, "sweep_users", lambda path: write_users_csv(study, cfg["seed"], path)
+        )
 
     return run
 
@@ -290,13 +296,13 @@ def _cmd_case_study(cfg: dict):
     config = _solver_config(cfg)
 
     def run() -> int:
-        result = case_study(spec, config)
+        study = case_study(spec, config)
+        mis, sms = (report.worst_snr for _, _, report in study.entries)
         print(
-            f"two-layer worst snr {result.mis.worst_snr:.6g} linear "
-            f"({format_db(result.mis.worst_snr)} dB); single-layer "
-            f"{result.sms.worst_snr:.6g} linear ({format_db(result.sms.worst_snr)} dB)"
+            f"two-layer worst snr {mis:.6g} linear ({format_db(mis)} dB); "
+            f"single-layer {sms:.6g} linear ({format_db(sms)} dB)"
         )
-        return _finish(cfg, "case_study", write_case_study_csv, result)
+        return _finish(cfg, "case_study", lambda path: write_case_study_csv(study, path))
 
     return run
 

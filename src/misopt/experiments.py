@@ -1,18 +1,19 @@
-"""Scenario builders and sweep drivers for the numerical studies.
+"""Scenario builders and study drivers for the numerical studies.
 
 The target coverage area is a :class:`CoverageArc`: users on an azimuth arc
 at a common elevation and a common SNR scale.  An
 :class:`ArcScenarioSpec` places a user count on that arc over one geometry.
-Every sweep and :func:`case_study` takes the specs it solves, built by the
-caller (the CLI builds them from its configuration).  Every sweep
-normalizes against a single-layer baseline (movable layer grown to the full
-fixed layer, one pattern).  Sweeps that keep the fixed layer unchanged
-warm-start each movable-layer cell from the baseline solution embedded as a
-phase pair (baseline phases on layer 1, identity phases on layer 2), so a
-cell can never report worse than the baseline it is normalized by.
-
-A user-sweep entry and a case study hold their reports and copy nothing out
-of them; the CSV writers render every dB value with :func:`format_db`.
+Every study takes the specs it solves, built by the caller (the CLI builds
+them from its configuration), and returns a :class:`Study`: its ordered
+``(label, spec, report)`` entries and the index of its baseline entry, the
+single-layer layout (movable layer grown to the full fixed layer, one
+pattern) that :meth:`Study.gains` normalizes by; the user sweep has none.
+A study copies nothing out of its reports; the CSV writers render every dB
+value with :func:`format_db`.  :func:`sweep_ms2_sizes` and
+:func:`case_study` keep the fixed layer unchanged and warm-start each
+movable-layer cell from the baseline solution embedded as a phase pair
+(baseline phases on layer 1, identity phases on layer 2), so a cell can
+never report worse than the baseline it is normalized by.
 
 Sweep cells (the allocation baseline among them, and the two chains of the
 user sweep) are independent tasks; with ``jobs > 1`` :func:`_run_tasks`
@@ -39,9 +40,7 @@ from .solver import SolveReport, SolverConfig, solve
 __all__ = [
     "CoverageArc",
     "ArcScenarioSpec",
-    "SweepResult",
-    "UsersSweep",
-    "CaseStudyResult",
+    "Study",
     "USERS_LAYOUTS",
     "build_arc_scenario",
     "sms_baseline",
@@ -92,37 +91,29 @@ class ArcScenarioSpec:
     arc: CoverageArc = CoverageArc()
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
+        value = self.num_users
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or value < 1:
+            raise ValueError(f"num_users must be a positive integer, got {value!r}")
 
 
-@dataclass
-class SweepResult:
-    """Worst-case SNR of every cell against the shared baseline SNR."""
+@dataclass(frozen=True)
+class Study:
+    """A study's ordered ``(label, spec, report)`` entries and the index of
+    the entry its gains are normalized by (``None`` when there is none)."""
 
-    mis_snr: np.ndarray
-    baseline_snr: float
-    gain: np.ndarray
-    cell_labels: list
-    num_users: int
-    seed: int
-    reports: list
+    entries: tuple
+    baseline: int | None = None
 
-
-@dataclass
-class UsersSweep:
-    """One ``(label, spec, report)`` entry per solved spec, chain by chain."""
-
-    entries: list
-    seed: int
-
-
-@dataclass
-class CaseStudyResult:
-    """The two-layer report and its single-layer baseline's."""
-
-    mis: SolveReport
-    sms: SolveReport
+    def gains(self) -> np.ndarray:
+        """Each entry's worst-case SNR over the baseline entry's, exactly 1 at
+        the baseline itself."""
+        if self.baseline is None:
+            raise ValueError("the study has no baseline entry")
+        snr = np.array([report.worst_snr for _, _, report in self.entries])
+        gain = snr / snr[self.baseline]
+        gain[self.baseline] = 1.0
+        return gain
 
 
 def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
@@ -133,8 +124,10 @@ def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
     return Scenario(geom=spec.geom, mis_arrival=arc.mis_arrival, users=users)
 
 
-def _single_layer_geom(geom: MisGeometry) -> MisGeometry:
-    return replace(geom, n_rows=geom.m_rows, n_cols=geom.m_cols)
+def _single_layer(spec: ArcScenarioSpec) -> ArcScenarioSpec:
+    """``spec`` with its movable layer grown to the full fixed layer (one pattern)."""
+    geom = replace(spec.geom, n_rows=spec.geom.m_rows, n_cols=spec.geom.m_cols)
+    return replace(spec, geom=geom)
 
 
 def _layout_label(geom: MisGeometry) -> str:
@@ -144,8 +137,7 @@ def _layout_label(geom: MisGeometry) -> str:
 def sms_baseline(spec: ArcScenarioSpec, config: SolverConfig) -> SolveReport:
     """Solve the single-pattern reduction (movable layer grown to the fixed layer),
     with the same restart budget and seeds as the runs it normalizes."""
-    sms_spec = replace(spec, geom=_single_layer_geom(spec.geom))
-    return solve(build_arc_scenario(sms_spec), config)
+    return solve(build_arc_scenario(_single_layer(spec)), config)
 
 
 def _embedded_start(baseline: SolveReport, cell_geom: MisGeometry) -> tuple:
@@ -176,58 +168,30 @@ def _run_tasks(task, args: list, jobs: int) -> list:
         return list(pool.map(task, args))
 
 
-def _sweep_result(
-    reports: list,
-    base: int,
-    labels: list,
-    shape,
-    num_users: int,
-    config: SolverConfig,
-) -> SweepResult:
-    """Normalize each cell's worst-case SNR by that of cell ``base``.
-
-    ``reports`` and ``labels`` are in cell order; the baseline cell's gain is
-    1 by definition.
-    """
-    mis = np.array([rep.worst_snr for rep in reports]).reshape(shape)
-    base_snr = reports[base].worst_snr
-    gain = mis / base_snr
-    gain.flat[base] = 1.0
-    return SweepResult(
-        mis_snr=mis,
-        baseline_snr=base_snr,
-        gain=gain,
-        cell_labels=labels,
-        num_users=num_users,
-        seed=config.rng_seed,
-        reports=reports,
-    )
+def _warm_from_baseline(
+    spec: ArcScenarioSpec, cells: list, config: SolverConfig, jobs: int = 1
+) -> list:
+    """Solve ``spec``'s single-layer baseline, then every cell spec warm-started
+    from it; ``(spec, report)`` per cell, in order, then the baseline's."""
+    baseline = sms_baseline(spec, config)
+    tasks = [(cell, config, _embedded_start(baseline, cell.geom)) for cell in cells]
+    reports = _run_tasks(_solve_task, tasks, jobs)
+    return [*zip(cells, reports), (_single_layer(spec), baseline)]
 
 
-def sweep_ms2_sizes(
-    spec: ArcScenarioSpec, config: SolverConfig, jobs: int = 1
-) -> SweepResult:
+def sweep_ms2_sizes(spec: ArcScenarioSpec, config: SolverConfig, jobs: int = 1) -> Study:
     """Every movable-layer size from 1x1 to ``spec.geom``'s full fixed layer
-    (whose movable layer is ignored), normalized by the full-size cell."""
+    (whose movable layer is ignored), row-major, normalized by the last,
+    full-size cell: the single-layer baseline."""
     m_rows, m_cols = spec.geom.m_rows, spec.geom.m_cols
-    geoms = [
-        replace(spec.geom, n_rows=nr, n_cols=nc)
+    cells = [
+        replace(spec, geom=replace(spec.geom, n_rows=nr, n_cols=nc))
         for nr in range(1, m_rows + 1)
         for nc in range(1, m_cols + 1)
-    ]
-    baseline = sms_baseline(spec, config)
-    tasks = [
-        (replace(spec, geom=g), config, _embedded_start(baseline, g))
-        for g in geoms[:-1]
-    ]
-    return _sweep_result(
-        _run_tasks(_solve_task, tasks, jobs) + [baseline],
-        len(geoms) - 1,
-        [_layout_label(g) for g in geoms],
-        (m_rows, m_cols),
-        spec.num_users,
-        config,
-    )
+    ][:-1]
+    pairs = _warm_from_baseline(spec, cells, config, jobs)
+    entries = tuple((_layout_label(s.geom), s, report) for s, report in pairs)
+    return Study(entries, len(entries) - 1)
 
 
 def allocation_steps(total_elements: int, scheme: int) -> list:
@@ -256,18 +220,17 @@ def allocation_steps(total_elements: int, scheme: int) -> list:
     return steps
 
 
-def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> SweepResult:
+def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> Study:
     """Worst-case SNR along an allocation ladder (see :func:`allocation_steps`),
-    normalized by the single-layer baseline of ``specs[0]``, which is the
-    first task of the pool.  The specs must share one user count and one arc."""
+    normalized by the first entry: the single-layer baseline of ``specs[0]``,
+    which is also the first task of the pool.  The specs must share one user
+    count and one arc."""
     if len({(spec.num_users, spec.arc) for spec in specs}) != 1:
         raise ValueError("allocation specs must share one user count and one arc")
-    sms_spec = replace(specs[0], geom=_single_layer_geom(specs[0].geom))
-    reports = _run_tasks(
-        _solve_task, [(spec, config, None) for spec in (sms_spec, *specs[1:])], jobs
-    )
-    labels = ["single-layer"] + [_layout_label(spec.geom) for spec in specs[1:]]
-    return _sweep_result(reports, 0, labels, len(labels), specs[0].num_users, config)
+    cells = [_single_layer(specs[0]), *specs[1:]]
+    reports = _run_tasks(_solve_task, [(cell, config, None) for cell in cells], jobs)
+    labels = ["single-layer"] + [_layout_label(cell.geom) for cell in cells[1:]]
+    return Study(tuple(zip(labels, cells, reports)), 0)
 
 
 def _solve_chain(args) -> list:
@@ -284,32 +247,32 @@ def _solve_chain(args) -> list:
     return out
 
 
-def sweep_users_1d2d(chains: dict, config: SolverConfig, jobs: int = 1) -> UsersSweep:
+def sweep_users_1d2d(chains: dict, config: SolverConfig, jobs: int = 1) -> Study:
     """Worst-case SNR versus user count, one warm-started chain per layout.
 
     ``chains`` maps a layout label (``"1d"``, ``"2d"``) to its specs, one
     geometry each; entries come out chain by chain, in ``specs`` order, each
-    labelled ``<layout label>:<geometry>``.
+    labelled ``<layout label>:<geometry>``.  The study has no baseline.
     """
     reports = _run_tasks(
         _solve_chain, [(specs, config) for specs in chains.values()], jobs
     )
-    entries = [
-        (f"{label}:{_layout_label(spec.geom)}", spec, report)
-        for (label, specs), chain in zip(chains.items(), reports)
-        for spec, report in zip(specs, chain)
-    ]
-    return UsersSweep(entries=entries, seed=config.rng_seed)
+    return Study(
+        tuple(
+            (f"{label}:{_layout_label(spec.geom)}", spec, report)
+            for (label, specs), chain in zip(chains.items(), reports)
+            for spec, report in zip(specs, chain)
+        )
+    )
 
 
-def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> CaseStudyResult:
+def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> Study:
     """A tiny two-layer layout (the paper's figures 6 and 7) versus its
-    single-layer counterpart, warm-started from the embedded baseline; each
-    report carries its (user, pattern) SNR table."""
-    sms = sms_baseline(spec, config)
-    warm = _embedded_start(sms, spec.geom)
-    mis = solve(build_arc_scenario(spec), config, warm=warm)
-    return CaseStudyResult(mis=mis, sms=sms)
+    single-layer counterpart: the entries ``mis`` (warm-started from the
+    embedded baseline) and ``sms``, the baseline; each report carries its
+    (user, pattern) SNR table."""
+    mis, sms = _warm_from_baseline(spec, [spec], config)
+    return Study((("mis", *mis), ("sms", *sms)), 1)
 
 
 def _fmt(value: float) -> str:
@@ -321,77 +284,70 @@ def format_db(snr: float) -> str:
     return f"{10.0 * math.log10(snr):.4f}" if snr > 0 else "-inf"
 
 
-def write_sweep_csv(results, path) -> None:
-    """One row per cell of each :class:`SweepResult` in ``results``: geometry
-    (the cell label), users, seed, baseline_snr, mis_snr, gain."""
+def _write_csv(path, header: list, rows) -> None:
+    """``header`` and then ``rows`` as a utf-8 CSV with ``\\n`` line ends."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"])
-        for res in results:
-            base = _fmt(res.baseline_snr)
-            for label, mis, gain in zip(
-                res.cell_labels, res.mis_snr.ravel(), res.gain.ravel()
-            ):
-                writer.writerow(
-                    [label, res.num_users, res.seed, base, _fmt(mis), _fmt(gain)]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_users_csv(sweep: UsersSweep, path) -> None:
-    """One row per entry of ``sweep``: config (its label), users,
+def write_sweep_csv(studies, seed: int, path) -> None:
+    """One row per entry of each baselined :class:`Study` in ``studies``:
+    geometry (the entry label), users, seed, baseline_snr, mis_snr, gain."""
+    _write_csv(
+        path,
+        ["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"],
+        (
+            [label, spec.num_users, seed,
+             _fmt(study.entries[study.baseline][2].worst_snr),
+             _fmt(report.worst_snr), _fmt(gain)]
+            for study in studies
+            for (label, spec, report), gain in zip(study.entries, study.gains())
+        ),
+    )
+
+
+def write_users_csv(study: Study, seed: int, path) -> None:
+    """One row per entry of ``study``: config (its label), users,
     num_patterns, worst_snr, worst_snr_db, seed."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["config", "users", "num_patterns", "worst_snr", "worst_snr_db", "seed"]
-        )
-        for label, spec, report in sweep.entries:
-            writer.writerow(
-                [
-                    label,
-                    spec.num_users,
-                    spec.geom.num_patterns,
-                    _fmt(report.worst_snr),
-                    format_db(report.worst_snr),
-                    sweep.seed,
-                ]
-            )
+    _write_csv(
+        path,
+        ["config", "users", "num_patterns", "worst_snr", "worst_snr_db", "seed"],
+        (
+            [label, spec.num_users, spec.geom.num_patterns,
+             _fmt(report.worst_snr), format_db(report.worst_snr), seed]
+            for label, spec, report in study.entries
+        ),
+    )
 
 
-def write_case_study_csv(result: CaseStudyResult, path) -> None:
-    """Per-(scheme, user, pattern) SNR rows for both the two-layer (``mis``)
-    and the single-layer (``sms``) solution: scheme, user, pattern, snr,
-    snr_db, chosen (1 for the user's scheduled pattern, else 0)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scheme", "user", "pattern", "snr", "snr_db", "chosen"])
-        for scheme, report in (("mis", result.mis), ("sms", result.sms)):
-            table = report.snr_table
-            for k in range(table.shape[0]):
-                for u in range(table.shape[1]):
-                    snr = float(table[k, u])
-                    writer.writerow(
-                        [
-                            scheme,
-                            k + 1,
-                            u + 1,
-                            _fmt(snr),
-                            format_db(snr),
-                            int(report.chosen_pattern[k] == u + 1),
-                        ]
-                    )
+def write_case_study_csv(study: Study, path) -> None:
+    """Per-(scheme, user, pattern) SNR rows of every entry of ``study``, the
+    scheme being its label: scheme, user, pattern, snr, snr_db, chosen (1 for
+    the user's scheduled pattern, else 0)."""
+    _write_csv(
+        path,
+        ["scheme", "user", "pattern", "snr", "snr_db", "chosen"],
+        (
+            [scheme, k + 1, u + 1, _fmt(snr), format_db(snr),
+             int(report.chosen_pattern[k] == u + 1)]
+            for scheme, _, report in study.entries
+            for k, row in enumerate(report.snr_table.tolist())
+            for u, snr in enumerate(row)
+        ),
+    )
 
 
 def write_solve_csv(report: SolveReport, path) -> None:
     """One row per user of ``report``: user, pattern (its scheduled
     placement), snr, snr_db."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["user", "pattern", "snr", "snr_db"])
-        for k, (snr, pattern) in enumerate(
-            zip(report.per_user_snr, report.chosen_pattern)
-        ):
-            writer.writerow([k + 1, int(pattern), _fmt(float(snr)), format_db(snr)])
+    per_user = enumerate(zip(report.per_user_snr, report.chosen_pattern), start=1)
+    _write_csv(
+        path,
+        ["user", "pattern", "snr", "snr_db"],
+        ([k, int(pattern), _fmt(snr), format_db(snr)] for k, (snr, pattern) in per_user),
+    )
 
 
 def results_digest(path) -> str:

@@ -37,7 +37,8 @@ class MisGeometry:
     def __post_init__(self):
         for name in ("m_rows", "m_cols", "n_rows", "n_cols"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_rows > self.m_rows or self.n_cols > self.m_cols:
             raise ValueError(

@@ -400,7 +400,7 @@ def solve(
                     raise ValueError(f"{name} must have shape {(size,)}")
             warm_point = ProductPoint(ms1_phase, ms2_phase, uniform)
             warm_point.validate()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"warm start: {exc}") from exc
 
     best: SolveReport | None = None

@@ -67,8 +67,10 @@ def test_arc_scenario_uniform_spacing():
 
 
 def test_arc_scenario_validation():
-    with pytest.raises(ValueError):
-        ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=0)
+    for bad in (0, True, 2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="num_users must be a positive integer"):
+            ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=bad)
+    ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=np.int64(2))
     with pytest.raises(ValueError):
         ArcScenarioSpec(
             geom=MisGeometry(2, 2, 1, 1),
@@ -148,22 +150,33 @@ def test_allocation_steps_validation():
         allocation_steps(64, 3)
 
 
+def _check_gains(study, baseline):
+    """``gains()`` is each entry's worst SNR over the baseline entry's, and
+    exactly 1 at ``baseline``, the study's baseline index."""
+    assert study.baseline == baseline
+    snr = np.array([report.worst_snr for _, _, report in study.entries])
+    gains = study.gains()
+    expected = snr / study.entries[baseline][2].worst_snr
+    expected[baseline] = 1.0
+    np.testing.assert_array_equal(gains, expected)
+    assert gains[baseline] == 1.0
+
+
 def test_sweep_allocation_tiny():
-    result = sweep_allocation(_ladder(4, 1, 2), FAST)
-    assert result.cell_labels == ["single-layer", "ms1=2x1/ms2=2x1"]
-    assert result.gain[0] == 1.0
-    assert np.all(result.mis_snr > 0)
-    assert result.cell_labels[0] == "single-layer"
+    study = sweep_allocation(_ladder(4, 1, 2), FAST)
+    assert [label for label, _, _ in study.entries] == [
+        "single-layer", "ms1=2x1/ms2=2x1"
+    ]
+    assert study.entries[0][1].geom == MisGeometry(2, 2, 2, 2)
+    _check_gains(study, 0)
+    assert all(report.worst_snr > 0 for _, _, report in study.entries)
 
 
 def test_sweep_allocation_keeps_a_repeated_geometry():
     ladder = _ladder(4, 1, 2)
-    result = sweep_allocation([ladder[0], ladder[1], ladder[1]], FAST)
-    assert len(result.cell_labels) == result.mis_snr.size == 3
-    assert len(result.reports) == 3
-    np.testing.assert_array_equal(
-        result.mis_snr, [report.worst_snr for report in result.reports]
-    )
+    study = sweep_allocation([ladder[0], ladder[1], ladder[1]], FAST)
+    assert len(study.entries) == study.gains().size == 3
+    assert [spec for _, spec, _ in study.entries][1:] == [ladder[1], ladder[1]]
 
 
 def _no_solve(*args, **kwargs):
@@ -183,26 +196,27 @@ def test_sweep_allocation_rejects_mixed_specs(monkeypatch):
 
 
 def test_sweep_ms2_tiny_grid_nesting_and_baseline():
-    res = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2), FAST)
-    assert res.num_users == 2
-    assert res.gain.shape == (2, 2)
-    assert res.gain[1, 1] == 1.0  # full-size cell is the baseline itself
-    assert np.all(res.gain >= 1.0 - 1e-6)
-    assert len(res.reports) == 4
-    assert res.baseline_snr == res.reports[-1].worst_snr
+    study = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2), FAST)
+    assert all(spec.num_users == 2 for _, spec, _ in study.entries)
+    # cells row-major, the full-size cell (the baseline itself) last
+    assert [spec.geom.num_ms2 for _, spec, _ in study.entries] == [1, 2, 2, 4]
+    _check_gains(study, 3)
+    assert np.all(study.gains() >= 1.0 - 1e-6)
 
 
 def test_sweep_ms2_reproducible():
     spec = ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2)
     first = sweep_ms2_sizes(spec, FAST)
     second = sweep_ms2_sizes(spec, FAST)
-    np.testing.assert_array_equal(first.mis_snr, second.mis_snr)
-    np.testing.assert_array_equal(first.gain, second.gain)
+    for (_, _, a), (_, _, b) in zip(first.entries, second.entries):
+        assert a.worst_snr == b.worst_snr
+    np.testing.assert_array_equal(first.gains(), second.gains())
 
 
 def test_sweep_users_small():
     sweep = sweep_users_1d2d(_small_chains((2, 3)), FAST)
     assert len(sweep.entries) == 4
+    assert sweep.baseline is None
     one_d = [(spec, rep) for label, spec, rep in sweep.entries if label.startswith("1d")]
     assert [spec.num_users for spec, _ in one_d] == [2, 3]
     assert all(rep.snr_table.shape == (spec.num_users, 3) for spec, rep in one_d)
@@ -211,19 +225,23 @@ def test_sweep_users_small():
 
 def test_case_study_figure_six_improves_on_baseline():
     spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 4)
-    result = case_study(spec, SolverConfig(rng_seed=7, num_restarts=2))
-    assert result.mis.snr_table.shape == (4, 2)
-    assert result.sms.snr_table.shape == (4, 1)
-    assert result.mis.worst_snr > result.sms.worst_snr
-    assert set(result.mis.chosen_pattern.tolist()) == {1, 2}
+    study = case_study(spec, SolverConfig(rng_seed=7, num_restarts=2))
+    assert [label for label, _, _ in study.entries] == ["mis", "sms"]
+    _check_gains(study, 1)
+    (_, _, mis), (_, sms_spec, sms) = study.entries
+    assert sms_spec.geom == MisGeometry(2, 1, 2, 1)
+    assert mis.snr_table.shape == (4, 2)
+    assert sms.snr_table.shape == (4, 1)
+    assert mis.worst_snr > sms.worst_snr
+    assert set(mis.chosen_pattern.tolist()) == {1, 2}
 
 
 def test_csv_writers_deterministic(tmp_path):
     result = sweep_allocation(_ladder(4, 1, 2), FAST)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_sweep_csv([result], path_a)
-    write_sweep_csv([result], path_b)
+    write_sweep_csv([result], FAST.rng_seed, path_a)
+    write_sweep_csv([result], FAST.rng_seed, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "geometry,users,seed,baseline_snr,mis_snr,gain"
@@ -233,7 +251,7 @@ def test_csv_writers_deterministic(tmp_path):
 def test_users_csv_and_manifest(tmp_path):
     sweep = sweep_users_1d2d(_small_chains((2,)), FAST)
     path = tmp_path / "users.csv"
-    write_users_csv(sweep, path)
+    write_users_csv(sweep, FAST.rng_seed, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "config,users,num_patterns,worst_snr,worst_snr_db,seed"
     assert len(lines) == 3
@@ -274,6 +292,7 @@ def test_case_study_csv_schema(tmp_path):
     assert lines[0] == "scheme,user,pattern,snr,snr_db,chosen"
     # 4 users x 2 patterns for the two-layer run plus 4 x 1 for the baseline
     assert len(lines) == 1 + 8 + 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["mis"] * 8 + ["sms"] * 4
 
 
 def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
@@ -299,11 +318,11 @@ def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
 
 def test_case_study_snr_table_is_the_table_at_its_phases():
     spec = ArcScenarioSpec(MisGeometry(2, 2, 1, 1), 3)
-    result = case_study(spec, FAST)
+    (_, _, mis), (_, _, sms) = case_study(spec, FAST).entries
     sms_spec = replace(spec, geom=MisGeometry(2, 2, 2, 2))
     for report, scenario in (
-        (result.mis, build_arc_scenario(spec)),
-        (result.sms, build_arc_scenario(sms_spec)),
+        (mis, build_arc_scenario(spec)),
+        (sms, build_arc_scenario(sms_spec)),
     ):
         table = EvalContext.from_scenario(scenario).pattern_snr_table(
             report.ms1_phase, report.ms2_phase
@@ -315,12 +334,11 @@ def test_case_study_snr_table_is_the_table_at_its_phases():
 def test_case_study_uses_the_given_arc():
     arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
     spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 3, arc)
-    result = case_study(spec, FAST)
+    (_, _, mis), _ = case_study(spec, FAST).entries
     scenario = build_arc_scenario(spec)
     np.testing.assert_allclose([a.azimuth for a, _ in scenario.users], [-0.5, 0.0, 0.5])
     assert all(iota == 0.02 for _, iota in scenario.users)
     # the report's table is the custom arc's table, not the default arc's
-    mis = result.mis
     table = EvalContext.from_scenario(scenario).pattern_snr_table(
         mis.ms1_phase, mis.ms2_phase
     )

@@ -45,10 +45,16 @@ def test_oversized_movable_layer_rejected(dims):
         MisGeometry(*dims)
 
 
-@pytest.mark.parametrize("dims", [(0, 1, 1, 1), (1, 1, 0, 1), (2, -1, 1, 1)])
+@pytest.mark.parametrize(
+    "dims",
+    [(0, 1, 1, 1), (1, 1, 0, 1), (2, -1, 1, 1),
+     (True, True, True, True), (2, 2.0, 1, 1), (2, 2, 1.5, 1), (2, 2, 1, "1")],
+)
 def test_nonpositive_dims_rejected(dims):
-    with pytest.raises(ValueError):
+    # bools, floats and strings are not positive integers either
+    with pytest.raises(ValueError, match=r"^[mn]_(rows|cols) must be a positive integer"):
         MisGeometry(*dims)
+    MisGeometry(np.int64(2), np.int32(2), np.int8(1), np.uint16(1))
 
 
 @pytest.mark.parametrize("spacing", [0.0, float("inf"), float("nan")])

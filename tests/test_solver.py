@@ -617,4 +617,7 @@ def test_solve_validates_warm_starts():
         solve(scenario, config, warm=all_nan)
     with pytest.raises(ValueError, match="warm start: ms1_phase must have shape"):
         solve(scenario, config, warm=wrong_shape)
+    for not_a_pair in (5, good + (good[0],)):
+        with pytest.raises(ValueError, match="warm start: "):
+            solve(scenario, config, warm=not_a_pair)
     solve(scenario, config, warm=good)

@@ -1,17 +1,19 @@
-"""Print the sha256 digest of the CSV that each reference CLI command writes.
+"""Print the sha256 digests of what each reference CLI command emits.
 
 Usage::
 
     python tools/csv_digests.py [--src SRC_DIR [--src SRC_DIR]]
 
 Runs each command of :data:`COMMANDS` as ``python -m misopt.cli`` with
-``--jobs 2 --out DIR`` into a temporary directory, importing ``misopt`` from
-each ``--src`` tree in turn (default: the ``src`` directory of this
-checkout), and prints one markdown table row per command: the command and
-the first 16 hex digits of the sha256 of its CSV, one column per tree.
-Given two trees (the parent checkout's and a change's, or one tree twice to
-check that reruns agree), it exits 1 when any digest differs.  Exits 1 if a
-command fails.
+``--jobs 2 --out out``, importing ``misopt`` from each ``--src`` tree in turn
+(default: the ``src`` directory of this checkout).  Every run starts in a
+fresh temporary working directory, so the relative ``out`` that the manifest
+echoes and the ``wrote`` line prints are the same for every tree.  For each
+command it prints three markdown table rows, one per output: the CSV, its
+JSON manifest and the command's stdout, with the first 16 hex digits of
+their sha256, one column per tree.  Given two trees (the parent checkout's
+and a change's, or one tree twice to check that reruns agree), it exits 1
+when any digest differs.  Exits 1 if a command fails.
 
 The digests are compared on one host only: the SNR tables come from BLAS
 ``zgemm``, whose bits can differ between CPUs.
@@ -36,24 +38,33 @@ COMMANDS = (
     "case-study --figure 6 --seed 7",
     "case-study --figure 7 --seed 7",
 )
+OUTPUTS = ("csv", "manifest", "stdout")
 
 
-def _digest(src: str, command: str, out: str) -> str | None:
-    """Run ``command`` against the ``misopt`` of ``src``; the first 16 hex
-    digits of its CSV's sha256, or None if the command failed."""
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _digests(src: str, command: str, cwd: str) -> tuple | None:
+    """Run ``command`` in ``cwd`` against the ``misopt`` of ``src``; the short
+    digests of its CSV, manifest and stdout, or None if the command failed."""
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argv = [sys.executable, "-m", "misopt.cli", *command.split()]
     proc = subprocess.run(
-        argv + ["--jobs", "2", "--out", out],
+        argv + ["--jobs", "2", "--out", "out"],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
     )
     if proc.returncode != 0:
         print(f"`{command}` exited {proc.returncode} with {src}", file=sys.stderr)
         return None
-    (csv_path,) = glob.glob(os.path.join(out, "*.csv"))
-    with open(csv_path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()[:16]
+    files = []
+    for pattern in ("*.csv", "*_manifest.json"):
+        (name,) = glob.glob(os.path.join(cwd, "out", pattern))
+        with open(name, "rb") as handle:
+            files.append(_short(handle.read()))
+    return (*files, _short(proc.stdout))
 
 
 def main(argv=None) -> int:
@@ -70,18 +81,22 @@ def main(argv=None) -> int:
     if len(trees) > 2:
         parser.error("--src is given at most twice")
 
-    print("| Command | " + " | ".join(trees) + " |")
-    print("| --- |" + " --- |" * len(trees))
+    print("| Command | Output | " + " | ".join(trees) + " |")
+    print("| --- | --- |" + " --- |" * len(trees))
     failed = differ = False
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate(COMMANDS):
-            digests = [
-                _digest(os.path.abspath(src), command, os.path.join(tmp, f"{i}-{j}"))
-                for j, src in enumerate(trees)
-            ]
-            failed |= None in digests
-            differ |= len(set(digests)) > 1
-            print(f"| `{command}` | " + " | ".join(f"`{d}`" for d in digests) + " |")
+            runs = []
+            for j, src in enumerate(trees):
+                cwd = os.path.join(tmp, f"{i}-{j}")
+                os.mkdir(cwd)
+                runs.append(_digests(os.path.abspath(src), command, cwd))
+            failed |= None in runs
+            for k, output in enumerate(OUTPUTS):
+                digests = [run[k] if run else None for run in runs]
+                differ |= len(set(digests)) > 1
+                cells = " | ".join(f"`{d}`" for d in digests)
+                print(f"| `{command}` | {output} | {cells} |")
     if differ and not failed:
         print("digests differ", file=sys.stderr)
     return 1 if failed or differ else 0
