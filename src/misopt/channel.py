@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MisGeometry
+from .geometry import MisGeometry, _require_real
 
 __all__ = [
     "ArrayAngles",
@@ -41,6 +41,8 @@ class ArrayAngles:
     elevation: float
 
     def __post_init__(self):
+        _require_real("azimuth", self.azimuth)
+        _require_real("elevation", self.elevation)
         if not -math.pi <= self.azimuth <= math.pi:
             raise ValueError(f"azimuth {self.azimuth} outside [-pi, pi]")
         if not 0.0 <= self.elevation <= math.pi / 2:

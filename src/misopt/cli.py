@@ -56,10 +56,17 @@ _SOLVER_KEYS = ("max_inner_iters", "max_outer_iters")
 # movable element (two patterns) and a 2x2 one (four patterns).
 _CASE_STUDY_LAYOUTS = {6: MisGeometry(2, 1, 1, 1), 7: MisGeometry(2, 2, 1, 1)}
 
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity set where there is one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else max(1, os.cpu_count() or 1)
+
+
 _DEFAULTS = {
     "seed": 0,
     "restarts": 1,
-    "jobs": max(1, os.cpu_count() or 1),
+    "jobs": _usable_cores(),
     "out": "misopt_out",
     "az_lo_deg": -60.0,
     "az_hi_deg": 60.0,

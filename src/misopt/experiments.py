@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import BROADSIDE, ArrayAngles, Scenario
-from .geometry import MisGeometry
+from .geometry import MisGeometry, _require_real
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
@@ -73,11 +73,12 @@ class CoverageArc:
     mis_arrival: ArrayAngles = BROADSIDE
 
     def __post_init__(self):
-        if not self.azimuth_lo < self.azimuth_hi:
-            raise ValueError("azimuth_lo must be below azimuth_hi")
-        # Every user direction lies between these two; ArrayAngles checks ranges.
+        # Every user direction lies between these two; ArrayAngles checks them.
         ArrayAngles(self.azimuth_lo, self.elevation)
         ArrayAngles(self.azimuth_hi, self.elevation)
+        if not self.azimuth_lo < self.azimuth_hi:
+            raise ValueError("azimuth_lo must be below azimuth_hi")
+        _require_real("iota", self.iota)
         if not 0 < self.iota < math.inf:
             raise ValueError("iota must be positive and finite")
 

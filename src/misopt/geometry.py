@@ -17,11 +17,18 @@ elements are numbered row-major on each layer's grid, and stored arrays hold
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["MisGeometry", "all_selections"]
+
+
+def _require_real(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a non-bool real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,7 @@ class MisGeometry:
                 f"movable layer {self.n_rows}x{self.n_cols} does not fit inside "
                 f"fixed layer {self.m_rows}x{self.m_cols}"
             )
+        _require_real("spacing_over_lambda", self.spacing_over_lambda)
         if not 0 < self.spacing_over_lambda < math.inf:
             raise ValueError("spacing_over_lambda must be positive and finite")
 

@@ -56,7 +56,11 @@ def project_circle_tangent(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec)
     if base.shape != vec.shape:
         raise ValueError(f"shape mismatch: {base.shape} vs {vec.shape}")
-    return vec - np.real(vec * np.conj(base)) * base
+    return _circle_tangent(base, vec)
+
+
+def _circle_tangent(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return vec - (vec * base.conj()).real * base
 
 
 def project_multinomial_tangent(mat: np.ndarray) -> np.ndarray:
@@ -98,8 +102,8 @@ def project_to_tangent(point, euclidean_grads: tuple) -> TangentTriple:
     """Project a Euclidean gradient triple onto the tangent space at ``point``."""
     g_ms1, g_ms2, g_sched = euclidean_grads
     return TangentTriple(
-        d_ms1_phase=project_circle_tangent(point.ms1_phase, g_ms1),
-        d_ms2_phase=project_circle_tangent(point.ms2_phase, g_ms2),
+        d_ms1_phase=_circle_tangent(point.ms1_phase, g_ms1),
+        d_ms2_phase=_circle_tangent(point.ms2_phase, g_ms2),
         d_schedule=project_multinomial_tangent(g_sched),
     )
 
@@ -108,7 +112,7 @@ def retract_circle(base: np.ndarray, tangent: np.ndarray, step: float) -> np.nda
     """Move along ``tangent`` and renormalize each entry back to the unit circle."""
     moved = base + step * tangent
     magnitude = np.abs(moved)
-    if np.any(magnitude < 1e-14):
+    if magnitude.min() < 1e-14:
         raise RetractionError("an entry collapsed to zero during retraction")
     return moved / magnitude
 
@@ -123,21 +127,21 @@ def project_simplex(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ValueError("project_simplex expects a matrix, one simplex per row")
-    desc = -np.sort(-mat, axis=1)
+    desc = np.sort(mat, axis=1)[:, ::-1]
     csum = np.cumsum(desc, axis=1)
     ranks = np.arange(1, mat.shape[1] + 1)
     positive = desc - (csum - 1.0) / ranks > 0.0
     # Index of the last positive gap per row; the first is always positive.
     last = mat.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
     threshold = (csum[np.arange(mat.shape[0]), last] - 1.0) / (last + 1)
-    out = np.maximum(mat - threshold[:, None], 0.0)
-    out = np.maximum(out, SIMPLEX_FLOOR)
-    return out / out.sum(axis=1, keepdims=True)
+    out = np.maximum(mat - threshold[:, None], SIMPLEX_FLOOR)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def retract_multinomial(mat: np.ndarray, tangent: np.ndarray, step: float) -> np.ndarray:
     """Move along ``tangent`` and project every row back onto the simplex."""
-    return project_simplex(np.asarray(mat, float) + step * tangent)
+    return project_simplex(mat + step * tangent)
 
 
 def transport(point, triple: TangentTriple) -> TangentTriple:
@@ -147,8 +151,8 @@ def transport(point, triple: TangentTriple) -> TangentTriple:
     transports by identity.
     """
     return TangentTriple(
-        project_circle_tangent(point.ms1_phase, triple.d_ms1_phase),
-        project_circle_tangent(point.ms2_phase, triple.d_ms2_phase),
+        _circle_tangent(point.ms1_phase, triple.d_ms1_phase),
+        _circle_tangent(point.ms2_phase, triple.d_ms2_phase),
         triple.d_schedule,
     )
 
@@ -158,7 +162,7 @@ def inner(a: TangentTriple, b: TangentTriple) -> float:
     Hermitian product for the phase blocks), summed in block order."""
     total = 0.0
     for x, y in zip(a, b):
-        total += float(np.real(np.vdot(x, y)))
+        total += float(np.vdot(x, y).real)
     return total
 
 

@@ -14,14 +14,15 @@ Gradient convention for complex blocks: the returned ``g`` satisfies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .channel import Scenario, cascaded_channel
 from .geometry import MisGeometry, all_selections
 
-__all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate"]
+__all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate", "euclidean_grads"]
 
 # How far a feasible point's moduli and schedule row sums may stray from one.
 FEASIBILITY_ATOL = 1e-9
@@ -83,6 +84,11 @@ class EvalContext:
             geom=scenario.geom, channels=channels, iota=iota, sel_index=sel_index
         )
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row index ``arange(U)[:, None]`` that pairs with ``sel_index``."""
+        return np.arange(self.num_patterns)[:, None]
+
     @property
     def num_users(self) -> int:
         return self.channels.shape[0]
@@ -107,7 +113,7 @@ class EvalContext:
         """
         _check_shape("ms2_phase", ms2_phase, self.sel_index.shape[1:])
         table = np.ones((self.num_patterns, self.num_ms1), dtype=complex)
-        table[np.arange(self.num_patterns)[:, None], self.sel_index] = ms2_phase
+        table[self._rows, self.sel_index] = ms2_phase
         return table
 
     def pattern_snr_table(
@@ -129,11 +135,12 @@ class EvalContext:
 @dataclass(frozen=True)
 class Evaluation:
     """One objective evaluation: surrogate value, per-user SNRs, softmin weights,
-    and optionally the Euclidean gradients."""
+    its forward pass ``(equiv, amps, gamma)`` and optionally the Euclidean gradients."""
 
     value: float
     user_snrs: np.ndarray
     weights: np.ndarray
+    forward: tuple
     grads: tuple | None = None
 
 
@@ -145,28 +152,29 @@ def _softmin(values: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     return vmin - mu * math.log(total), scaled / total
 
 
+def euclidean_grads(point: ProductPoint, ev: Evaluation, ctx: EvalContext) -> tuple:
+    """The three Euclidean gradient blocks at ``point`` from ``ev``, an evaluation
+    there; all three reuse its (user, pattern) inner products."""
+    equiv, amps, gamma = ev.forward
+    coeff = (2.0 * ctx.iota * ev.weights)[:, None] * point.schedule * amps
+    # d f / d ms1_phase[m] = sum_{k,u} coeff[k,u] * conj(equiv[u,m] * c[k,m])
+    by_pattern = coeff.T @ np.conj(ctx.channels)
+    grad_ms1 = np.sum(np.conj(equiv) * by_pattern, axis=0)
+    # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c).
+    covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)
+    grad_ms2 = covered[ctx._rows, ctx.sel_index].sum(axis=0)
+    return grad_ms1, grad_ms2, ev.weights[:, None] * gamma
+
+
 def evaluate(
     point: ProductPoint, mu: float, ctx: EvalContext, want_grad: bool = False
 ) -> Evaluation:
-    """Evaluate the surrogate (and gradients) at one point.
-
-    The (user, pattern) inner products are computed once and reused by all
-    three gradient blocks.
-    """
+    """Evaluate the surrogate at one point, with :func:`euclidean_grads` of
+    its own forward pass if ``want_grad``."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    equiv, amps, gamma = ctx._amplitudes(point.ms1_phase, point.ms2_phase)
-    snrs = np.einsum("ku,ku->k", point.schedule, gamma)
+    forward = ctx._amplitudes(point.ms1_phase, point.ms2_phase)
+    snrs = np.einsum("ku,ku->k", point.schedule, forward[2])
     value, weights = _softmin(snrs, mu)
-    grads = None
-    if want_grad:
-        coeff = (2.0 * ctx.iota * weights)[:, None] * point.schedule * amps
-        # d f / d ms1_phase[m] = sum_{k,u} coeff[k,u] * conj(equiv[u,m] * c[k,m])
-        by_pattern = coeff.T @ np.conj(ctx.channels)
-        grad_ms1 = np.sum(np.conj(equiv) * by_pattern, axis=0)
-        # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c).
-        covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)
-        grad_ms2 = np.take_along_axis(covered, ctx.sel_index, axis=1).sum(axis=0)
-        grad_schedule = weights[:, None] * gamma
-        grads = (grad_ms1, grad_ms2, grad_schedule)
-    return Evaluation(value=value, user_snrs=snrs, weights=weights, grads=grads)
+    ev = Evaluation(value=value, user_snrs=snrs, weights=weights, forward=forward)
+    return replace(ev, grads=euclidean_grads(point, ev, ctx)) if want_grad else ev

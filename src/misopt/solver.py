@@ -29,18 +29,18 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import Scenario
+# grad_norm is unused here (inner_solve sums block norms) but perfbench wraps it.
 from .manifolds import (
     RetractionError,
     TangentTriple,
     grad_norm,
-    inner,
     project_schedule_cone,
     project_to_tangent,
     retract_circle,
     retract_multinomial,
     transport,
 )
-from .objective import EvalContext, Evaluation, ProductPoint, evaluate
+from .objective import EvalContext, Evaluation, ProductPoint, euclidean_grads, evaluate
 
 __all__ = [
     "NonFiniteObjectiveError",
@@ -125,7 +125,7 @@ class SolveReport:
 class LineSearchResult:
     step: float
     point: ProductPoint
-    value: float
+    evaluation: Evaluation
     stalled: bool
     num_evals: int
 
@@ -143,31 +143,32 @@ class InnerResult:
 def _rinner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product: Re of the Hermitian product for complex blocks,
     the Frobenius product for real blocks."""
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
 
 
 def _conjugate(
-    g: np.ndarray, g_old: np.ndarray, carried_g: np.ndarray, carried_dir: np.ndarray
-) -> np.ndarray:
-    """Polak-Ribiere ascent direction ``g + beta * carried_dir`` for one factor.
+    g: np.ndarray, gg: float, gg_old: float, carried_g: np.ndarray, carried_dir: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Polak-Ribiere ascent direction ``g + beta * carried_dir`` for one
+    factor and its slope ``<direction, g>``.
 
-    ``g`` is the current gradient, ``g_old`` the previous one at its own base
-    point, and ``carried_g``/``carried_dir`` the previous gradient and
-    direction transported to the current point.  ``beta`` pairs ``g`` with
-    ``g - carried_g`` over ``|g_old|^2`` and is floored at zero, which
-    restarts to steepest ascent; so does a combination that is not an
-    ascent direction.
+    ``g`` is the current gradient, ``gg``/``gg_old`` the squared norms of it
+    and of the previous one, and ``carried_g``/``carried_dir`` the previous
+    gradient and direction transported to the current point.  ``beta``
+    pairs ``g`` with ``g - carried_g`` over ``gg_old`` and is floored at
+    zero, which restarts to steepest ascent; so does a combination that is
+    not an ascent direction.
     """
-    denom = _rinner(g_old, g_old)
-    if denom < 1e-30:
-        return g
-    beta = max((_rinner(g, g) - _rinner(g, carried_g)) / denom, 0.0)
+    if gg_old < 1e-30:
+        return g, gg
+    beta = max((gg - _rinner(g, carried_g)) / gg_old, 0.0)
     if beta == 0.0:
-        return g
+        return g, gg
     direction = g + beta * carried_dir
-    if _rinner(direction, g) <= 0.0:
-        return g
-    return direction
+    slope = _rinner(direction, g)
+    if slope <= 0.0:
+        return g, gg
+    return direction, slope
 
 
 def _retract_point(
@@ -185,7 +186,7 @@ def line_search(
     direction: TangentTriple,
     objective,
     slope: float,
-    value: float,
+    current: Evaluation,
     grad: TangentTriple,
     initial_step: float,
 ) -> LineSearchResult:
@@ -193,7 +194,8 @@ def line_search(
 
     Tests ``step = initial_step * BACKTRACK_FACTOR**j`` and accepts the first
     step whose retracted objective clears ``value + ARMIJO_C1 * step * slope``;
-    ``value`` is the objective at ``point`` and ``slope`` the inner product
+    ``objective`` maps a point to its :class:`Evaluation`, ``current`` is the
+    one at ``point`` (``value`` its value), and ``slope`` the inner product
     of the Riemannian gradient ``grad`` with the direction.  A retraction
     failure just backtracks further.  The search stalls, returning a zero
     step and the stalled flag, after :data:`MAX_BACKTRACKS` rejections or as
@@ -208,6 +210,7 @@ def line_search(
     one-sided derivative of the retraction at step 0+; to first order no
     smaller step can then pass.
     """
+    value = current.value
     if not math.isfinite(value):
         raise NonFiniteObjectiveError(f"objective value {value} is not finite")
     resolution = np.spacing(abs(value))
@@ -221,17 +224,17 @@ def line_search(
         except RetractionError:
             step *= BACKTRACK_FACTOR
             continue
-        cand_value = objective(candidate)
+        evaluation = objective(candidate)
         evals += 1
-        if cand_value >= value + ARMIJO_C1 * step * slope:
-            return LineSearchResult(step, candidate, cand_value, False, evals)
+        if evaluation.value >= value + ARMIJO_C1 * step * slope:
+            return LineSearchResult(step, candidate, evaluation, False, evals)
         if evals == 1:
             d_sched = direction.d_schedule
             blocked = project_schedule_cone(point.schedule, d_sched) - d_sched
             if slope + _rinner(blocked, grad.d_schedule) <= ARMIJO_C1 * slope:
                 break
         step *= BACKTRACK_FACTOR
-    return LineSearchResult(0.0, point, value, True, evals)
+    return LineSearchResult(0.0, point, current, True, evals)
 
 
 def inner_solve(
@@ -239,35 +242,39 @@ def inner_solve(
 ) -> InnerResult:
     """Run conjugate-gradient ascent at fixed ``mu`` until the Riemannian
     gradient norm falls below tolerance, the iteration cap is hit, or the
-    line search stalls twice in a row."""
+    line search stalls twice in a row.  An accepted step's gradient reuses the
+    line search's evaluation, still counted as an evaluation in ``num_evals``."""
     ev = evaluate(point, mu, ctx, want_grad=True)
     rgrad = project_to_tangent(point, ev.grads)
     num_evals = 1
-    # (gradient, direction, step) of the last accepted step; a stall clears it.
+    # (rgrad, sq, direction, step) of the last accepted step; a stall clears it.
     last: tuple | None = None
     stalls = 0
     tiny_steps = 0
     obj_trace = [ev.value]
     iters = 0
 
-    def surrogate(p: ProductPoint) -> float:
-        return evaluate(p, mu, ctx).value
+    def surrogate(p: ProductPoint) -> Evaluation:
+        return evaluate(p, mu, ctx)
 
     for _ in range(config.max_inner_iters):
-        if grad_norm(rgrad) < INNER_GRAD_TOL:
+        # Squared block norms and slopes sum in block order, as inner does.
+        sq = tuple(map(_rinner, rgrad, rgrad))
+        direction, slope, start = rgrad, 0.0 + sq[0] + sq[1] + sq[2], INITIAL_STEP
+        if math.sqrt(slope) < INNER_GRAD_TOL:
             break
-        direction, start = rgrad, INITIAL_STEP
         if last is not None:
-            last_rgrad, last_dir, last_step = last
+            last_rgrad, last_sq, last_dir, last_step = last
             carried = transport(point, last_rgrad), transport(point, last_dir)
-            direction = TangentTriple(*map(_conjugate, rgrad, last_rgrad, *carried))
+            blocks, slopes = zip(*map(_conjugate, rgrad, sq, last_sq, *carried))
+            direction = TangentTriple(*blocks)
+            # Each block of the direction is its gradient block or an ascent
+            # direction for it, so the slope is positive at a nonzero gradient.
+            slope = 0.0 + slopes[0] + slopes[1] + slopes[2]
             # Warm-start the backtracking near the last accepted step (one
             # growth allowed, never above INITIAL_STEP).
             start = min(start, max(last_step / BACKTRACK_FACTOR, 1e-12))
-        # Each block of the direction is its gradient block or an ascent
-        # direction for it, so the slope is positive at a nonzero gradient.
-        slope = inner(direction, rgrad)
-        result = line_search(point, direction, surrogate, slope, ev.value, rgrad, start)
+        result = line_search(point, direction, surrogate, slope, ev, rgrad, start)
         num_evals += result.num_evals
         iters += 1
         if result.stalled:
@@ -277,16 +284,15 @@ def inner_solve(
                 break
             continue
         stalls = 0
-        improvement = result.value - ev.value
-        point = result.point
-        last = (rgrad, direction, result.step)
-        ev = evaluate(point, mu, ctx, want_grad=True)
+        improvement = result.evaluation.value - ev.value
+        point, ev = result.point, result.evaluation
+        last = (rgrad, sq, direction, result.step)
+        rgrad = project_to_tangent(point, euclidean_grads(point, ev, ctx))
         num_evals += 1
-        rgrad = project_to_tangent(point, ev.grads)
-        obj_trace.append(result.value)
+        obj_trace.append(ev.value)
         # Accepted steps that no longer move the objective mean the loop has
         # converged to line-search resolution.
-        if improvement < 1e-12 * max(1.0, abs(result.value)):
+        if improvement < 1e-12 * max(1.0, abs(ev.value)):
             tiny_steps += 1
             if tiny_steps >= 3:
                 break

@@ -62,6 +62,23 @@ def test_angle_ranges_validated():
         ArrayAngles(0.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "field, angles",
+    [
+        ("azimuth", (True, 0.0)),
+        ("elevation", (0.0, False)),
+        ("elevation", (0.0, np.bool_(True))),
+        ("azimuth", ("0.1", 0.0)),
+        ("azimuth", (0.1j, 0.0)),
+    ],
+)
+def test_angles_reject_non_real(field, angles):
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+        ArrayAngles(*angles)
+    ArrayAngles(np.int64(1), np.float32(0.5))
+    ArrayAngles(0, 1)
+
+
 def test_cascaded_flat_when_both_broadside():
     geom = MisGeometry(3, 2, 1, 1)
     scenario = Scenario(

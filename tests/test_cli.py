@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from misopt import cli
 from misopt.cli import main
 
 
@@ -230,6 +232,17 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
             assert code == 0
             outputs.append((out_dir / csv_name).read_bytes())
         assert outputs[0] == outputs[1], subcommand
+
+
+def test_default_jobs_counts_usable_cores(monkeypatch):
+    assert cli._DEFAULTS["jobs"] == cli._usable_cores()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli._usable_cores() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cores() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cores() == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

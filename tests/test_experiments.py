@@ -84,6 +84,22 @@ def test_arc_scenario_validation():
 
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("iota", {"iota": True}),
+        ("iota", {"iota": np.bool_(True)}),
+        ("iota", {"iota": "0.01"}),
+        ("azimuth", {"azimuth_lo": True}),
+        ("elevation", {"elevation": False}),
+    ],
+)
+def test_coverage_arc_rejects_non_real(field, kwargs):
+    with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+        CoverageArc(**kwargs)
+    CoverageArc(iota=np.float32(0.02), elevation=np.int64(1), azimuth_hi=1)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_arc_scenario_rejects_non_finite_iota(bad):
     with pytest.raises(ValueError, match="iota"):

@@ -145,6 +145,48 @@ def test_project_simplex_matches_qp_oracle():
         np.testing.assert_allclose(ours.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _simplex_reference(mat):
+    """Frozen copy of the original sort-and-threshold projection (negated
+    sort, two floors, a fresh divide); project_simplex must match its bits."""
+    mat = np.asarray(mat, dtype=float)
+    desc = -np.sort(-mat, axis=1)
+    csum = np.cumsum(desc, axis=1)
+    ranks = np.arange(1, mat.shape[1] + 1)
+    positive = desc - (csum - 1.0) / ranks > 0.0
+    last = mat.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    threshold = (csum[np.arange(mat.shape[0]), last] - 1.0) / (last + 1)
+    out = np.maximum(mat - threshold[:, None], 0.0)
+    out = np.maximum(out, SIMPLEX_FLOOR)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _simplex_cases(rng):
+    """Random matrices, matrices with ties, rows already on the simplex, rows
+    whose entries mostly fall below the threshold, and single columns."""
+    for _ in range(60):
+        rows, cols = int(rng.integers(1, 33)), int(rng.integers(1, 30))
+        yield rng.standard_normal((rows, cols)) * float(rng.uniform(0.01, 5.0))
+        yield rng.integers(-3, 4, size=(rows, cols)) / 4.0
+        on = rng.random((rows, cols)) + 1e-3
+        yield on / on.sum(axis=1, keepdims=True)
+        spiked = np.full((rows, cols), -1.0) + 1e-9 * rng.standard_normal((rows, cols))
+        spiked[:, 0] = 5.0
+        yield spiked
+        yield rng.standard_normal((rows, 1))
+
+
+def test_project_simplex_bits_match_reference():
+    rng = np.random.default_rng(41)
+    cases = list(_simplex_cases(rng))
+    assert len(cases) == 300
+    for mat in cases:
+        assert np.array_equal(project_simplex(mat), _simplex_reference(mat))
+        tangent = project_multinomial_tangent(rng.standard_normal(mat.shape))
+        assert np.array_equal(
+            retract_multinomial(mat, tangent, 0.3), _simplex_reference(mat + 0.3 * tangent)
+        )
+
+
 def test_retract_multinomial_interior_identity():
     mat = np.array([[0.25, 0.25, 0.5], [0.4, 0.3, 0.3]])
     out = retract_multinomial(mat, np.zeros_like(mat), 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from misopt import EvalContext, MisGeometry, ProductPoint, evaluate
 from misopt.checks import check_gradients, check_softmin_sandwich
-from misopt.objective import _softmin
+from misopt.objective import _softmin, euclidean_grads
 from misopt.oracle import snr_full_path
 from helpers import (
     dense_selection_oracle,
@@ -152,6 +152,35 @@ def test_egrad_single_user_schedule_row():
 def test_egrad_matches_finite_differences():
     result = check_gradients(9, 20)
     assert result.passed, result.detail
+
+
+def _grads_reference(point, mu, ctx):
+    """Frozen copy of the original one-call value-and-gradient formula (fresh
+    row index, ``take_along_axis`` gather): the gradients must keep its bits."""
+    equiv = np.ones((ctx.num_patterns, ctx.num_ms1), dtype=complex)
+    equiv[np.arange(ctx.num_patterns)[:, None], ctx.sel_index] = point.ms2_phase
+    amps = ctx.channels @ (equiv * point.ms1_phase[None, :]).T
+    gamma = ctx.iota[:, None] * (amps.real**2 + amps.imag**2)
+    _, weights = _softmin(np.einsum("ku,ku->k", point.schedule, gamma), mu)
+    coeff = (2.0 * ctx.iota * weights)[:, None] * point.schedule * amps
+    grad_ms1 = np.sum(np.conj(equiv) * (coeff.T @ np.conj(ctx.channels)), axis=0)
+    covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)
+    grad_ms2 = np.take_along_axis(covered, ctx.sel_index, axis=1).sum(axis=0)
+    return grad_ms1, grad_ms2, weights[:, None] * gamma
+
+
+def test_grads_from_reused_forward_pass_keep_their_bits():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        _, _, ctx, point = random_instance(rng)
+        mu = float(rng.uniform(1e-3, 2.0))
+        value_only = evaluate(point, mu, ctx)
+        assert value_only.grads is None
+        fresh = evaluate(point, mu, ctx, want_grad=True)
+        assert fresh.value == value_only.value
+        reused = euclidean_grads(point, value_only, ctx)
+        for a, b, c in zip(reused, fresh.grads, _grads_reference(point, mu, ctx)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_anneal_tightens_gap():

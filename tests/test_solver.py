@@ -12,6 +12,7 @@ from misopt import (
     SolverConfig,
     evaluate,
     solve,
+    solver,
 )
 from misopt.manifolds import (
     SIMPLEX_FLOOR,
@@ -22,6 +23,7 @@ from misopt.manifolds import (
     project_to_tangent,
     transport,
 )
+from misopt.objective import Evaluation
 from misopt.solver import (
     ARMIJO_C1,
     BACKTRACK_FACTOR,
@@ -33,6 +35,7 @@ from misopt.solver import (
     _conjugate,
     _report_at,
     _retract_point,
+    _rinner,
     inner_solve,
     line_search,
 )
@@ -48,10 +51,21 @@ def _uniform(num_users, num_patterns):
 # direction is g + beta * carried_dir.
 
 
+def _pr(g, g_old, carried_g, carried_dir):
+    """_conjugate's direction for one block, given the blocks whose squared
+    norms it takes; its slope must be the direction's inner product with g,
+    bit for bit."""
+    direction, slope = _conjugate(
+        g, _rinner(g, g), _rinner(g_old, g_old), carried_g, carried_dir
+    )
+    assert slope == _rinner(direction, g)
+    return direction
+
+
 def test_pr_beta_identical_gradients():
     g = np.array([1.0 + 2.0j, -0.5j])
     carried_dir = np.array([1.0 + 0j, 1.0j])
-    assert _conjugate(g, g, g, carried_dir) is g
+    assert _pr(g, g, g, carried_dir) is g
 
 
 def test_pr_beta_orthogonal_gradients():
@@ -59,7 +73,7 @@ def test_pr_beta_orthogonal_gradients():
     g_new = np.array([0.0 + 0j, 0.0 + 2.0j])
     carried_dir = np.array([1.0 + 0j, 0.0 + 0j])
     np.testing.assert_allclose(
-        _conjugate(g_new, g_old, g_old, carried_dir), [4.0, 2.0j], rtol=1e-12
+        _pr(g_new, g_old, g_old, carried_dir), [4.0, 2.0j], rtol=1e-12
     )
 
 
@@ -74,7 +88,7 @@ def test_pr_beta_matches_direct_formula_and_clamp():
             numer = np.real(np.vdot(g_new, g_new - carried))
             direct = float(numer / np.real(np.vdot(g_old, g_old)))
             # carrying g_new as the direction keeps every combination ascending
-            out = _conjugate(g_new, g_old, carried, g_new)
+            out = _pr(g_new, g_old, carried, g_new)
             np.testing.assert_allclose(
                 out, (1.0 + max(direct, 0.0)) * g_new, rtol=1e-12
             )
@@ -84,7 +98,7 @@ def test_pr_beta_matches_direct_formula_and_clamp():
 def test_pr_beta_guards_zero_denominator():
     g_new = np.ones(3, dtype=complex)
     zero = np.zeros(3, dtype=complex)
-    assert _conjugate(g_new, zero, zero, g_new) is g_new
+    assert _pr(g_new, zero, zero, g_new) is g_new
 
 
 def test_conjugate_direction_cases():
@@ -92,12 +106,12 @@ def test_conjugate_direction_cases():
     prev = np.array([0.5 + 0j, 0.25j])
     # g_old = g and carried_g = 0.7 g give beta = 0.3
     np.testing.assert_allclose(
-        _conjugate(g, g, 0.7 * g, prev), g + 0.3 * prev, atol=1e-15
+        _pr(g, g, 0.7 * g, prev), g + 0.3 * prev, atol=1e-15
     )
     # beta clamped to zero: steepest ascent
-    assert _conjugate(g, g, 2.0 * g, prev) is g
+    assert _pr(g, g, 2.0 * g, prev) is g
     # a previous direction opposing the gradient strongly forces a reset
-    assert _conjugate(g, g, 0.7 * g, -100.0 * g) is g
+    assert _pr(g, g, 0.7 * g, -100.0 * g) is g
 
 
 def _scaled(triple, factor):
@@ -123,7 +137,7 @@ def test_conjugate_direction_has_positive_slope(case):
         elif case == "zero-schedule":  # one pattern: the schedule gradient is 0
             g = g._replace(d_schedule=np.zeros_like(g.d_schedule))
         direction = TangentTriple(
-            *map(_conjugate, g, g_old, transport(point, g_old), transport(point, d_old))
+            *map(_pr, g, g_old, transport(point, g_old), transport(point, d_old))
         )
         assert inner(direction, g) > 0.0
         if case in ("beta-clamp", "ascent-reset"):
@@ -131,6 +145,65 @@ def test_conjugate_direction_has_positive_slope(case):
         conjugated += sum(d is not b for d, b in zip(direction, g))
     if case in ("random", "zero-schedule"):
         assert conjugated > 0
+
+
+def test_conjugate_block_slopes_sum_to_inner():
+    """inner_solve sums _conjugate's block slopes and the squared block norms
+    in block order; the sums keep the bits of inner and grad_norm."""
+    rng = np.random.default_rng(19)
+    conjugated = 0
+    for _ in range(40):
+        _, _, _, point = random_instance(rng)
+        g, g_old, d_old = (
+            project_to_tangent(point, random_ambient_triple(rng, point)) for _ in range(3)
+        )
+        sq, sq_old = ([_rinner(b, b) for b in t] for t in (g, g_old))
+        carried = transport(point, g_old), transport(point, d_old)
+        blocks, slopes = zip(*map(_conjugate, g, sq, sq_old, *carried))
+        assert 0.0 + slopes[0] + slopes[1] + slopes[2] == inner(TangentTriple(*blocks), g)
+        assert math.sqrt(0.0 + sq[0] + sq[1] + sq[2]) == grad_norm(g)
+        conjugated += sum(d is not b for d, b in zip(blocks, g))
+    assert conjugated > 0
+
+
+def test_inner_solve_reuses_accepted_forward_pass(monkeypatch):
+    """Every gradient inner_solve projects has the bits of a fresh
+    evaluate(..., want_grad=True) at its point, every line search gets the
+    slope inner(direction, rgrad) to the bit and the evaluation at its start,
+    and num_evals counts one evaluation per gradient."""
+    rng = np.random.default_rng(29)
+    searches, projections = [], []
+    real_search, real_project = solver.line_search, solver.project_to_tangent
+
+    def spy_search(point, direction, objective, slope, current, grad, step):
+        result = real_search(point, direction, objective, slope, current, grad, step)
+        searches.append((point, direction, slope, current, grad, result))
+        return result
+
+    def spy_project(point, grads):
+        projections.append((point, grads))
+        return real_project(point, grads)
+
+    monkeypatch.setattr(solver, "line_search", spy_search)
+    monkeypatch.setattr(solver, "project_to_tangent", spy_project)
+    conjugated = 0
+    for _ in range(6):
+        _, _, ctx, point = random_instance(rng)
+        mu = max(0.2 * float(evaluate(point, 1.0, ctx).user_snrs.mean()), 1e-3)
+        searches.clear()
+        projections.clear()
+        stage = inner_solve(point, mu, SolverConfig(max_inner_iters=40), ctx)
+        accepted = sum(not r.stalled for *_, r in searches)
+        assert len(projections) == 1 + accepted
+        assert stage.num_evals == len(projections) + sum(r.num_evals for *_, r in searches)
+        for p, grads in projections:
+            fresh = evaluate(p, mu, ctx, want_grad=True).grads
+            assert all(np.array_equal(a, b) for a, b in zip(grads, fresh))
+        for p, direction, slope, current, grad, _ in searches:
+            assert slope == inner(direction, grad)
+            assert current.value == evaluate(p, mu, ctx).value
+            conjugated += sum(d is not b for d, b in zip(direction, grad))
+    assert conjugated > 0
 
 
 def _exact_point():
@@ -150,6 +223,12 @@ def _zero_direction(point):
     )
 
 
+def _scored(value):
+    """An evaluation that carries only a surrogate value, for the synthetic
+    objectives of the line-search tests."""
+    return Evaluation(value, np.array([value]), np.ones(1), forward=None)
+
+
 def _schedule_move(point, d_schedule):
     """A tangent triple that moves only the schedule."""
     return TangentTriple(
@@ -163,10 +242,10 @@ def test_line_search_zero_direction_returns_initial_step():
 
     def objective(p):
         calls.append(1)
-        return 1.5
+        return _scored(1.5)
 
     zero = _zero_direction(point)
-    result = line_search(point, zero, objective, 0.0, 1.5, zero, 0.75)
+    result = line_search(point, zero, objective, 0.0, _scored(1.5), zero, 0.75)
     assert result.step == 0.75
     assert not result.stalled
     np.testing.assert_array_equal(result.point.ms1_phase, point.ms1_phase)
@@ -176,20 +255,20 @@ def test_line_search_zero_direction_returns_initial_step():
 def test_line_search_first_step_argument_overrides_config():
     point = _exact_point()
     zero = _zero_direction(point)
-    result = line_search(point, zero, lambda p: 1.5, 0.0, 1.5, zero, 0.25)
+    result = line_search(point, zero, lambda p: _scored(1.5), 0.0, _scored(1.5), zero, 0.25)
     assert result.step == 0.25 != INITIAL_STEP
     # the search backtracks from the given step, not from INITIAL_STEP
     direction = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
     grad = _schedule_move(point, np.array([[0.075, -0.075], [0.0, 0.0]]))
 
     def objective(p):
-        return -((p.schedule[0, 0] - 0.575) ** 2)
+        return _scored(-((p.schedule[0, 0] - 0.575) ** 2))
 
     slope = -2.0 * (0.5 - 0.575) * 0.25
-    value = objective(point)
-    result = line_search(point, direction, objective, slope, value, grad, 0.75)
+    current = objective(point)
+    result = line_search(point, direction, objective, slope, current, grad, 0.75)
     assert result.step == 0.375
-    result = line_search(point, direction, objective, slope, value, grad, 0.55)
+    result = line_search(point, direction, objective, slope, current, grad, 0.55)
     assert result.step == 0.55
     assert not result.stalled
 
@@ -202,7 +281,7 @@ def test_line_search_quadratic_toy():
     grad = _schedule_move(point, np.array([[0.075, -0.075], [0.0, 0.0]]))
 
     def objective(p):
-        return -((p.schedule[0, 0] - target) ** 2)
+        return _scored(-((p.schedule[0, 0] - target) ** 2))
 
     slope = -2.0 * (0.5 - target) * slope_dir  # h'(0) = 0.0375
     result = line_search(
@@ -213,7 +292,7 @@ def test_line_search_quadratic_toy():
     assert not result.stalled
     assert result.step <= boundary + 1e-12
     assert result.step > boundary * BACKTRACK_FACTOR - 1e-12
-    assert result.value == pytest.approx(objective(result.point))
+    assert result.evaluation.value == objective(result.point).value
 
 
 def test_line_search_armijo_holds_post_hoc():
@@ -225,11 +304,11 @@ def test_line_search_armijo_holds_post_hoc():
     slope = grad_norm(rgrad) ** 2
 
     def objective(p):
-        return evaluate(p, mu, ctx).value
+        return evaluate(p, mu, ctx)
 
-    result = line_search(point, rgrad, objective, slope, ev.value, rgrad, INITIAL_STEP)
+    result = line_search(point, rgrad, objective, slope, ev, rgrad, INITIAL_STEP)
     assert not result.stalled
-    assert result.value >= ev.value + ARMIJO_C1 * result.step * slope
+    assert result.evaluation.value >= ev.value + ARMIJO_C1 * result.step * slope
     # the accepted step sits on the tested geometric grid
     j = round(math.log(result.step / INITIAL_STEP, BACKTRACK_FACTOR))
     assert result.step == pytest.approx(INITIAL_STEP * BACKTRACK_FACTOR**j, rel=1e-12)
@@ -240,7 +319,7 @@ def test_line_search_stall_returns_zero_step():
     direction = grad = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
 
     def objective(p):
-        return -((p.schedule[0, 0] - 0.5) ** 2)  # already at the maximum
+        return _scored(-((p.schedule[0, 0] - 0.5) ** 2))  # already at the maximum
 
     result = line_search(
         point, direction, objective, 1.0, objective(point), grad, INITIAL_STEP
@@ -257,16 +336,17 @@ def test_line_search_stops_below_float_resolution():
 
     def objective(p):
         calls.append(1)
-        return 1e6
+        return _scored(1e6)
 
     slope = 1e-8
     assert ARMIJO_C1 * INITIAL_STEP * slope <= np.spacing(1e6)
-    result = line_search(point, direction, objective, slope, 1e6, grad, INITIAL_STEP)
+    current = _scored(1e6)
+    result = line_search(point, direction, objective, slope, current, grad, INITIAL_STEP)
     assert result.stalled
     assert result.step == 0.0
     assert result.num_evals == 0
     assert result.point is point
-    assert result.value == 1e6
+    assert result.evaluation is current
     assert calls == []
 
 
@@ -301,20 +381,20 @@ def test_line_search_blocked_schedule_stalls_after_one_evaluation():
 
     def objective(p):
         calls.append(1)
-        return float(np.sum(direction.d_schedule * p.schedule))
+        return _scored(float(np.sum(direction.d_schedule * p.schedule)))
 
-    value = objective(point)
+    current = objective(point)
     calls.clear()
-    result = line_search(point, direction, objective, slope, value, grad, INITIAL_STEP)
+    result = line_search(point, direction, objective, slope, current, grad, INITIAL_STEP)
     assert result.stalled
     assert result.step == 0.0
     assert result.point is point
-    assert result.value == value
+    assert result.evaluation is current
     assert result.num_evals == 1
     assert calls == [1]
     # without the cone stop the search backtracks down to the floor's scale
     plain = line_search(
-        point, direction, objective, slope, value, _unblocked(grad), INITIAL_STEP
+        point, direction, objective, slope, current, _unblocked(grad), INITIAL_STEP
     )
     assert plain.num_evals > 30
 
@@ -324,10 +404,11 @@ def test_line_search_passing_first_candidate_ignores_reach():
     direction, grad, slope = _blocked_search(point)
 
     def objective(p):
-        return 10.0
+        return _scored(10.0)
 
-    with_grad = line_search(point, direction, objective, slope, 0.0, grad, 0.75)
-    plain = line_search(point, direction, objective, slope, 0.0, _unblocked(grad), 0.75)
+    zero = _scored(0.0)
+    with_grad = line_search(point, direction, objective, slope, zero, grad, 0.75)
+    plain = line_search(point, direction, objective, slope, zero, _unblocked(grad), 0.75)
     assert not with_grad.stalled
     assert with_grad.step == plain.step == 0.75
     assert with_grad.num_evals == plain.num_evals == 1
@@ -345,7 +426,7 @@ def _plain_armijo(point, direction, objective, slope, value, step):
             step *= BACKTRACK_FACTOR
             continue
         evals += 1
-        if objective(candidate) >= value + ARMIJO_C1 * step * slope:
+        if objective(candidate).value >= value + ARMIJO_C1 * step * slope:
             return step, evals
         step *= BACKTRACK_FACTOR
     return 0.0, evals
@@ -361,12 +442,10 @@ def test_line_search_resolvable_threshold_accepts_same_step(seed):
     slope = grad_norm(rgrad) ** 2
 
     def objective(p):
-        return evaluate(p, mu, ctx).value
+        return evaluate(p, mu, ctx)
 
     for initial_step in (INITIAL_STEP, 1e-3):
-        result = line_search(
-            point, rgrad, objective, slope, ev.value, rgrad, initial_step
-        )
+        result = line_search(point, rgrad, objective, slope, ev, rgrad, initial_step)
         step, evals = _plain_armijo(
             point, rgrad, objective, slope, ev.value, initial_step
         )
@@ -382,7 +461,10 @@ def test_line_search_rejects_non_finite_value(bad):
     direction = _zero_direction(point)
     assert not issubclass(NonFiniteObjectiveError, ValueError)
     with pytest.raises(NonFiniteObjectiveError):
-        line_search(point, direction, lambda p: 0.0, 1.0, bad, direction, INITIAL_STEP)
+        line_search(
+            point, direction, lambda p: _scored(0.0), 1.0, _scored(bad), direction,
+            INITIAL_STEP,
+        )
 
 
 def _report_with(worst):
