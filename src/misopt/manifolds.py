@@ -66,7 +66,7 @@ def _circle_tangent(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def project_multinomial_tangent(mat: np.ndarray) -> np.ndarray:
     """Subtract each row's mean so every row sums to zero."""
     mat = np.asarray(mat, dtype=float)
-    return mat - mat.mean(axis=1, keepdims=True)
+    return mat - mat.sum(axis=1, keepdims=True) / mat.shape[1]
 
 
 def project_schedule_cone(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -89,6 +89,11 @@ class EvalContext:
         """The row index ``arange(U)[:, None]`` that pairs with ``sel_index``."""
         return np.arange(self.num_patterns)[:, None]
 
+    @cached_property
+    def _conj_channels(self) -> np.ndarray:
+        """``conj(channels)``, read by every gradient."""
+        return np.conj(self.channels)
+
     @property
     def num_users(self) -> int:
         return self.channels.shape[0]
@@ -158,7 +163,7 @@ def euclidean_grads(point: ProductPoint, ev: Evaluation, ctx: EvalContext) -> tu
     equiv, amps, gamma = ev.forward
     coeff = (2.0 * ctx.iota * ev.weights)[:, None] * point.schedule * amps
     # d f / d ms1_phase[m] = sum_{k,u} coeff[k,u] * conj(equiv[u,m] * c[k,m])
-    by_pattern = coeff.T @ np.conj(ctx.channels)
+    by_pattern = coeff.T @ ctx._conj_channels
     grad_ms1 = np.sum(np.conj(equiv) * by_pattern, axis=0)
     # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c).
     covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)

@@ -14,11 +14,17 @@ worst-case SNR and the (user, pattern) SNR table it was read from.  Every
 start, random or warm, begins from the uniform schedule, so a warm start is
 just a pair of phase profiles.
 
+A solve anneals several starts (the random restarts, then the warm start)
+and races them: once there are at least two, each runs :data:`RACE_STAGE`
+stages, the better half by true worst-case SNR (ties to the earliest, and
+every anneal that has already finished) runs on to the end, and the rest
+are dropped.  This is successive halving with one barrier.
+
 The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
-:data:`INNER_GRAD_TOL`) and the step rule (:data:`ARMIJO_C1`,
-:data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP`, :data:`MAX_BACKTRACKS`) are
-module constants, not options; the first smoothing parameter comes from the
-spread of the initial per-user SNRs.
+:data:`INNER_GRAD_TOL`), the race barrier (:data:`RACE_STAGE`) and the step
+rule (:data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP`,
+:data:`MAX_BACKTRACKS`) are module constants, not options; the first
+smoothing parameter comes from the spread of the initial per-user SNRs.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ DELTA = 2.0
 MU_MIN_RATIO = 1e-6
 MU_GAP_RTOL = 1e-4
 INNER_GRAD_TOL = 1e-6
+# With two or more anneals in one solve, each runs RACE_STAGE stages before
+# the worse half is dropped.
+RACE_STAGE = 4
 # A line search tries INITIAL_STEP (or less) first, tests Armijo with ARMIJO_C1,
 # multiplies the step by BACKTRACK_FACTOR per rejected candidate and gives up
 # after MAX_BACKTRACKS rejections.
@@ -79,7 +88,7 @@ class SolverConfig:
     """The values callers vary: the iteration caps, the seed and the restart
     count.  The rest of the algorithm is the module constants :data:`DELTA`,
     :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`, :data:`INNER_GRAD_TOL`,
-    :data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP` and
+    :data:`RACE_STAGE`, :data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP` and
     :data:`MAX_BACKTRACKS`.  Fields take Python or numpy integers only; a
     float or a bool is rejected, never truncated."""
 
@@ -327,42 +336,82 @@ def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveRepor
     )
 
 
-def _anneal_from(
-    start: ProductPoint, ctx: EvalContext, config: SolverConfig, origin: str
-) -> SolveReport:
-    """Full anneal: inner conjugate-gradient solves over a shrinking mu."""
-    point = start
-    snr0 = np.einsum(
-        "ku,ku->k",
-        point.schedule,
-        ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase),
-    )
-    spread = float(snr0.max() - snr0.min())
-    mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
-    mu_min = MU_MIN_RATIO * mu
-    log_k = math.log(ctx.num_users)
+class _Anneal:
+    """One anneal from a start: inner conjugate-gradient solves over a
+    shrinking mu, resumable at a stage boundary.
 
-    obj_trace: list[np.ndarray] = []
-    mu_schedule: list[float] = []
-    num_evals = 0
-    for _ in range(config.max_outer_iters):
-        stage = inner_solve(point, mu, config, ctx)
-        point = stage.point
-        obj_trace.append(stage.objective_trace)
-        mu_schedule.append(mu)
-        num_evals += stage.num_evals
-        current_min = float(stage.evaluation.user_snrs.min())
-        if mu <= mu_min:
-            break
-        if mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30):
-            break
-        mu /= DELTA
+    Its state is the current point, the next stage's ``mu``, the stages run
+    so far with their objective traces and smoothing parameters, and the
+    evaluation count.  :meth:`run` advances it; running it in legs gives the
+    same :meth:`report`, bit for bit, as running it in one.
+    """
 
-    report = _report_at(point, ctx, origin)
-    report.objective_trace = obj_trace
-    report.mu_schedule = mu_schedule
-    report.num_evals = num_evals
-    return report
+    def __init__(
+        self, start: ProductPoint, ctx: EvalContext, config: SolverConfig, origin: str
+    ):
+        snr0 = np.einsum(
+            "ku,ku->k",
+            start.schedule,
+            ctx.pattern_snr_table(start.ms1_phase, start.ms2_phase),
+        )
+        spread = float(snr0.max() - snr0.min())
+        self.mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
+        self._mu_min = MU_MIN_RATIO * self.mu
+        self.point, self.ctx, self.config, self.origin = start, ctx, config, origin
+        self.objective_trace: list[np.ndarray] = []
+        self.mu_schedule: list[float] = []
+        self.num_evals = 0
+        self.done = False
+
+    @property
+    def stage(self) -> int:
+        return len(self.mu_schedule)
+
+    def run(self, stages: int | None = None) -> "_Anneal":
+        """Advance ``stages`` more stages, or to the end when None; stop early
+        once the anneal is done."""
+        log_k = math.log(self.ctx.num_users)
+        limit = self.config.max_outer_iters
+        if stages is not None:
+            limit = min(limit, self.stage + stages)
+        while not self.done and self.stage < limit:
+            stage = inner_solve(self.point, self.mu, self.config, self.ctx)
+            self.point = stage.point
+            self.objective_trace.append(stage.objective_trace)
+            self.mu_schedule.append(self.mu)
+            self.num_evals += stage.num_evals
+            current_min = float(stage.evaluation.user_snrs.min())
+            self.done = (
+                self.mu <= self._mu_min
+                or self.mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30)
+                or self.stage >= self.config.max_outer_iters
+            )
+            if not self.done:
+                self.mu /= DELTA
+        return self
+
+    def score(self) -> float:
+        """The true worst-case SNR at the current phases, each user on its
+        best pattern, as :func:`_report_at` computes it; -inf if not finite."""
+        worst = _report_at(self.point, self.ctx, self.origin).worst_snr
+        return worst if math.isfinite(worst) else -math.inf
+
+    def report(self) -> SolveReport:
+        report = _report_at(self.point, self.ctx, self.origin)
+        report.objective_trace = self.objective_trace
+        report.mu_schedule = self.mu_schedule
+        report.num_evals = self.num_evals
+        return report
+
+
+def _race(anneals: list) -> list:
+    """The anneals that survive the barrier: the top ``ceil(n / 2)`` by
+    :meth:`_Anneal.score`, ties to the earliest, plus every finished one;
+    in their original order."""
+    ranked = sorted(range(len(anneals)), key=lambda i: (-anneals[i].score(), i))
+    keep = set(ranked[: -(-len(anneals) // 2)])
+    keep.update(i for i, anneal in enumerate(anneals) if anneal.done)
+    return [anneal for i, anneal in enumerate(anneals) if i in keep]
 
 
 def _better(candidate: SolveReport, incumbent: SolveReport | None) -> bool:
@@ -389,7 +438,11 @@ def solve(
     the warm start), that competes twice after the restarts: once evaluated
     as-is (its phases with each user's best pattern, no optimization) and
     once as the start of a full anneal.  Every start begins from the
-    uniform schedule.  Ties keep the earliest candidate, so results are
+    uniform schedule.  With two or more anneals they race: after
+    :data:`RACE_STAGE` stages only the better half runs on (see
+    :func:`_race`); the warm start as-is always competes, so a warm-started
+    solve never reports below it.  Ties keep the earliest candidate (restarts,
+    then the warm start as-is, then annealed), so results are
     seed-deterministic.
     """
     ctx = EvalContext.from_scenario(scenario)
@@ -409,7 +462,7 @@ def solve(
         except (TypeError, ValueError) as exc:
             raise ValueError(f"warm start: {exc}") from exc
 
-    best: SolveReport | None = None
+    anneals = []
     for restart in range(config.num_restarts):
         rng = np.random.default_rng([config.rng_seed, restart])
         start = ProductPoint(
@@ -417,14 +470,19 @@ def solve(
             ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
             schedule=uniform,
         )
-        report = _anneal_from(start, ctx, config, origin=f"restart-{restart}")
-        if _better(report, best):
-            best = report
+        anneals.append(_Anneal(start, ctx, config, origin=f"restart-{restart}"))
     if warm_point is not None:
-        direct = _report_at(warm_point, ctx, origin="warm-direct")
-        if _better(direct, best):
-            best = direct
-        report = _anneal_from(warm_point, ctx, config, origin="warm-annealed")
+        anneals.append(_Anneal(warm_point, ctx, config, origin="warm-annealed"))
+    if len(anneals) >= 2:
+        anneals = _race([anneal.run(RACE_STAGE) for anneal in anneals])
+
+    reports = [anneal.run().report() for anneal in anneals]
+    if warm_point is not None:
+        reports.append(_report_at(warm_point, ctx, origin="warm-direct"))
+    # Restarts, then warm-direct, then warm-annealed; ties keep the earliest.
+    reports.sort(key=lambda report: report.origin == "warm-annealed")
+    best: SolveReport | None = None
+    for report in reports:
         if _better(report, best):
             best = report
     return best

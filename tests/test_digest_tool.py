@@ -58,3 +58,61 @@ def test_repeat_fails_when_a_rerun_differs(tool, monkeypatch, capsys):
 def test_repeat_must_be_positive(tool):
     with pytest.raises(SystemExit):
         tool.main(["--repeat", "0"])
+
+
+def _fake_csv_runs(tool, monkeypatch, columns):
+    """Replace the CLI runs: tree ``t`` writes a CSV with ``columns[t]``, a
+    mapping of column name to cell values; returns the commands run."""
+    commands = []
+
+    def run(src, command, cwd):
+        commands.append(command)
+        (name, values), = columns[Path(src).name].items()
+        out = Path(cwd) / "out"
+        out.mkdir()
+        rows = [f"geometry,{name}"] + [f"g{i},{v!r}" for i, v in enumerate(values)]
+        (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+        return ("x",) * 3, 1.0, 1.0
+
+    monkeypatch.setattr(tool, "_run", run)
+    return commands
+
+
+@pytest.mark.parametrize("column", ["mis_snr", "worst_snr", "snr"])
+def test_two_trees_report_per_cell_ratios(tool, monkeypatch, capsys, column):
+    _fake_csv_runs(
+        tool,
+        monkeypatch,
+        {"a": {column: [2.0, 4.0, 1.0]}, "b": {column: [2.0, 1.0, 4.0]}},
+    )
+    assert tool.main(["--src", "a", "--src", "b"]) == 0
+    # ratios 1, 0.25 and 4: min 0.25, geometric mean 1, one cell below 1 - 1e-4
+    assert "| `solve --seed 7` | 3 | 0.250000 | 1.000000 | 1 |" in capsys.readouterr().out
+
+
+def test_ratio_cells_below_count_uses_the_relative_tolerance(tool, monkeypatch, capsys):
+    _fake_csv_runs(
+        tool,
+        monkeypatch,
+        {"a": {"mis_snr": [1.0, 1.0, 1.0]}, "b": {"mis_snr": [1.0, 1 - 5e-5, 1 - 2e-4]}},
+    )
+    assert tool.main(["--src", "a", "--src", "b"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if "| 3 |" in line)
+    assert row.endswith("| 1 |")
+
+
+def test_ratios_need_an_snr_column_and_two_trees(tool, monkeypatch, capsys):
+    _fake_csv_runs(tool, monkeypatch, {"a": {"gain": [1.0]}, "b": {"gain": [2.0]}})
+    assert tool.main(["--src", "a", "--src", "b"]) == 0
+    assert "| `solve --seed 7` | n/a | n/a | n/a | n/a |" in capsys.readouterr().out
+    _fake_csv_runs(tool, monkeypatch, {"a": {"snr": [1.0]}})
+    assert tool.main(["--src", "a"]) == 0
+    assert "Min B/A" not in capsys.readouterr().out
+
+
+def test_seed_replaces_the_default_seed_in_every_command(tool, monkeypatch, capsys):
+    monkeypatch.setattr(tool, "COMMANDS", ("solve --seed 7", "case-study --figure 6 --seed 7"))
+    commands = _fake_csv_runs(tool, monkeypatch, {"a": {"snr": [1.0]}})
+    assert tool.main(["--src", "a", "--seed", "1009"]) == 0
+    assert commands == ["solve --seed 1009", "case-study --figure 6 --seed 1009"]
+    assert "| `case-study --figure 6 --seed 1009` | csv | `x` |" in capsys.readouterr().out

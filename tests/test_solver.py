@@ -703,3 +703,164 @@ def test_solve_validates_warm_starts():
         with pytest.raises(ValueError, match="warm start: "):
             solve(scenario, config, warm=not_a_pair)
     solve(scenario, config, warm=good)
+
+
+# The race: a resumable anneal, a barrier after RACE_STAGE stages, and the
+# candidates picked in the order restarts, warm-direct, warm-annealed.
+
+
+def _three_user_scenario():
+    # A 3x3 fixed layer over a 2x2 movable one: four patterns, anneals that
+    # outlast the barrier.
+    return Scenario(
+        geom=MisGeometry(3, 3, 2, 2),
+        mis_arrival=ArrayAngles(0.59, 1.13),
+        users=[
+            (ArrayAngles(0.08, 0.31), 0.04),
+            (ArrayAngles(2.31, 0.5), 0.028),
+            (ArrayAngles(-1.2, 0.7), 0.03),
+        ],
+    )
+
+
+def _random_start(ctx, seed, restart=0):
+    rng = np.random.default_rng([seed, restart])
+    return ProductPoint(
+        ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
+        ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
+        schedule=_uniform(ctx.num_users, ctx.num_patterns),
+    )
+
+
+def _frozen_anneal(start, ctx, config):
+    """The single uninterrupted anneal as it stood before the race, frozen:
+    (point, objective traces, mu schedule, evaluations)."""
+    point = start
+    snr0 = np.einsum(
+        "ku,ku->k", point.schedule, ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
+    )
+    mu = float(snr0.max() - snr0.min()) + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
+    mu_min = solver.MU_MIN_RATIO * mu
+    traces, mus, evals = [], [], 0
+    for _ in range(config.max_outer_iters):
+        stage = inner_solve(point, mu, config, ctx)
+        point = stage.point
+        traces.append(stage.objective_trace)
+        mus.append(mu)
+        evals += stage.num_evals
+        current_min = float(stage.evaluation.user_snrs.min())
+        if mu <= mu_min:
+            break
+        if mu * math.log(ctx.num_users) < solver.MU_GAP_RTOL * max(current_min, 1e-30):
+            break
+        mu /= solver.DELTA
+    return point, traces, mus, evals
+
+
+def _assert_same_report(a, b):
+    for name in ("ms1_phase", "ms2_phase", "per_user_snr", "chosen_pattern", "snr_table"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.worst_snr == b.worst_snr
+    assert len(a.objective_trace) == len(b.objective_trace)
+    for seg_a, seg_b in zip(a.objective_trace, b.objective_trace):
+        assert np.array_equal(seg_a, seg_b)
+    assert np.array_equal(a.mu_schedule, b.mu_schedule)
+    assert a.num_evals == b.num_evals
+    assert a.origin == b.origin
+
+
+@pytest.mark.parametrize(
+    "outer, legs", [(40, (1, 2, None)), (40, (3, 3, 3, None)), (5, (2, 7))]
+)
+def test_anneal_resumed_in_legs_matches_one_run(outer, legs):
+    ctx = EvalContext.from_scenario(_three_user_scenario())
+    config = SolverConfig(max_inner_iters=20, max_outer_iters=outer)
+    start = _random_start(ctx, seed=3)
+    whole = solver._Anneal(start, ctx, config, "restart-0").run()
+    resumed = solver._Anneal(start, ctx, config, "restart-0")
+    for leg in legs:
+        before = resumed.stage
+        resumed.run(leg)
+        if leg is not None and not resumed.done:
+            assert resumed.stage == before + leg
+    assert resumed.done and whole.done
+    assert whole.stage > 3
+    _assert_same_report(resumed.report(), whole.report())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_candidate_solve_is_the_uninterrupted_anneal(seed):
+    scenario = _three_user_scenario()
+    ctx = EvalContext.from_scenario(scenario)
+    config = SolverConfig(rng_seed=seed, max_inner_iters=30)
+    point, traces, mus, evals = _frozen_anneal(_random_start(ctx, seed), ctx, config)
+    expected = _report_at(point, ctx, origin="restart-0")
+    expected.objective_trace, expected.mu_schedule, expected.num_evals = traces, mus, evals
+    assert len(mus) > solver.RACE_STAGE
+    _assert_same_report(solve(scenario, config), expected)
+
+
+class _Runner:
+    """A stand-in for an anneal at the barrier: a fixed score and done flag."""
+
+    def __init__(self, score, done=False):
+        self._score, self.done = score, done
+
+    def score(self):
+        return self._score
+
+
+@pytest.mark.parametrize(
+    "scores, done, kept",
+    [
+        ((1.0, 3.0, 2.0, 0.0), (), (1, 2)),  # the lower half goes
+        ((5.0, 1.0, 4.0), (), (0, 2)),  # ceil(3 / 2) survive
+        ((2.0, 1.0, 2.0, 2.0), (), (0, 2)),  # ties keep the earliest
+        ((1.0, 1.0), (), (0,)),
+        ((3.0, 2.0, 1.0, 0.0), (3,), (0, 1, 3)),  # a finished anneal stays
+        ((0.0, 1.0), (0,), (0, 1)),
+        ((-math.inf, 1.0, 0.5), (), (1, 2)),
+    ],
+)
+def test_race_keeps_the_better_half_and_finished_anneals(scores, done, kept):
+    runners = [_Runner(score, i in done) for i, score in enumerate(scores)]
+    survivors = solver._race(runners)
+    assert [runners.index(r) for r in survivors] == list(kept)
+
+
+def test_anneal_score_is_the_reported_worst_snr_and_ranks_nan_last():
+    ctx = EvalContext.from_scenario(_three_user_scenario())
+    anneal = solver._Anneal(_random_start(ctx, seed=1), ctx, SolverConfig(), "restart-0")
+    anneal.run(2)
+    assert anneal.score() == anneal.report().worst_snr
+    nan_phase = np.full(ctx.num_ms1, np.nan + 0j)
+    anneal.point = ProductPoint(nan_phase, anneal.point.ms2_phase, anneal.point.schedule)
+    assert anneal.score() == -math.inf
+
+
+def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
+    scenario = _three_user_scenario()
+    ctx = EvalContext.from_scenario(scenario)
+    strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=2))
+    floor = float(ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase).max(axis=1).min())
+    # a weak restart, and a warm anneal that scores lowest at the barrier
+    config = SolverConfig(rng_seed=9, max_inner_iters=2, max_outer_iters=6)
+    score = solver._Anneal.score
+    monkeypatch.setattr(
+        solver._Anneal,
+        "score",
+        lambda self: -math.inf if self.origin == "warm-annealed" else score(self),
+    )
+    survivors = []
+    race = solver._race
+
+    def recorded_race(anneals):
+        survivors.extend(race(anneals))
+        return survivors
+
+    monkeypatch.setattr(solver, "_race", recorded_race)
+    report = solve(scenario, config, warm=(strong.ms1_phase, strong.ms2_phase))
+    assert [anneal.origin for anneal in survivors] == ["restart-0"]
+    assert solve(scenario, config).worst_snr < floor
+    assert report.origin == "warm-direct"
+    assert report.worst_snr == floor

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/csv_digests.py [--src SRC_DIR [--src SRC_DIR]] [--repeat N]
+    python tools/csv_digests.py [--src SRC_DIR [--src SRC_DIR]] [--repeat N] [--seed N]
 
 Runs each command of :data:`COMMANDS` as ``python -m misopt.cli`` with
 ``--jobs 2 --out out``, importing ``misopt`` from each ``--src`` tree in turn
@@ -13,7 +13,14 @@ command it prints three markdown table rows, one per output: the CSV, its
 JSON manifest and the command's stdout, with the first 16 hex digits of
 their sha256, one column per tree.  Given two trees (the parent checkout's
 and a change's, or one tree twice to check that reruns agree), it exits 1
-when any digest differs.  Exits 1 if a command fails.
+when any digest differs.  Exits 1 if a command fails.  ``--seed N`` replaces
+``--seed 7`` in every command, so held-out seeds can be checked.
+
+Given two trees A and B, it also prints per command the per-cell SNR ratio
+B/A from the first run of each: the CSV's ``mis_snr``, ``worst_snr`` or
+``snr`` column, one cell per row.  It gives the number of cells, the minimum
+and geometric mean of the ratios and the number of cells below
+``1 - BELOW_RTOL``; these never change the exit code.
 
 ``--repeat N`` (default 1) runs each command N times per tree, alternating
 which tree goes first, and exits 1 when any repeat's digests differ.  With
@@ -28,6 +35,7 @@ The digests are compared on one host only: the SNR tables come from BLAS
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import hashlib
 import os
@@ -48,6 +56,9 @@ COMMANDS = (
     "case-study --figure 7 --seed 7",
 )
 OUTPUTS = ("csv", "manifest", "stdout")
+# The per-cell SNR column, the first of these the CSV has.
+SNR_COLUMNS = ("mis_snr", "worst_snr", "snr")
+BELOW_RTOL = 1e-4
 
 
 def _short(data: bytes) -> str:
@@ -82,6 +93,29 @@ def _run(src: str, command: str, cwd: str) -> tuple:
     return (*files, _short(proc.stdout)), wall, cpu
 
 
+def _cell_snrs(cwd: str) -> list | None:
+    """The per-cell SNRs of the CSV a run wrote in ``cwd``, or None when it
+    wrote no CSV with an SNR column."""
+    names = glob.glob(os.path.join(cwd, "out", "*.csv"))
+    if len(names) != 1:
+        return None
+    with open(names[0], newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        column = next((c for c in SNR_COLUMNS if c in (reader.fieldnames or ())), None)
+        return None if column is None else [float(row[column]) for row in reader]
+
+
+def _ratios(a: list | None, b: list | None) -> str:
+    """One markdown row tail: cells, min and geometric mean of B/A, cells
+    below ``1 - BELOW_RTOL``."""
+    if a is None or b is None or len(a) != len(b) or not a:
+        return "n/a | n/a | n/a | n/a"
+    ratios = [y / x for x, y in zip(a, b)]
+    below = sum(r < 1 - BELOW_RTOL for r in ratios)
+    geomean = statistics.geometric_mean(ratios)
+    return f"{len(ratios)} | {min(ratios):.6f} | {geomean:.6f} | {below}"
+
+
 def _spread(values: list) -> str:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{statistics.median(values):.3f} [{q1:.3f}, {q3:.3f}]"
@@ -103,6 +137,12 @@ def main(argv=None) -> int:
         help="runs of each command per tree, alternating which tree goes "
         "first; with more than one, also print wall and CPU spreads (default 1)",
     )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="seed that replaces --seed 7 in every command (default 7)",
+    )
     args = parser.parse_args(argv)
     trees = args.src or [os.path.join(here, os.pardir, "src")]
     if len(trees) > 2:
@@ -113,9 +153,10 @@ def main(argv=None) -> int:
     print("| Command | Output | " + " | ".join(trees) + " |")
     print("| --- | --- |" + " --- |" * len(trees))
     failed = differ = False
-    timings = []
+    timings, ratio_rows = [], []
+    commands = [c.replace("--seed 7", f"--seed {args.seed}") for c in COMMANDS]
     with tempfile.TemporaryDirectory() as tmp:
-        for i, command in enumerate(COMMANDS):
+        for i, command in enumerate(commands):
             # runs[j][r] is (digests, wall, cpu) of tree j's repeat r.
             runs = [[] for _ in trees]
             for r in range(args.repeat):
@@ -124,6 +165,9 @@ def main(argv=None) -> int:
                     cwd = os.path.join(tmp, f"{i}-{j}-{r}")
                     os.mkdir(cwd)
                     runs[j].append(_run(os.path.abspath(trees[j]), command, cwd))
+            if len(trees) == 2:
+                first = (_cell_snrs(os.path.join(tmp, f"{i}-{j}-0")) for j in (0, 1))
+                ratio_rows.append((command, _ratios(*first)))
             failed |= any(run[0] is None for tree_runs in runs for run in tree_runs)
             for k, output in enumerate(OUTPUTS):
                 per_tree = [
@@ -134,6 +178,11 @@ def main(argv=None) -> int:
                 cells = " | ".join(" / ".join(f"`{d}`" for d in seen) for seen in per_tree)
                 print(f"| `{command}` | {output} | {cells} |")
             timings += [(command, src, tree_runs) for src, tree_runs in zip(trees, runs)]
+    if ratio_rows:
+        print(f"\n| Command | Cells | Min B/A | Geomean B/A | Below 1 - {BELOW_RTOL:g} |")
+        print("| --- | --- | --- | --- | --- |")
+        for command, row in ratio_rows:
+            print(f"| `{command}` | {row} |")
     if args.repeat > 1:
         print("\n| Command | Tree | Wall s, median [q1, q3] | CPU s, median [q1, q3] |")
         print("| --- | --- | --- | --- |")
