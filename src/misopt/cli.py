@@ -2,15 +2,15 @@
 
 Configuration is a flat JSON document; command-line flags override file
 values, unknown keys are rejected by name.  One table, :data:`_SUBCOMMANDS`,
-lists each subcommand's config keys with their flags (the solver keys are
-config-file only); the check suites take only ``seed``.  The CLI is the only
-code that turns configuration into inputs: every command first builds the
-scenario specs and solver configuration it hands on and creates the output
-directory, and only then solves and writes: its CSV results plus a JSON
-manifest (config echo, seed, tool version, digest of the CSV bytes) into the
-output directory, printing SNR figures in both linear and dB form.  Exit
-codes: 0 success, 1 when the configuration, an input built from it or the
-output directory is invalid, 2 for any failure after that.
+lists each subcommand's config keys with their flags; the check suites take
+only ``seed``.  The CLI is the only code that turns configuration into
+inputs: every command first builds the scenario specs and solver
+configuration it hands on and creates the output directory, and only then
+solves and writes: its CSV results plus a JSON manifest (config echo, seed,
+tool version, digest of the CSV bytes) into the output directory, printing
+SNR figures in both linear and dB form.  Exit codes: 0 success, 1 when the
+configuration, an input built from it or the output directory is invalid, 2
+for any failure after that.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = ["main", "entrypoint"]
 class ConfigError(ValueError):
     """Invalid run configuration (bad key, bad value, or bad combination)."""
 
-
-# Config keys passed to SolverConfig under their own names (config file only).
-_SOLVER_KEYS = ("max_inner_iters", "max_outer_iters")
 
 # The layout of each case-study figure: a 2x1 fixed layer over a single
 # movable element (two patterns) and a 2x2 one (four patterns).
@@ -116,15 +113,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    kwargs = {
-        "rng_seed": cfg["seed"],
-        "num_restarts": _int_key(cfg, "restarts"),
-    }
-    for key in _SOLVER_KEYS:
-        if key in cfg:
-            kwargs[key] = cfg[key]
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(rng_seed=cfg["seed"], num_restarts=_int_key(cfg, "restarts"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver configuration: {exc}")
 
@@ -342,14 +332,12 @@ def _cmd_oracle_check(cfg: dict):
 
 _INT = {"type": int}
 _FLOAT = {"type": float}
-# The keys of every solving subcommand, each with its argparse flag arguments;
-# the solver keys (None) are config-file keys with no flag.
+# The keys of every solving subcommand, each with its argparse flag arguments.
 _RUN_KEYS = {
     "seed": _INT,
     "restarts": _INT,
     "jobs": _INT,
     "out": {"help": "output directory (created if missing)"},
-    **dict.fromkeys(_SOLVER_KEYS),
     **dict.fromkeys(("az_lo_deg", "az_hi_deg", "elev_deg", "iota"), _FLOAT),
 }
 # Subcommand: (help, builder, its config keys beyond ``subcommand``).
@@ -404,8 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
         for key, kwargs in keys.items():
-            if kwargs is not None:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
     return parser
 
 

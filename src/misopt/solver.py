@@ -14,11 +14,13 @@ worst-case SNR and the (user, pattern) SNR table it was read from.  Every
 start, random or warm, begins from the uniform schedule, so a warm start is
 just a pair of phase profiles.
 
-A solve anneals several starts (the random restarts, then the warm start)
-and races them: once there are at least two, each runs :data:`RACE_STAGE`
-stages, the better half by true worst-case SNR (ties to the earliest, and
-every anneal that has already finished) runs on to the end, and the rest
-are dropped.  This is successive halving with one barrier.
+A solve anneals its starts (the random restarts, then the warm start) and
+races them: each runs :data:`RACE_STAGE` stages, the better half (ties to
+the earliest, and every anneal that has already finished) runs on to the
+end, and the rest are dropped.  This is successive halving with one
+barrier; a lone anneal keeps itself.  One rule, :func:`_rank`, ranks at the
+barrier and picks the result: the true worst-case SNR, a non-finite one
+last.
 
 The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
 :data:`INNER_GRAD_TOL`), the race barrier (:data:`RACE_STAGE`) and the step
@@ -67,8 +69,8 @@ DELTA = 2.0
 MU_MIN_RATIO = 1e-6
 MU_GAP_RTOL = 1e-4
 INNER_GRAD_TOL = 1e-6
-# With two or more anneals in one solve, each runs RACE_STAGE stages before
-# the worse half is dropped.
+# Every anneal of a solve runs RACE_STAGE stages before the worse half is
+# dropped.
 RACE_STAGE = 4
 # A line search tries INITIAL_STEP (or less) first, tests Armijo with ARMIJO_C1,
 # multiplies the step by BACKTRACK_FACTOR per rejected candidate and gives up
@@ -86,11 +88,9 @@ class NonFiniteObjectiveError(ArithmeticError):
 @dataclass(frozen=True)
 class SolverConfig:
     """The values callers vary: the iteration caps, the seed and the restart
-    count.  The rest of the algorithm is the module constants :data:`DELTA`,
-    :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`, :data:`INNER_GRAD_TOL`,
-    :data:`RACE_STAGE`, :data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP` and
-    :data:`MAX_BACKTRACKS`.  Fields take Python or numpy integers only; a
-    float or a bool is rejected, never truncated."""
+    count.  The rest of the algorithm is the module constants listed in the
+    module docstring.  Fields take Python or numpy integers only; a float or
+    a bool is rejected, never truncated."""
 
     max_inner_iters: int = 250
     max_outer_iters: int = 40
@@ -390,12 +390,6 @@ class _Anneal:
                 self.mu /= DELTA
         return self
 
-    def score(self) -> float:
-        """The true worst-case SNR at the current phases, each user on its
-        best pattern, as :func:`_report_at` computes it; -inf if not finite."""
-        worst = _report_at(self.point, self.ctx, self.origin).worst_snr
-        return worst if math.isfinite(worst) else -math.inf
-
     def report(self) -> SolveReport:
         report = _report_at(self.point, self.ctx, self.origin)
         report.objective_trace = self.objective_trace
@@ -404,26 +398,20 @@ class _Anneal:
         return report
 
 
+def _rank(report: SolveReport) -> float:
+    """A report's rank among candidates: its true worst-case SNR, or -inf
+    when that is not finite."""
+    return report.worst_snr if math.isfinite(report.worst_snr) else -math.inf
+
+
 def _race(anneals: list) -> list:
     """The anneals that survive the barrier: the top ``ceil(n / 2)`` by
-    :meth:`_Anneal.score`, ties to the earliest, plus every finished one;
-    in their original order."""
-    ranked = sorted(range(len(anneals)), key=lambda i: (-anneals[i].score(), i))
+    :func:`_rank` of their reports, ties to the earliest, plus every finished
+    one; in their original order."""
+    ranked = sorted(range(len(anneals)), key=lambda i: (-_rank(anneals[i].report()), i))
     keep = set(ranked[: -(-len(anneals) // 2)])
     keep.update(i for i, anneal in enumerate(anneals) if anneal.done)
     return [anneal for i, anneal in enumerate(anneals) if i in keep]
-
-
-def _better(candidate: SolveReport, incumbent: SolveReport | None) -> bool:
-    """Strictly higher worst SNR wins; a non-finite report wins only when there
-    is no incumbent, and any finite report displaces it."""
-    if incumbent is None:
-        return True
-    if not math.isfinite(candidate.worst_snr):
-        return False
-    return not math.isfinite(incumbent.worst_snr) or (
-        candidate.worst_snr > incumbent.worst_snr
-    )
 
 
 def solve(
@@ -434,23 +422,23 @@ def solve(
     """Solve one scenario and return the best report across restarts.
 
     Random restarts draw independent seeded phases.  ``warm`` is an optional
-    ``(ms1_phase, ms2_phase)`` pair, checked up front (a ``ValueError`` names
-    the warm start), that competes twice after the restarts: once evaluated
-    as-is (its phases with each user's best pattern, no optimization) and
-    once as the start of a full anneal.  Every start begins from the
-    uniform schedule.  With two or more anneals they race: after
-    :data:`RACE_STAGE` stages only the better half runs on (see
-    :func:`_race`); the warm start as-is always competes, so a warm-started
-    solve never reports below it.  Ties keep the earliest candidate (restarts,
-    then the warm start as-is, then annealed), so results are
-    seed-deterministic.
+    ``(ms1_phase, ms2_phase)`` pair of array-likes, taken as complex and
+    checked up front (a ``ValueError`` names the warm start), that competes
+    twice after the restarts: once evaluated as-is (its phases with each
+    user's best pattern, no optimization) and once as the start of a full
+    anneal.  Every start begins from the uniform schedule.  The anneals
+    race: after :data:`RACE_STAGE` stages only the better half runs on (see
+    :func:`_race`).  The warm start as-is always competes, so a warm-started
+    solve never reports below it.  The result is the candidate of highest
+    :func:`_rank`; ties keep the earliest (surviving restarts, then the warm
+    start as-is, then annealed), so results are seed-deterministic.
     """
     ctx = EvalContext.from_scenario(scenario)
     uniform = np.full((ctx.num_users, ctx.num_patterns), 1.0 / ctx.num_patterns)
     warm_point = None
     if warm is not None:
         try:
-            ms1_phase, ms2_phase = warm
+            ms1_phase, ms2_phase = (np.asarray(phase, dtype=complex) for phase in warm)
             for name, phase, size in (
                 ("ms1_phase", ms1_phase, ctx.num_ms1),
                 ("ms2_phase", ms2_phase, ctx.num_ms2),
@@ -473,16 +461,10 @@ def solve(
         anneals.append(_Anneal(start, ctx, config, origin=f"restart-{restart}"))
     if warm_point is not None:
         anneals.append(_Anneal(warm_point, ctx, config, origin="warm-annealed"))
-    if len(anneals) >= 2:
-        anneals = _race([anneal.run(RACE_STAGE) for anneal in anneals])
-
-    reports = [anneal.run().report() for anneal in anneals]
+    survivors = _race([anneal.run(RACE_STAGE) for anneal in anneals])
+    reports = [anneal.run().report() for anneal in survivors]
     if warm_point is not None:
-        reports.append(_report_at(warm_point, ctx, origin="warm-direct"))
-    # Restarts, then warm-direct, then warm-annealed; ties keep the earliest.
-    reports.sort(key=lambda report: report.origin == "warm-annealed")
-    best: SolveReport | None = None
-    for report in reports:
-        if _better(report, best):
-            best = report
-    return best
+        # The warm start as-is goes just before the warm anneal, last if it survived.
+        at = len(reports) - (survivors[-1] is anneals[-1])
+        reports.insert(at, _report_at(warm_point, ctx, origin="warm-direct"))
+    return max(reports, key=_rank)

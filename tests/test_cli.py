@@ -179,7 +179,8 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
 
 # JSON reads 1e999 as inf; integer keys must not be truncated either, and a
 # bool or a string is not a number.  Options that became solver constants
-# (inner_grad_tol, initial_step, mu_init, restart_period) are unknown keys.
+# (inner_grad_tol, initial_step, mu_init, restart_period) and the iteration
+# caps (max_inner_iters, max_outer_iters) are unknown keys.
 _BAD_SOLVER_SETTINGS = [
     pytest.param("inner_grad_tol", "1e999", id="inner_grad_tol"),
     pytest.param("initial_step", "1e999", id="initial_step"),

@@ -86,8 +86,10 @@ def test_two_trees_report_per_cell_ratios(tool, monkeypatch, capsys, column):
         {"a": {column: [2.0, 4.0, 1.0]}, "b": {column: [2.0, 1.0, 4.0]}},
     )
     assert tool.main(["--src", "a", "--src", "b"]) == 0
-    # ratios 1, 0.25 and 4: min 0.25, geometric mean 1, one cell below 1 - 1e-4
-    assert "| `solve --seed 7` | 3 | 0.250000 | 1.000000 | 1 |" in capsys.readouterr().out
+    # ratios 1, 0.25 and 4: min 0.25, max 4, geometric mean 1, one cell below 1 - 1e-4
+    out = capsys.readouterr().out
+    assert "| Cells | Min B/A | Max B/A | Geomean B/A |" in out
+    assert "| `solve --seed 7` | 3 | 0.250000 | 4.000000 | 1.000000 | 1 |" in out
 
 
 def test_ratio_cells_below_count_uses_the_relative_tolerance(tool, monkeypatch, capsys):
@@ -104,7 +106,7 @@ def test_ratio_cells_below_count_uses_the_relative_tolerance(tool, monkeypatch, 
 def test_ratios_need_an_snr_column_and_two_trees(tool, monkeypatch, capsys):
     _fake_csv_runs(tool, monkeypatch, {"a": {"gain": [1.0]}, "b": {"gain": [2.0]}})
     assert tool.main(["--src", "a", "--src", "b"]) == 0
-    assert "| `solve --seed 7` | n/a | n/a | n/a | n/a |" in capsys.readouterr().out
+    assert "| `solve --seed 7` | n/a | n/a | n/a | n/a | n/a |" in capsys.readouterr().out
     _fake_csv_runs(tool, monkeypatch, {"a": {"snr": [1.0]}})
     assert tool.main(["--src", "a"]) == 0
     assert "Min B/A" not in capsys.readouterr().out

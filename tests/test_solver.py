@@ -31,8 +31,8 @@ from misopt.solver import (
     MAX_BACKTRACKS,
     NonFiniteObjectiveError,
     SolveReport,
-    _better,
     _conjugate,
+    _rank,
     _report_at,
     _retract_point,
     _rinner,
@@ -478,15 +478,22 @@ def _report_with(worst):
     )
 
 
-def test_better_never_prefers_non_finite_report():
+def test_rank_never_picks_a_non_finite_report():
+    def pick(*reports):
+        return max(reports, key=_rank)
+
     nan, finite, higher = _report_with(math.nan), _report_with(1.0), _report_with(2.0)
-    assert _better(nan, None)
-    assert _better(finite, nan)
-    assert not _better(nan, finite)
-    assert not _better(_report_with(math.inf), finite)
-    assert _better(higher, finite)
-    assert not _better(finite, higher)
-    assert not _better(finite, _report_with(1.0))
+    assert pick(nan) is nan
+    assert pick(nan, finite) is finite
+    assert pick(finite, nan) is finite
+    inf = _report_with(math.inf)
+    assert pick(inf, finite) is finite
+    assert pick(finite, inf) is finite
+    assert pick(finite, higher) is higher
+    assert pick(higher, finite) is higher
+    # equal ranks keep the earliest
+    assert pick(finite, _report_with(1.0)) is finite
+    assert pick(nan, inf) is nan
 
 
 def _tiny_context(iota=0.0):
@@ -699,7 +706,8 @@ def test_solve_validates_warm_starts():
         solve(scenario, config, warm=all_nan)
     with pytest.raises(ValueError, match="warm start: ms1_phase must have shape"):
         solve(scenario, config, warm=wrong_shape)
-    for not_a_pair in (5, good + (good[0],)):
+    not_numbers = [(["a"] * ctx.num_ms1, [1]), ([None] * ctx.num_ms1, [1])]
+    for not_a_pair in (5, good + (good[0],), *not_numbers):
         with pytest.raises(ValueError, match="warm start: "):
             solve(scenario, config, warm=not_a_pair)
     solve(scenario, config, warm=good)
@@ -801,13 +809,13 @@ def test_single_candidate_solve_is_the_uninterrupted_anneal(seed):
 
 
 class _Runner:
-    """A stand-in for an anneal at the barrier: a fixed score and done flag."""
+    """A stand-in for an anneal at the barrier: a fixed worst SNR and done flag."""
 
-    def __init__(self, score, done=False):
-        self._score, self.done = score, done
+    def __init__(self, worst, done=False):
+        self._worst, self.done = worst, done
 
-    def score(self):
-        return self._score
+    def report(self):
+        return _report_with(self._worst)
 
 
 @pytest.mark.parametrize(
@@ -820,37 +828,29 @@ class _Runner:
         ((3.0, 2.0, 1.0, 0.0), (3,), (0, 1, 3)),  # a finished anneal stays
         ((0.0, 1.0), (0,), (0, 1)),
         ((-math.inf, 1.0, 0.5), (), (1, 2)),
+        ((math.nan, 1.0, 0.5), (), (1, 2)),  # a NaN ranks last
     ],
 )
 def test_race_keeps_the_better_half_and_finished_anneals(scores, done, kept):
-    runners = [_Runner(score, i in done) for i, score in enumerate(scores)]
+    runners = [_Runner(worst, i in done) for i, worst in enumerate(scores)]
     survivors = solver._race(runners)
     assert [runners.index(r) for r in survivors] == list(kept)
 
 
-def test_anneal_score_is_the_reported_worst_snr_and_ranks_nan_last():
+def test_anneal_rank_is_the_reported_worst_snr_and_ranks_nan_last():
     ctx = EvalContext.from_scenario(_three_user_scenario())
     anneal = solver._Anneal(_random_start(ctx, seed=1), ctx, SolverConfig(), "restart-0")
     anneal.run(2)
-    assert anneal.score() == anneal.report().worst_snr
+    worst = anneal.report().worst_snr
+    assert math.isfinite(worst) and _rank(anneal.report()) == worst
     nan_phase = np.full(ctx.num_ms1, np.nan + 0j)
     anneal.point = ProductPoint(nan_phase, anneal.point.ms2_phase, anneal.point.schedule)
-    assert anneal.score() == -math.inf
+    assert math.isnan(anneal.report().worst_snr)
+    assert _rank(anneal.report()) == -math.inf
 
 
-def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
-    scenario = _three_user_scenario()
-    ctx = EvalContext.from_scenario(scenario)
-    strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=2))
-    floor = float(ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase).max(axis=1).min())
-    # a weak restart, and a warm anneal that scores lowest at the barrier
-    config = SolverConfig(rng_seed=9, max_inner_iters=2, max_outer_iters=6)
-    score = solver._Anneal.score
-    monkeypatch.setattr(
-        solver._Anneal,
-        "score",
-        lambda self: -math.inf if self.origin == "warm-annealed" else score(self),
-    )
+def _record_survivors(monkeypatch):
+    """Patch ``solver._race`` to record the anneals it keeps; returns the record."""
     survivors = []
     race = solver._race
 
@@ -859,8 +859,68 @@ def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
         return survivors
 
     monkeypatch.setattr(solver, "_race", recorded_race)
+    return survivors
+
+
+def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
+    scenario = _three_user_scenario()
+    ctx = EvalContext.from_scenario(scenario)
+    strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=2))
+    floor = float(ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase).max(axis=1).min())
+    # a weak restart, and a warm anneal that ranks lowest at the barrier
+    config = SolverConfig(rng_seed=9, max_inner_iters=2, max_outer_iters=6)
+    monkeypatch.setattr(
+        solver,
+        "_rank",
+        lambda report: -math.inf if report.origin == "warm-annealed" else _rank(report),
+    )
+    survivors = _record_survivors(monkeypatch)
     report = solve(scenario, config, warm=(strong.ms1_phase, strong.ms2_phase))
     assert [anneal.origin for anneal in survivors] == ["restart-0"]
     assert solve(scenario, config).worst_snr < floor
     assert report.origin == "warm-direct"
     assert report.worst_snr == floor
+
+
+def test_equal_ranks_pick_the_earliest_candidate(monkeypatch):
+    scenario = _three_user_scenario()
+    ctx = EvalContext.from_scenario(scenario)
+    warm = tuple(np.ones(n, dtype=complex) for n in (ctx.num_ms1, ctx.num_ms2))
+
+    def config(restarts):
+        return SolverConfig(
+            rng_seed=2, num_restarts=restarts, max_inner_iters=2, max_outer_iters=6
+        )
+
+    # every candidate ranks the same: the first restart wins, also when it is
+    # the only survivor beside the warm start as-is
+    monkeypatch.setattr(solver, "_rank", lambda report: 0.0)
+    for restarts in (1, 2):
+        assert solve(scenario, config(restarts), warm=warm).origin == "restart-0"
+    # both warm candidates rank equal and above the restarts: as-is wins
+    monkeypatch.setattr(
+        solver, "_rank", lambda report: float(report.origin.startswith("warm-"))
+    )
+    survivors = _record_survivors(monkeypatch)
+    report = solve(scenario, config(2), warm=warm)
+    assert "warm-annealed" in [anneal.origin for anneal in survivors]
+    assert report.origin == "warm-direct"
+
+
+def test_warm_start_takes_lists_and_real_arrays():
+    scenario = Scenario(
+        geom=MisGeometry(2, 2, 1, 1),
+        mis_arrival=ArrayAngles(0.59, 1.13),
+        users=[(ArrayAngles(0.08, 0.31), 0.04), (ArrayAngles(2.31, 0.5), 0.028)],
+    )
+    config = SolverConfig(rng_seed=3, max_inner_iters=5, max_outer_iters=3)
+    complex_pair = (np.ones(4, dtype=complex), np.ones(1, dtype=complex))
+    expected = solve(scenario, config, warm=complex_pair)
+    for warm in (
+        ([1 + 0j] * 4, [1 + 0j]),
+        ([1] * 4, [1]),
+        ([1.0] * 4, [1.0]),
+        (np.ones(4, dtype=int), np.ones(1, dtype=int)),
+        (np.ones(4), np.ones(1)),
+    ):
+        _assert_same_report(solve(scenario, config, warm=warm), expected)

@@ -18,8 +18,8 @@ when any digest differs.  Exits 1 if a command fails.  ``--seed N`` replaces
 
 Given two trees A and B, it also prints per command the per-cell SNR ratio
 B/A from the first run of each: the CSV's ``mis_snr``, ``worst_snr`` or
-``snr`` column, one cell per row.  It gives the number of cells, the minimum
-and geometric mean of the ratios and the number of cells below
+``snr`` column, one cell per row.  It gives the number of cells, the minimum,
+maximum and geometric mean of the ratios and the number of cells below
 ``1 - BELOW_RTOL``; these never change the exit code.
 
 ``--repeat N`` (default 1) runs each command N times per tree, alternating
@@ -106,14 +106,16 @@ def _cell_snrs(cwd: str) -> list | None:
 
 
 def _ratios(a: list | None, b: list | None) -> str:
-    """One markdown row tail: cells, min and geometric mean of B/A, cells
-    below ``1 - BELOW_RTOL``."""
+    """One markdown row tail: cells, min, max and geometric mean of B/A,
+    cells below ``1 - BELOW_RTOL``."""
     if a is None or b is None or len(a) != len(b) or not a:
-        return "n/a | n/a | n/a | n/a"
+        return "n/a | n/a | n/a | n/a | n/a"
     ratios = [y / x for x, y in zip(a, b)]
     below = sum(r < 1 - BELOW_RTOL for r in ratios)
     geomean = statistics.geometric_mean(ratios)
-    return f"{len(ratios)} | {min(ratios):.6f} | {geomean:.6f} | {below}"
+    return (
+        f"{len(ratios)} | {min(ratios):.6f} | {max(ratios):.6f} | {geomean:.6f} | {below}"
+    )
 
 
 def _spread(values: list) -> str:
@@ -179,8 +181,11 @@ def main(argv=None) -> int:
                 print(f"| `{command}` | {output} | {cells} |")
             timings += [(command, src, tree_runs) for src, tree_runs in zip(trees, runs)]
     if ratio_rows:
-        print(f"\n| Command | Cells | Min B/A | Geomean B/A | Below 1 - {BELOW_RTOL:g} |")
-        print("| --- | --- | --- | --- | --- |")
+        print(
+            "\n| Command | Cells | Min B/A | Max B/A | Geomean B/A "
+            f"| Below 1 - {BELOW_RTOL:g} |"
+        )
+        print("| --- | --- | --- | --- | --- | --- |")
         for command, row in ratio_rows:
             print(f"| `{command}` | {row} |")
     if args.repeat > 1:
