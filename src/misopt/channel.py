@@ -12,8 +12,10 @@ array and noise power are needed separately only by
 :func:`misopt.oracle.snr_full_path`, which rebuilds the full matrix model as
 an independent reference.
 
-Users on the coverage arc have a fixed elevation angle; the span of the arc
-is expressed in azimuth.
+Every array here, the surface and the base station alike, has the
+half-wavelength element pitch :data:`SPACING_OVER_LAMBDA`.  Users on the
+coverage arc have a fixed elevation angle; the span of the arc is expressed
+in azimuth.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .geometry import MisGeometry, _require_real
 
 __all__ = [
+    "SPACING_OVER_LAMBDA",
     "ArrayAngles",
     "Scenario",
     "upa_steering",
@@ -50,6 +53,8 @@ class ArrayAngles:
 
 
 BROADSIDE = ArrayAngles(0.0, 0.0)
+# Element pitch of every array, in wavelengths.
+SPACING_OVER_LAMBDA = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,11 @@ class Scenario:
         return len(self.users)
 
 
-def upa_steering(
-    rows: int, cols: int, spacing_over_lambda: float, angles: ArrayAngles
-) -> np.ndarray:
+def upa_steering(rows: int, cols: int, angles: ArrayAngles) -> np.ndarray:
     """Steering vector of a uniform planar array, flattened row-major.
 
     Entry (r, c), with 0-based grid offsets, is
-    ``exp(j * 2*pi * spacing * (r*cos(az)*sin(el) + c*sin(az)*sin(el)))``.
+    ``exp(j * 2*pi * SPACING_OVER_LAMBDA * (r*cos(az)*sin(el) + c*sin(az)*sin(el)))``.
     """
     if rows < 1 or cols < 1:
         raise ValueError("array dimensions must be >= 1")
@@ -94,7 +97,7 @@ def upa_steering(
     phase = (
         2.0
         * math.pi
-        * spacing_over_lambda
+        * SPACING_OVER_LAMBDA
         * (np.arange(rows)[:, None] * row_gain + np.arange(cols)[None, :] * col_gain)
     )
     return np.exp(1j * phase).ravel()
@@ -104,13 +107,10 @@ def cascaded_channel(scenario: Scenario) -> np.ndarray:
     """Cascaded channels, K x M: row k is the elementwise product of user k's
     steering vector and the surface arrival steering vector, both on MS 1's grid."""
     geom = scenario.geom
-    a_mis = upa_steering(
-        geom.m_rows, geom.m_cols, geom.spacing_over_lambda, scenario.mis_arrival
-    )
+    a_mis = upa_steering(geom.m_rows, geom.m_cols, scenario.mis_arrival)
     return np.stack(
         [
-            upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
-            * a_mis
+            upa_steering(geom.m_rows, geom.m_cols, angles) * a_mis
             for angles, _ in scenario.users
         ]
     )

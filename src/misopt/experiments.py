@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import BROADSIDE, ArrayAngles, Scenario
-from .geometry import MisGeometry, _require_real
+from .geometry import MisGeometry, _require_int, _require_real
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
@@ -64,13 +64,12 @@ USERS_LAYOUTS = {"1d": MisGeometry(1, 64, 1, 36), "2d": MisGeometry(8, 8, 6, 6)}
 @dataclass(frozen=True)
 class CoverageArc:
     """Target coverage area: an azimuth arc at one elevation and SNR scale,
-    lit by a base station whose signal reaches the surface from ``mis_arrival``."""
+    lit by a base station whose signal reaches the surface at broadside."""
 
     azimuth_lo: float = -math.pi / 3
     azimuth_hi: float = math.pi / 3
     elevation: float = math.pi / 4
     iota: float = 0.01
-    mis_arrival: ArrayAngles = BROADSIDE
 
     def __post_init__(self):
         # Every user direction lies between these two; ArrayAngles checks them.
@@ -92,10 +91,7 @@ class ArcScenarioSpec:
     arc: CoverageArc = CoverageArc()
 
     def __post_init__(self):
-        value = self.num_users
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integer or value < 1:
-            raise ValueError(f"num_users must be a positive integer, got {value!r}")
+        _require_int("num_users", self.num_users, 1)
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def build_arc_scenario(spec: ArcScenarioSpec) -> Scenario:
     arc = spec.arc
     azimuths = np.linspace(arc.azimuth_lo, arc.azimuth_hi, spec.num_users)
     users = [(ArrayAngles(float(az), arc.elevation), arc.iota) for az in azimuths]
-    return Scenario(geom=spec.geom, mis_arrival=arc.mis_arrival, users=users)
+    return Scenario(geom=spec.geom, mis_arrival=BROADSIDE, users=users)
 
 
 def _single_layer(spec: ArcScenarioSpec) -> ArcScenarioSpec:
@@ -204,6 +200,8 @@ def allocation_steps(total_elements: int, scheme: int) -> list:
     step; scheme 2 swaps the roles of rows and columns.  Every step
     preserves the total element count.
     """
+    _require_int("total_elements", total_elements, 1)
+    _require_int("scheme", scheme, 1)
     side = math.isqrt(total_elements)
     if side * side != total_elements:
         raise ValueError(f"total_elements {total_elements} is not a perfect square")

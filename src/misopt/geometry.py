@@ -12,11 +12,12 @@ Placement ``(u_row, u_col)`` (1-based unit shifts) has the flat index
 ``u = (u_row - 1) * u_cols + u_col``, ``u_cols = m_cols - n_cols + 1``;
 elements are numbered row-major on each layer's grid, and stored arrays hold
 0-based offsets.  A 1x64 layer over a 1x36 one has 64 - 36 + 1 = 29 placements.
+Both layers share a half-wavelength element pitch,
+:data:`misopt.channel.SPACING_OVER_LAMBDA`.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,30 +32,32 @@ def _require_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a non-bool
+    Python or numpy integer of at least ``least``, 0 or 1."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MisGeometry:
-    """Element counts of both layers plus the shared element pitch (d / lambda)."""
+    """Element counts of both layers."""
 
     m_rows: int
     m_cols: int
     n_rows: int
     n_cols: int
-    spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
         for name in ("m_rows", "m_cols", "n_rows", "n_cols"):
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integer or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _require_int(name, getattr(self, name), 1)
         if self.n_rows > self.m_rows or self.n_cols > self.m_cols:
             raise ValueError(
                 f"movable layer {self.n_rows}x{self.n_cols} does not fit inside "
                 f"fixed layer {self.m_rows}x{self.m_cols}"
             )
-        _require_real("spacing_over_lambda", self.spacing_over_lambda)
-        if not 0 < self.spacing_over_lambda < math.inf:
-            raise ValueError("spacing_over_lambda must be positive and finite")
 
     @property
     def num_ms1(self) -> int:

@@ -134,7 +134,6 @@ def snr_full_path(
     *,
     bs_rows: int = 1,
     bs_cols: int = 1,
-    bs_spacing_over_lambda: float = 0.5,
 ) -> float:
     """SNR via the explicit matrix model, as an independent check of the
     cascaded form ``iota * |sum_m c[k, m] * phi[m] * equiv[m]|^2``.
@@ -146,8 +145,6 @@ def snr_full_path(
     because only the BS antenna count ``L`` survives the beamforming norm,
     and ``iota = P_max * L / sigma^2`` already holds that count.
     """
-    if not 0 < bs_spacing_over_lambda < math.inf:
-        raise ValueError("bs_spacing_over_lambda must be positive and finite")
     geom = scenario.geom
     if not 0 <= user_index < scenario.num_users:
         raise IndexError(f"user index {user_index} out of range")
@@ -157,12 +154,10 @@ def snr_full_path(
     if phi.shape != (geom.num_ms1,) or equiv.shape != (geom.num_ms1,):
         raise ValueError("phase vectors must match the fixed-layer element count")
 
-    a_mis = upa_steering(
-        geom.m_rows, geom.m_cols, geom.spacing_over_lambda, scenario.mis_arrival
-    )
-    a_bs = upa_steering(bs_rows, bs_cols, bs_spacing_over_lambda, bs_angles)
+    a_mis = upa_steering(geom.m_rows, geom.m_cols, scenario.mis_arrival)
+    a_bs = upa_steering(bs_rows, bs_cols, bs_angles)
     bs_to_surface = np.outer(a_mis, a_bs)
-    h_user = upa_steering(geom.m_rows, geom.m_cols, geom.spacing_over_lambda, angles)
+    h_user = upa_steering(geom.m_rows, geom.m_cols, angles)
 
     effective_row = (h_user * equiv * phi) @ bs_to_surface
     row_norm = np.linalg.norm(effective_row)

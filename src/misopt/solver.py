@@ -23,20 +23,24 @@ barrier and picks the result: the true worst-case SNR, a non-finite one
 last.
 
 The anneal schedule (:data:`DELTA`, :data:`MU_MIN_RATIO`, :data:`MU_GAP_RTOL`,
-:data:`INNER_GRAD_TOL`), the race barrier (:data:`RACE_STAGE`) and the step
-rule (:data:`ARMIJO_C1`, :data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP`,
-:data:`MAX_BACKTRACKS`) are module constants, not options; the first
-smoothing parameter comes from the spread of the initial per-user SNRs.
+:data:`INNER_GRAD_TOL`, :data:`MAX_INNER_ITERS`), the race barrier
+(:data:`RACE_STAGE`) and the step rule (:data:`ARMIJO_C1`,
+:data:`BACKTRACK_FACTOR`, :data:`INITIAL_STEP`, :data:`MAX_BACKTRACKS`) are
+module constants, not options; the first smoothing parameter comes from the
+spread of the initial per-user SNRs.  Stage ``s`` of an anneal runs at
+``mu0 * DELTA**-(s - 1)``, so the mu floor ends every anneal by stage 21
+(``2**-20 <= MU_MIN_RATIO``) and no stage cap is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import Scenario
+from .geometry import _require_int
 # grad_norm is unused here (inner_solve sums block norms) but perfbench wraps it.
 from .manifolds import (
     RetractionError,
@@ -64,11 +68,12 @@ __all__ = [
 # Each anneal stage divides mu by DELTA; the anneal stops once mu is below
 # MU_MIN_RATIO of its start or ``mu * log(K)`` below MU_GAP_RTOL of the worst
 # SNR.  An inner stage stops once the Riemannian gradient norm is below
-# INNER_GRAD_TOL.
+# INNER_GRAD_TOL, or after MAX_INNER_ITERS iterations.
 DELTA = 2.0
 MU_MIN_RATIO = 1e-6
 MU_GAP_RTOL = 1e-4
 INNER_GRAD_TOL = 1e-6
+MAX_INNER_ITERS = 250
 # Every anneal of a solve runs RACE_STAGE stages before the worse half is
 # dropped.
 RACE_STAGE = 4
@@ -87,29 +92,17 @@ class NonFiniteObjectiveError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The values callers vary: the iteration caps, the seed and the restart
-    count.  The rest of the algorithm is the module constants listed in the
-    module docstring.  Fields take Python or numpy integers only; a float or
-    a bool is rejected, never truncated."""
+    """The values callers vary: the seed and the restart count.  The rest of
+    the algorithm is the module constants listed in the module docstring.
+    Fields take Python or numpy integers only; a float or a bool is
+    rejected, never truncated."""
 
-    max_inner_iters: int = 250
-    max_outer_iters: int = 40
     rng_seed: int = 0
     num_restarts: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        for ok, message in (
-            (min(self.max_inner_iters, self.max_outer_iters) >= 1,
-             "iteration limits must be >= 1"),
-            (self.num_restarts >= 1, "num_restarts must be >= 1"),
-            (self.rng_seed >= 0, "rng_seed must be nonnegative"),
-        ):
-            if not ok:
-                raise ValueError(message)
+        _require_int("rng_seed", self.rng_seed, 0)
+        _require_int("num_restarts", self.num_restarts, 1)
 
 
 @dataclass
@@ -246,11 +239,9 @@ def line_search(
     return LineSearchResult(0.0, point, current, True, evals)
 
 
-def inner_solve(
-    point: ProductPoint, mu: float, config: SolverConfig, ctx: EvalContext
-) -> InnerResult:
+def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> InnerResult:
     """Run conjugate-gradient ascent at fixed ``mu`` until the Riemannian
-    gradient norm falls below tolerance, the iteration cap is hit, or the
+    gradient norm falls below tolerance, :data:`MAX_INNER_ITERS` is hit, or the
     line search stalls twice in a row.  An accepted step's gradient reuses the
     line search's evaluation, still counted as an evaluation in ``num_evals``."""
     ev = evaluate(point, mu, ctx, want_grad=True)
@@ -266,7 +257,7 @@ def inner_solve(
     def surrogate(p: ProductPoint) -> Evaluation:
         return evaluate(p, mu, ctx)
 
-    for _ in range(config.max_inner_iters):
+    for _ in range(MAX_INNER_ITERS):
         # Squared block norms and slopes sum in block order, as inner does.
         sq = tuple(map(_rinner, rgrad, rgrad))
         direction, slope, start = rgrad, 0.0 + sq[0] + sq[1] + sq[2], INITIAL_STEP
@@ -346,9 +337,7 @@ class _Anneal:
     same :meth:`report`, bit for bit, as running it in one.
     """
 
-    def __init__(
-        self, start: ProductPoint, ctx: EvalContext, config: SolverConfig, origin: str
-    ):
+    def __init__(self, start: ProductPoint, ctx: EvalContext, origin: str):
         snr0 = np.einsum(
             "ku,ku->k",
             start.schedule,
@@ -357,7 +346,7 @@ class _Anneal:
         spread = float(snr0.max() - snr0.min())
         self.mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
         self._mu_min = MU_MIN_RATIO * self.mu
-        self.point, self.ctx, self.config, self.origin = start, ctx, config, origin
+        self.point, self.ctx, self.origin = start, ctx, origin
         self.objective_trace: list[np.ndarray] = []
         self.mu_schedule: list[float] = []
         self.num_evals = 0
@@ -371,11 +360,9 @@ class _Anneal:
         """Advance ``stages`` more stages, or to the end when None; stop early
         once the anneal is done."""
         log_k = math.log(self.ctx.num_users)
-        limit = self.config.max_outer_iters
-        if stages is not None:
-            limit = min(limit, self.stage + stages)
+        limit = math.inf if stages is None else self.stage + stages
         while not self.done and self.stage < limit:
-            stage = inner_solve(self.point, self.mu, self.config, self.ctx)
+            stage = inner_solve(self.point, self.mu, self.ctx)
             self.point = stage.point
             self.objective_trace.append(stage.objective_trace)
             self.mu_schedule.append(self.mu)
@@ -384,7 +371,6 @@ class _Anneal:
             self.done = (
                 self.mu <= self._mu_min
                 or self.mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30)
-                or self.stage >= self.config.max_outer_iters
             )
             if not self.done:
                 self.mu /= DELTA
@@ -458,9 +444,9 @@ def solve(
             ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
             schedule=uniform,
         )
-        anneals.append(_Anneal(start, ctx, config, origin=f"restart-{restart}"))
+        anneals.append(_Anneal(start, ctx, origin=f"restart-{restart}"))
     if warm_point is not None:
-        anneals.append(_Anneal(warm_point, ctx, config, origin="warm-annealed"))
+        anneals.append(_Anneal(warm_point, ctx, origin="warm-annealed"))
     survivors = _race([anneal.run(RACE_STAGE) for anneal in anneals])
     reports = [anneal.run().report() for anneal in survivors]
     if warm_point is not None:

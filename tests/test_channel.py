@@ -30,23 +30,23 @@ def _single_pattern_context(channels, iota):
 
 
 def test_steering_single_element():
-    vec = upa_steering(1, 1, 0.5, ArrayAngles(0.7, 0.3))
+    vec = upa_steering(1, 1, ArrayAngles(0.7, 0.3))
     np.testing.assert_allclose(vec, [1.0 + 0.0j])
 
 
 def test_steering_zero_elevation_is_flat():
-    vec = upa_steering(3, 4, 0.5, ArrayAngles(-1.1, 0.0))
+    vec = upa_steering(3, 4, ArrayAngles(-1.1, 0.0))
     np.testing.assert_allclose(vec, np.ones(12, dtype=complex), atol=1e-15)
 
 
 def test_steering_half_wave_endfire_pair():
-    vec = upa_steering(1, 2, 0.5, ArrayAngles(math.pi / 2, math.pi / 2))
+    vec = upa_steering(1, 2, ArrayAngles(math.pi / 2, math.pi / 2))
     np.testing.assert_allclose(vec, [1.0, -1.0], atol=1e-12)
 
 
 def test_steering_row_major_flattening():
     angles = ArrayAngles(0.4, 0.9)
-    vec = upa_steering(2, 3, 0.5, angles)
+    vec = upa_steering(2, 3, angles)
     row_gain = math.cos(angles.azimuth) * math.sin(angles.elevation)
     col_gain = math.sin(angles.azimuth) * math.sin(angles.elevation)
     for r in range(2):
@@ -101,18 +101,8 @@ def test_cascaded_unit_modulus_and_dense_oracle():
         assert channels.shape == (scenario.num_users, geom.num_ms1)
         for k, row in enumerate(channels):
             np.testing.assert_allclose(np.abs(row), 1.0, atol=1e-14)
-            h = upa_steering(
-                geom.m_rows,
-                geom.m_cols,
-                geom.spacing_over_lambda,
-                scenario.users[k][0],
-            )
-            a_mis = upa_steering(
-                geom.m_rows,
-                geom.m_cols,
-                geom.spacing_over_lambda,
-                scenario.mis_arrival,
-            )
+            h = upa_steering(geom.m_rows, geom.m_cols, scenario.users[k][0])
+            a_mis = upa_steering(geom.m_rows, geom.m_cols, scenario.mis_arrival)
             expected = np.diag(h) @ a_mis
             np.testing.assert_allclose(row, expected, atol=1e-14)
 
@@ -234,9 +224,3 @@ def test_scenario_rejects_non_finite_inputs(bad):
     geom = MisGeometry(2, 2, 1, 1)
     with pytest.raises(ValueError, match="iota"):
         Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), bad)])
-    scenario = Scenario(
-        geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), 0.01)]
-    )
-    ones = np.ones(geom.num_ms1, dtype=complex)
-    with pytest.raises(ValueError, match="bs_spacing"):
-        snr_full_path(ones, ones, scenario, 0, bs_spacing_over_lambda=bad)

@@ -15,6 +15,7 @@ from misopt import (
     build_arc_scenario,
     case_study,
     sms_baseline,
+    solver,
     sweep_allocation,
     sweep_ms2_sizes,
     sweep_users_1d2d,
@@ -30,7 +31,14 @@ from misopt.experiments import (
     write_users_csv,
 )
 
-FAST = SolverConfig(rng_seed=0, num_restarts=1, max_inner_iters=60, max_outer_iters=10)
+@pytest.fixture
+def fast(monkeypatch):
+    """One restart of short solves: at most 60 iterations per stage and 10
+    stages per anneal (the mu floor ends it there).  The studies here run
+    serially, so the patched constants reach every solve."""
+    monkeypatch.setattr(solver, "MAX_INNER_ITERS", 60)
+    monkeypatch.setattr(solver, "MU_MIN_RATIO", 2.0**-9)
+    return SolverConfig(rng_seed=0, num_restarts=1)
 
 
 def _ladder(total, scheme, num_users, arc=CoverageArc()):
@@ -108,16 +116,16 @@ def test_arc_scenario_rejects_non_finite_iota(bad):
         )
 
 
-def test_sms_baseline_reduces_to_single_pattern():
+def test_sms_baseline_reduces_to_single_pattern(fast):
     spec = ArcScenarioSpec(geom=MisGeometry(2, 2, 1, 1), num_users=2)
-    report = sms_baseline(spec, FAST)
+    report = sms_baseline(spec, fast)
     assert report.snr_table.shape == (2, 1)
     np.testing.assert_array_equal(report.chosen_pattern, [1, 1])
 
 
-def test_sms_baseline_single_element_value():
+def test_sms_baseline_single_element_value(fast):
     spec = ArcScenarioSpec(geom=MisGeometry(1, 1, 1, 1), num_users=2)
-    report = sms_baseline(spec, FAST)
+    report = sms_baseline(spec, fast)
     assert report.worst_snr == pytest.approx(0.01, rel=1e-9)
 
 
@@ -164,6 +172,14 @@ def test_allocation_steps_validation():
         allocation_steps(81, 1)
     with pytest.raises(ValueError, match="scheme"):
         allocation_steps(64, 3)
+    # a bool is not a scheme, and a float is not an element count
+    with pytest.raises(ValueError, match="scheme must be a positive integer"):
+        allocation_steps(64, True)
+    with pytest.raises(ValueError, match="total_elements must be a positive integer"):
+        allocation_steps(64.0, 1)
+    with pytest.raises(ValueError, match="total_elements"):
+        allocation_steps(-4, 1)
+    assert len(allocation_steps(np.int64(16), np.int32(2))) == 3
 
 
 def _check_gains(study, baseline):
@@ -178,8 +194,8 @@ def _check_gains(study, baseline):
     assert gains[baseline] == 1.0
 
 
-def test_sweep_allocation_tiny():
-    study = sweep_allocation(_ladder(4, 1, 2), FAST)
+def test_sweep_allocation_tiny(fast):
+    study = sweep_allocation(_ladder(4, 1, 2), fast)
     assert [label for label, _, _ in study.entries] == [
         "single-layer", "ms1=2x1/ms2=2x1"
     ]
@@ -188,9 +204,9 @@ def test_sweep_allocation_tiny():
     assert all(report.worst_snr > 0 for _, _, report in study.entries)
 
 
-def test_sweep_allocation_keeps_a_repeated_geometry():
+def test_sweep_allocation_keeps_a_repeated_geometry(fast):
     ladder = _ladder(4, 1, 2)
-    study = sweep_allocation([ladder[0], ladder[1], ladder[1]], FAST)
+    study = sweep_allocation([ladder[0], ladder[1], ladder[1]], fast)
     assert len(study.entries) == study.gains().size == 3
     assert [spec for _, spec, _ in study.entries][1:] == [ladder[1], ladder[1]]
 
@@ -199,7 +215,7 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("solved before every input was checked")
 
 
-def test_sweep_allocation_rejects_mixed_specs(monkeypatch):
+def test_sweep_allocation_rejects_mixed_specs(monkeypatch, fast):
     monkeypatch.setattr("misopt.experiments.solve", _no_solve)
     ladder = _ladder(4, 1, 2)
     for bad in (
@@ -208,11 +224,11 @@ def test_sweep_allocation_rejects_mixed_specs(monkeypatch):
         [],
     ):
         with pytest.raises(ValueError, match="one user count and one arc"):
-            sweep_allocation(bad, FAST)
+            sweep_allocation(bad, fast)
 
 
-def test_sweep_ms2_tiny_grid_nesting_and_baseline():
-    study = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2), FAST)
+def test_sweep_ms2_tiny_grid_nesting_and_baseline(fast):
+    study = sweep_ms2_sizes(ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2), fast)
     assert all(spec.num_users == 2 for _, spec, _ in study.entries)
     # cells row-major, the full-size cell (the baseline itself) last
     assert [spec.geom.num_ms2 for _, spec, _ in study.entries] == [1, 2, 2, 4]
@@ -220,17 +236,17 @@ def test_sweep_ms2_tiny_grid_nesting_and_baseline():
     assert np.all(study.gains() >= 1.0 - 1e-6)
 
 
-def test_sweep_ms2_reproducible():
+def test_sweep_ms2_reproducible(fast):
     spec = ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2)
-    first = sweep_ms2_sizes(spec, FAST)
-    second = sweep_ms2_sizes(spec, FAST)
+    first = sweep_ms2_sizes(spec, fast)
+    second = sweep_ms2_sizes(spec, fast)
     for (_, _, a), (_, _, b) in zip(first.entries, second.entries):
         assert a.worst_snr == b.worst_snr
     np.testing.assert_array_equal(first.gains(), second.gains())
 
 
-def test_sweep_users_small():
-    sweep = sweep_users_1d2d(_small_chains((2, 3)), FAST)
+def test_sweep_users_small(fast):
+    sweep = sweep_users_1d2d(_small_chains((2, 3)), fast)
     assert len(sweep.entries) == 4
     assert sweep.baseline is None
     one_d = [(spec, rep) for label, spec, rep in sweep.entries if label.startswith("1d")]
@@ -252,22 +268,22 @@ def test_case_study_figure_six_improves_on_baseline():
     assert set(mis.chosen_pattern.tolist()) == {1, 2}
 
 
-def test_csv_writers_deterministic(tmp_path):
-    result = sweep_allocation(_ladder(4, 1, 2), FAST)
+def test_csv_writers_deterministic(tmp_path, fast):
+    result = sweep_allocation(_ladder(4, 1, 2), fast)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_sweep_csv([result], FAST.rng_seed, path_a)
-    write_sweep_csv([result], FAST.rng_seed, path_b)
+    write_sweep_csv([result], fast.rng_seed, path_a)
+    write_sweep_csv([result], fast.rng_seed, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     header = path_a.read_text().splitlines()[0]
     assert header == "geometry,users,seed,baseline_snr,mis_snr,gain"
     assert results_digest(path_a) == results_digest(path_b)
 
 
-def test_users_csv_and_manifest(tmp_path):
-    sweep = sweep_users_1d2d(_small_chains((2,)), FAST)
+def test_users_csv_and_manifest(tmp_path, fast):
+    sweep = sweep_users_1d2d(_small_chains((2,)), fast)
     path = tmp_path / "users.csv"
-    write_users_csv(sweep, FAST.rng_seed, path)
+    write_users_csv(sweep, fast.rng_seed, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "config,users,num_patterns,worst_snr,worst_snr_db,seed"
     assert len(lines) == 3
@@ -311,7 +327,7 @@ def test_case_study_csv_schema(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["mis"] * 8 + ["sms"] * 4
 
 
-def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
+def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch, fast):
     """A chain solves its largest count first, equal counts in spec order,
     and returns one report per spec, in spec order."""
     calls = []
@@ -327,14 +343,14 @@ def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch):
     monkeypatch.setattr("misopt.experiments.solve", fake_solve)
     geom = MisGeometry(1, 4, 1, 2)
     specs = [ArcScenarioSpec(geom, count) for count in (3, 2, 3)]
-    reports = _solve_chain((specs, FAST))
+    reports = _solve_chain((specs, fast))
     assert calls == [(3, False), (3, True), (2, True)]
     assert [r.call for r in reports] == [0, 2, 1]
 
 
-def test_case_study_snr_table_is_the_table_at_its_phases():
+def test_case_study_snr_table_is_the_table_at_its_phases(fast):
     spec = ArcScenarioSpec(MisGeometry(2, 2, 1, 1), 3)
-    (_, _, mis), (_, _, sms) = case_study(spec, FAST).entries
+    (_, _, mis), (_, _, sms) = case_study(spec, fast).entries
     sms_spec = replace(spec, geom=MisGeometry(2, 2, 2, 2))
     for report, scenario in (
         (mis, build_arc_scenario(spec)),
@@ -347,10 +363,10 @@ def test_case_study_snr_table_is_the_table_at_its_phases():
         np.testing.assert_array_equal(report.per_user_snr, table.max(axis=1))
 
 
-def test_case_study_uses_the_given_arc():
+def test_case_study_uses_the_given_arc(fast):
     arc = CoverageArc(azimuth_lo=-0.5, azimuth_hi=0.5, iota=0.02)
     spec = ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 3, arc)
-    (_, _, mis), _ = case_study(spec, FAST).entries
+    (_, _, mis), _ = case_study(spec, fast).entries
     scenario = build_arc_scenario(spec)
     np.testing.assert_allclose([a.azimuth for a, _ in scenario.users], [-0.5, 0.0, 0.5])
     assert all(iota == 0.02 for _, iota in scenario.users)

@@ -57,17 +57,6 @@ def test_nonpositive_dims_rejected(dims):
     MisGeometry(np.int64(2), np.int32(2), np.int8(1), np.uint16(1))
 
 
-# a bool, a string, a complex number or None is not a real spacing either
-@pytest.mark.parametrize(
-    "spacing", [0.0, float("inf"), float("nan"), True, np.bool_(False), "0.5", 0.5j, None]
-)
-def test_bad_spacing_rejected(spacing):
-    with pytest.raises(ValueError, match="spacing_over_lambda"):
-        MisGeometry(2, 2, 1, 1, spacing_over_lambda=spacing)
-    for real in (1, np.int64(1), np.float32(0.5)):
-        MisGeometry(2, 2, 1, 1, spacing_over_lambda=real)
-
-
 def test_build_selection_two_element_column():
     geom = MisGeometry(2, 1, 1, 1)
     assert all_selections(geom).tolist() == [[0], [1]]

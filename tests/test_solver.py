@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ from helpers import dense_selection_oracle, random_ambient_triple, random_instan
 
 def _uniform(num_users, num_patterns):
     return np.full((num_users, num_patterns), 1.0 / num_patterns)
+
+
+def _shorten(monkeypatch, inner_iters=None, stages=None):
+    """Cap every inner stage at ``inner_iters`` iterations and end every
+    anneal after ``stages`` stages (sooner if the gap test ends it): stage
+    ``stages`` runs at the mu floor ``2**-(stages - 1)`` of the first mu."""
+    if inner_iters is not None:
+        monkeypatch.setattr(solver, "MAX_INNER_ITERS", inner_iters)
+    if stages is not None:
+        monkeypatch.setattr(solver, "MU_MIN_RATIO", 2.0 ** -(stages - 1))
 
 # The Polak-Ribiere beta is read off _conjugate's output: with a carried
 # direction along which the result stays an ascent direction, the returned
@@ -186,13 +197,14 @@ def test_inner_solve_reuses_accepted_forward_pass(monkeypatch):
 
     monkeypatch.setattr(solver, "line_search", spy_search)
     monkeypatch.setattr(solver, "project_to_tangent", spy_project)
+    _shorten(monkeypatch, inner_iters=40)
     conjugated = 0
     for _ in range(6):
         _, _, ctx, point = random_instance(rng)
         mu = max(0.2 * float(evaluate(point, 1.0, ctx).user_snrs.mean()), 1e-3)
         searches.clear()
         projections.clear()
-        stage = inner_solve(point, mu, SolverConfig(max_inner_iters=40), ctx)
+        stage = inner_solve(point, mu, ctx)
         accepted = sum(not r.stalled for *_, r in searches)
         assert len(projections) == 1 + accepted
         assert stage.num_evals == len(projections) + sum(r.num_evals for *_, r in searches)
@@ -519,12 +531,12 @@ def test_inner_solve_stationary_start_returns_immediately():
         ms2_phase=np.ones(1, dtype=complex),
         schedule=_uniform(1, 2),
     )
-    result = inner_solve(point, 0.5, SolverConfig(), ctx)
+    result = inner_solve(point, 0.5, ctx)
     assert result.num_iters == 0
     assert result.point is point
 
 
-def test_inner_solve_reaches_matched_filter_optimum():
+def test_inner_solve_reaches_matched_filter_optimum(monkeypatch):
     rng = np.random.default_rng(2)
     geom = MisGeometry(2, 2, 2, 2)
     scenario = Scenario(
@@ -538,14 +550,16 @@ def test_inner_solve_reaches_matched_filter_optimum():
         ms2_phase=np.exp(2j * np.pi * rng.random(4)),
         schedule=_uniform(1, 1),
     )
-    result = inner_solve(point, 1.0, SolverConfig(max_inner_iters=500), ctx)
+    _shorten(monkeypatch, inner_iters=500)
+    result = inner_solve(point, 1.0, ctx)
     assert float(result.evaluation.user_snrs[0]) >= 0.999 * 0.01 * 16
 
 
-def test_inner_solve_trace_monotone_and_feasible():
+def test_inner_solve_trace_monotone_and_feasible(monkeypatch):
     rng = np.random.default_rng(3)
     _, _, ctx, point = random_instance(rng)
-    result = inner_solve(point, 0.3, SolverConfig(max_inner_iters=60), ctx)
+    _shorten(monkeypatch, inner_iters=60)
+    result = inner_solve(point, 0.3, ctx)
     trace = result.objective_trace
     assert np.all(np.diff(trace) >= 0.0)
     result.point.validate()
@@ -623,7 +637,7 @@ def test_solve_report_consistent_with_scalar_recomputation():
     assert set(report.chosen_pattern.tolist()) <= {1, 2}
 
 
-def test_solve_reports_each_users_best_pattern():
+def test_solve_reports_each_users_best_pattern(monkeypatch):
     scenario = Scenario(
         geom=MisGeometry(3, 3, 1, 1),
         mis_arrival=ArrayAngles(0.59, 1.13),
@@ -631,8 +645,8 @@ def test_solve_reports_each_users_best_pattern():
     )
     ctx = EvalContext.from_scenario(scenario)
     # a short solve leaves the relaxed schedule far from each user's best pattern
-    config = SolverConfig(rng_seed=1, max_inner_iters=3, max_outer_iters=1)
-    report = solve(scenario, config)
+    _shorten(monkeypatch, inner_iters=3, stages=1)
+    report = solve(scenario, SolverConfig(rng_seed=1))
     table = ctx.pattern_snr_table(report.ms1_phase, report.ms2_phase)
     assert report.worst_snr == table.max(axis=1).min()
     np.testing.assert_array_equal(report.per_user_snr, table.max(axis=1))
@@ -650,12 +664,13 @@ def test_solve_monotone_traces_within_stages():
     )
 
 
-def test_solve_warm_start_floor():
+def test_solve_warm_start_floor(monkeypatch):
     scenario = _two_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
     # hand a deliberately good feasible point as a warm start
     strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=4))
-    weak_config = SolverConfig(rng_seed=9, num_restarts=1, max_inner_iters=2, max_outer_iters=1)
+    _shorten(monkeypatch, inner_iters=2, stages=1)
+    weak_config = SolverConfig(rng_seed=9, num_restarts=1)
     floored = solve(scenario, weak_config, warm=(strong.ms1_phase, strong.ms2_phase))
     table = ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase)
     # the unoptimized warm candidate gives each user its best pattern
@@ -667,9 +682,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(num_restarts=0)
     for bad in (
-        {"max_inner_iters": math.inf},
-        {"max_inner_iters": 2.5},
-        {"max_outer_iters": 2.5},
         {"rng_seed": math.inf},
         {"rng_seed": True},
         {"num_restarts": 2.5},
@@ -680,6 +692,8 @@ def test_solver_config_validation():
     SolverConfig(rng_seed=np.int64(3), num_restarts=np.int32(2))
     # removed options are not fields any more
     for gone in (
+        "max_inner_iters",
+        "max_outer_iters",
         "restart_period",
         "mu_gap_rtol",
         "max_backtracks",
@@ -695,13 +709,14 @@ def test_solver_config_validation():
             SolverConfig(**{gone: 2})
 
 
-def test_solve_validates_warm_starts():
+def test_solve_validates_warm_starts(monkeypatch):
     scenario = _two_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
     good = (np.ones(ctx.num_ms1, dtype=complex), np.ones(ctx.num_ms2, dtype=complex))
     all_nan = (np.full(ctx.num_ms1, np.nan + 0j), np.full(ctx.num_ms2, np.nan + 0j))
     wrong_shape = (np.ones(ctx.num_ms1 + 1, dtype=complex), good[1])
-    config = SolverConfig(max_inner_iters=2, max_outer_iters=1)
+    _shorten(monkeypatch, inner_iters=2, stages=1)
+    config = SolverConfig()
     with pytest.raises(ValueError, match="warm start: ms1_phase has non-finite"):
         solve(scenario, config, warm=all_nan)
     with pytest.raises(ValueError, match="warm start: ms1_phase must have shape"):
@@ -740,7 +755,7 @@ def _random_start(ctx, seed, restart=0):
     )
 
 
-def _frozen_anneal(start, ctx, config):
+def _frozen_anneal(start, ctx):
     """The single uninterrupted anneal as it stood before the race, frozen:
     (point, objective traces, mu schedule, evaluations)."""
     point = start
@@ -750,8 +765,8 @@ def _frozen_anneal(start, ctx, config):
     mu = float(snr0.max() - snr0.min()) + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
     mu_min = solver.MU_MIN_RATIO * mu
     traces, mus, evals = [], [], 0
-    for _ in range(config.max_outer_iters):
-        stage = inner_solve(point, mu, config, ctx)
+    while True:
+        stage = inner_solve(point, mu, ctx)
         point = stage.point
         traces.append(stage.objective_trace)
         mus.append(mu)
@@ -777,15 +792,16 @@ def _assert_same_report(a, b):
     assert a.origin == b.origin
 
 
+# (2, 7) runs past the end of a 5-stage anneal.
 @pytest.mark.parametrize(
-    "outer, legs", [(40, (1, 2, None)), (40, (3, 3, 3, None)), (5, (2, 7))]
+    "stages, legs", [(None, (1, 2, None)), (None, (3, 3, 3, None)), (5, (2, 7))]
 )
-def test_anneal_resumed_in_legs_matches_one_run(outer, legs):
+def test_anneal_resumed_in_legs_matches_one_run(monkeypatch, stages, legs):
     ctx = EvalContext.from_scenario(_three_user_scenario())
-    config = SolverConfig(max_inner_iters=20, max_outer_iters=outer)
+    _shorten(monkeypatch, inner_iters=20, stages=stages)
     start = _random_start(ctx, seed=3)
-    whole = solver._Anneal(start, ctx, config, "restart-0").run()
-    resumed = solver._Anneal(start, ctx, config, "restart-0")
+    whole = solver._Anneal(start, ctx, "restart-0").run()
+    resumed = solver._Anneal(start, ctx, "restart-0")
     for leg in legs:
         before = resumed.stage
         resumed.run(leg)
@@ -796,12 +812,24 @@ def test_anneal_resumed_in_legs_matches_one_run(outer, legs):
     _assert_same_report(resumed.report(), whole.report())
 
 
+def test_mu_floor_ends_every_anneal_by_stage_21(monkeypatch):
+    # with the gap test off only the mu floor ends an anneal: stage 21 runs
+    # at 2**-20 of the first mu, the first stage at or below MU_MIN_RATIO
+    monkeypatch.setattr(solver, "MU_GAP_RTOL", 0.0)
+    scenario = replace(_three_user_scenario(), geom=MisGeometry(2, 2, 1, 1))
+    ctx = EvalContext.from_scenario(scenario)
+    anneal = solver._Anneal(_random_start(ctx, seed=0), ctx, "restart-0").run()
+    assert anneal.done and anneal.stage == 21
+    assert anneal.mu_schedule[-1] / anneal.mu_schedule[0] == 2.0**-20
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_single_candidate_solve_is_the_uninterrupted_anneal(seed):
+def test_single_candidate_solve_is_the_uninterrupted_anneal(monkeypatch, seed):
     scenario = _three_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
-    config = SolverConfig(rng_seed=seed, max_inner_iters=30)
-    point, traces, mus, evals = _frozen_anneal(_random_start(ctx, seed), ctx, config)
+    _shorten(monkeypatch, inner_iters=30)
+    config = SolverConfig(rng_seed=seed)
+    point, traces, mus, evals = _frozen_anneal(_random_start(ctx, seed), ctx)
     expected = _report_at(point, ctx, origin="restart-0")
     expected.objective_trace, expected.mu_schedule, expected.num_evals = traces, mus, evals
     assert len(mus) > solver.RACE_STAGE
@@ -839,7 +867,7 @@ def test_race_keeps_the_better_half_and_finished_anneals(scores, done, kept):
 
 def test_anneal_rank_is_the_reported_worst_snr_and_ranks_nan_last():
     ctx = EvalContext.from_scenario(_three_user_scenario())
-    anneal = solver._Anneal(_random_start(ctx, seed=1), ctx, SolverConfig(), "restart-0")
+    anneal = solver._Anneal(_random_start(ctx, seed=1), ctx, "restart-0")
     anneal.run(2)
     worst = anneal.report().worst_snr
     assert math.isfinite(worst) and _rank(anneal.report()) == worst
@@ -868,7 +896,8 @@ def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
     strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=2))
     floor = float(ctx.pattern_snr_table(strong.ms1_phase, strong.ms2_phase).max(axis=1).min())
     # a weak restart, and a warm anneal that ranks lowest at the barrier
-    config = SolverConfig(rng_seed=9, max_inner_iters=2, max_outer_iters=6)
+    _shorten(monkeypatch, inner_iters=2, stages=6)
+    config = SolverConfig(rng_seed=9)
     monkeypatch.setattr(
         solver,
         "_rank",
@@ -887,10 +916,10 @@ def test_equal_ranks_pick_the_earliest_candidate(monkeypatch):
     ctx = EvalContext.from_scenario(scenario)
     warm = tuple(np.ones(n, dtype=complex) for n in (ctx.num_ms1, ctx.num_ms2))
 
+    _shorten(monkeypatch, inner_iters=2, stages=6)
+
     def config(restarts):
-        return SolverConfig(
-            rng_seed=2, num_restarts=restarts, max_inner_iters=2, max_outer_iters=6
-        )
+        return SolverConfig(rng_seed=2, num_restarts=restarts)
 
     # every candidate ranks the same: the first restart wins, also when it is
     # the only survivor beside the warm start as-is
@@ -907,13 +936,14 @@ def test_equal_ranks_pick_the_earliest_candidate(monkeypatch):
     assert report.origin == "warm-direct"
 
 
-def test_warm_start_takes_lists_and_real_arrays():
+def test_warm_start_takes_lists_and_real_arrays(monkeypatch):
     scenario = Scenario(
         geom=MisGeometry(2, 2, 1, 1),
         mis_arrival=ArrayAngles(0.59, 1.13),
         users=[(ArrayAngles(0.08, 0.31), 0.04), (ArrayAngles(2.31, 0.5), 0.028)],
     )
-    config = SolverConfig(rng_seed=3, max_inner_iters=5, max_outer_iters=3)
+    _shorten(monkeypatch, inner_iters=5, stages=3)
+    config = SolverConfig(rng_seed=3)
     complex_pair = (np.ones(4, dtype=complex), np.ones(1, dtype=complex))
     expected = solve(scenario, config, warm=complex_pair)
     for warm in (
