@@ -76,6 +76,7 @@ class Scenario:
         for angles, iota in self.users:
             if not isinstance(angles, ArrayAngles):
                 raise TypeError("each user is an (ArrayAngles, iota) pair")
+            _require_real("iota", iota)
             if not 0 < iota < math.inf:
                 raise ValueError("every user iota must be positive and finite")
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import Scenario, cascaded_channel
-from .geometry import MisGeometry, all_selections
+from .geometry import all_selections
 
 __all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate", "euclidean_grads"]
 
@@ -68,7 +68,6 @@ class EvalContext:
     pattern and MS 2 element (U x N, 0-based).
     """
 
-    geom: MisGeometry
     channels: np.ndarray
     iota: np.ndarray
     sel_index: np.ndarray
@@ -80,9 +79,7 @@ class EvalContext:
         sel_index = all_selections(scenario.geom)
         for arr in (channels, iota):
             arr.setflags(write=False)
-        return cls(
-            geom=scenario.geom, channels=channels, iota=iota, sel_index=sel_index
-        )
+        return cls(channels=channels, iota=iota, sel_index=sel_index)
 
     @cached_property
     def _rows(self) -> np.ndarray:

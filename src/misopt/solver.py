@@ -35,7 +35,7 @@ spread of the initial per-user SNRs.  Stage ``s`` of an anneal runs at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "LineSearchResult",
-    "InnerResult",
+    "Stage",
     "line_search",
     "inner_solve",
     "solve",
@@ -105,11 +105,13 @@ class SolverConfig:
         _require_int("num_restarts", self.num_restarts, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Solution plus solve-time diagnostics for one scenario; ``chosen_pattern``
-    is the binary schedule (each user's 1-based placement) and ``snr_table``
-    the K x U SNR of every (user, pattern) pair at the reported phases."""
+    is the binary schedule (each user's 1-based placement), ``snr_table`` the
+    K x U SNR of every (user, pattern) pair at the reported phases and
+    ``stages`` the anneal's :class:`Stage` records (none for a start taken
+    as-is)."""
 
     ms1_phase: np.ndarray
     ms2_phase: np.ndarray
@@ -117,9 +119,7 @@ class SolveReport:
     worst_snr: float
     chosen_pattern: np.ndarray
     snr_table: np.ndarray
-    objective_trace: list = field(default_factory=list)
-    mu_schedule: list = field(default_factory=list)
-    num_evals: int = 0
+    stages: tuple = ()
     origin: str = ""
 
 
@@ -133,9 +133,14 @@ class LineSearchResult:
 
 
 @dataclass(frozen=True)
-class InnerResult:
+class Stage:
+    """One inner stage at ``mu``: the end point the anneal resumes from, its
+    least relaxed-schedule user SNR, the objective at the start and after each
+    accepted step, the counts, and whether two searches in a row stalled."""
+
+    mu: float
     point: ProductPoint
-    evaluation: Evaluation
+    min_user_snr: float
     objective_trace: np.ndarray
     num_iters: int
     num_evals: int
@@ -239,7 +244,7 @@ def line_search(
     return LineSearchResult(0.0, point, current, True, evals)
 
 
-def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> InnerResult:
+def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> Stage:
     """Run conjugate-gradient ascent at fixed ``mu`` until the Riemannian
     gradient norm falls below tolerance, :data:`MAX_INNER_ITERS` is hit, or the
     line search stalls twice in a row.  An accepted step's gradient reuses the
@@ -299,9 +304,10 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> InnerResult
         else:
             tiny_steps = 0
 
-    return InnerResult(
+    return Stage(
+        mu=mu,
         point=point,
-        evaluation=ev,
+        min_user_snr=float(ev.user_snrs.min()),
         objective_trace=np.array(obj_trace),
         num_iters=iters,
         num_evals=num_evals,
@@ -309,10 +315,10 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> InnerResult
     )
 
 
-def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveReport:
+def _report_at(point: ProductPoint, ctx: EvalContext, origin: str, stages=()) -> SolveReport:
     """Report the true worst-case SNR at a point's phases, each user on its
-    best pattern there (ties go to the smallest index); no schedule for those
-    phases does better."""
+    best pattern there (ties go to the smallest index), with the stages that
+    led there; no schedule for those phases does better."""
     gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
     chosen0 = np.argmax(gamma, axis=1)
     per_user = gamma[np.arange(ctx.num_users), chosen0]
@@ -323,6 +329,7 @@ def _report_at(point: ProductPoint, ctx: EvalContext, origin: str) -> SolveRepor
         worst_snr=float(per_user.min()),
         chosen_pattern=chosen0.astype(int) + 1,
         snr_table=gamma,
+        stages=tuple(stages),
         origin=origin,
     )
 
@@ -331,10 +338,9 @@ class _Anneal:
     """One anneal from a start: inner conjugate-gradient solves over a
     shrinking mu, resumable at a stage boundary.
 
-    Its state is the current point, the next stage's ``mu``, the stages run
-    so far with their objective traces and smoothing parameters, and the
-    evaluation count.  :meth:`run` advances it; running it in legs gives the
-    same :meth:`report`, bit for bit, as running it in one.
+    Its state is the current point, the next stage's ``mu`` and the
+    :class:`Stage` records so far.  :meth:`run` advances it; running it in
+    legs gives the same :meth:`report`, bit for bit, as running it in one.
     """
 
     def __init__(self, start: ProductPoint, ctx: EvalContext, origin: str):
@@ -347,14 +353,12 @@ class _Anneal:
         self.mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
         self._mu_min = MU_MIN_RATIO * self.mu
         self.point, self.ctx, self.origin = start, ctx, origin
-        self.objective_trace: list[np.ndarray] = []
-        self.mu_schedule: list[float] = []
-        self.num_evals = 0
+        self.stages: list[Stage] = []
         self.done = False
 
     @property
     def stage(self) -> int:
-        return len(self.mu_schedule)
+        return len(self.stages)
 
     def run(self, stages: int | None = None) -> "_Anneal":
         """Advance ``stages`` more stages, or to the end when None; stop early
@@ -364,24 +368,17 @@ class _Anneal:
         while not self.done and self.stage < limit:
             stage = inner_solve(self.point, self.mu, self.ctx)
             self.point = stage.point
-            self.objective_trace.append(stage.objective_trace)
-            self.mu_schedule.append(self.mu)
-            self.num_evals += stage.num_evals
-            current_min = float(stage.evaluation.user_snrs.min())
+            self.stages.append(stage)
             self.done = (
                 self.mu <= self._mu_min
-                or self.mu * log_k < MU_GAP_RTOL * max(current_min, 1e-30)
+                or self.mu * log_k < MU_GAP_RTOL * max(stage.min_user_snr, 1e-30)
             )
             if not self.done:
                 self.mu /= DELTA
         return self
 
     def report(self) -> SolveReport:
-        report = _report_at(self.point, self.ctx, self.origin)
-        report.objective_trace = self.objective_trace
-        report.mu_schedule = self.mu_schedule
-        report.num_evals = self.num_evals
-        return report
+        return _report_at(self.point, self.ctx, self.origin, self.stages)
 
 
 def _rank(report: SolveReport) -> float:

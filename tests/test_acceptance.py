@@ -192,8 +192,8 @@ def test_criterion_08c_worst_snr_monotone_in_users(users_sweep):
 def test_criterion_09_monotone_inner_traces(ms2_sweep, alloc_sweep, users_sweep):
     total_segments = 0
     for tag, report in _collected:
-        for segment in report.objective_trace:
-            assert np.all(np.diff(segment) >= 0.0), f"non-monotone trace in {tag}"
+        for stage in report.stages:
+            assert np.all(np.diff(stage.objective_trace) >= 0.0), f"non-monotone trace in {tag}"
             total_segments += 1
     assert total_segments > 0
     _ok(9, f"all {total_segments} inner-loop traces are non-decreasing")

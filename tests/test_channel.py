@@ -22,7 +22,6 @@ def _single_pattern_context(channels, iota):
     movable layer's phase."""
     m = channels.shape[1]
     return EvalContext(
-        geom=MisGeometry(1, m, 1, m),
         channels=np.asarray(channels, dtype=complex),
         iota=np.asarray(iota, dtype=float),
         sel_index=np.arange(m)[None, :],
@@ -216,6 +215,10 @@ def test_scenario_validation():
             mis_arrival=ArrayAngles(0, 0),
             users=[(ArrayAngles(0, 0), 0.0)],
         )
+    # a bool or a string is not an SNR scale, and the error names the iota
+    for bad in (True, "0.01"):
+        with pytest.raises(ValueError, match="iota"):
+            Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), bad)])
 
 
 

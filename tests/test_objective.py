@@ -129,7 +129,6 @@ def test_egrad_zero_iota_gives_zero_gradients():
     rng = np.random.default_rng(7)
     _, scenario, ctx, point = random_instance(rng)
     dead = EvalContext(
-        geom=ctx.geom,
         channels=ctx.channels,
         iota=np.zeros_like(ctx.iota),
         sel_index=ctx.sel_index,

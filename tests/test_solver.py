@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -517,7 +517,6 @@ def _tiny_context(iota=0.0):
     )
     ctx = EvalContext.from_scenario(scenario)
     return EvalContext(
-        geom=ctx.geom,
         channels=ctx.channels,
         iota=np.full_like(ctx.iota, iota),
         sel_index=ctx.sel_index,
@@ -552,7 +551,7 @@ def test_inner_solve_reaches_matched_filter_optimum(monkeypatch):
     )
     _shorten(monkeypatch, inner_iters=500)
     result = inner_solve(point, 1.0, ctx)
-    assert float(result.evaluation.user_snrs[0]) >= 0.999 * 0.01 * 16
+    assert result.min_user_snr >= 0.999 * 0.01 * 16
 
 
 def test_inner_solve_trace_monotone_and_feasible(monkeypatch):
@@ -600,10 +599,7 @@ def test_solve_deterministic():
     np.testing.assert_array_equal(first.per_user_snr, second.per_user_snr)
     assert first.worst_snr == second.worst_snr
     assert first.origin == second.origin
-    assert first.num_evals == second.num_evals
-    for seg_a, seg_b in zip(first.objective_trace, second.objective_trace):
-        np.testing.assert_array_equal(seg_a, seg_b)
-    assert first.mu_schedule == second.mu_schedule
+    _assert_same_stages(first.stages, second.stages)
 
 
 def test_solve_single_pattern_schedule_is_all_ones():
@@ -656,12 +652,13 @@ def test_solve_reports_each_users_best_pattern(monkeypatch):
 def test_solve_monotone_traces_within_stages():
     scenario = _two_user_scenario()
     report = solve(scenario, SolverConfig(rng_seed=3, num_restarts=1))
-    assert len(report.objective_trace) == len(report.mu_schedule)
-    for segment in report.objective_trace:
-        assert np.all(np.diff(segment) >= 0.0)
-    assert all(
-        later <= earlier for earlier, later in zip(report.mu_schedule, report.mu_schedule[1:])
-    )
+    assert report.stages
+    for stage in report.stages:
+        assert np.all(np.diff(stage.objective_trace) >= 0.0)
+    mus = [stage.mu for stage in report.stages]
+    assert all(later <= earlier for earlier, later in zip(mus, mus[1:]))
+    with pytest.raises(FrozenInstanceError):
+        report.stages = ()
 
 
 def test_solve_warm_start_floor(monkeypatch):
@@ -757,38 +754,42 @@ def _random_start(ctx, seed, restart=0):
 
 def _frozen_anneal(start, ctx):
     """The single uninterrupted anneal as it stood before the race, frozen:
-    (point, objective traces, mu schedule, evaluations)."""
+    (point, stages)."""
     point = start
     snr0 = np.einsum(
         "ku,ku->k", point.schedule, ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
     )
     mu = float(snr0.max() - snr0.min()) + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
     mu_min = solver.MU_MIN_RATIO * mu
-    traces, mus, evals = [], [], 0
+    stages = []
     while True:
         stage = inner_solve(point, mu, ctx)
+        assert stage.mu == mu
         point = stage.point
-        traces.append(stage.objective_trace)
-        mus.append(mu)
-        evals += stage.num_evals
-        current_min = float(stage.evaluation.user_snrs.min())
+        stages.append(stage)
         if mu <= mu_min:
             break
-        if mu * math.log(ctx.num_users) < solver.MU_GAP_RTOL * max(current_min, 1e-30):
+        if mu * math.log(ctx.num_users) < solver.MU_GAP_RTOL * max(stage.min_user_snr, 1e-30):
             break
         mu /= solver.DELTA
-    return point, traces, mus, evals
+    return point, stages
+
+
+def _assert_same_stages(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for name in ("mu", "min_user_snr", "num_iters", "num_evals", "stalled"):
+            assert getattr(x, name) == getattr(y, name), name
+        assert np.array_equal(x.objective_trace, y.objective_trace)
+        for name in ("ms1_phase", "ms2_phase", "schedule"):
+            assert np.array_equal(getattr(x.point, name), getattr(y.point, name)), name
 
 
 def _assert_same_report(a, b):
     for name in ("ms1_phase", "ms2_phase", "per_user_snr", "chosen_pattern", "snr_table"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.worst_snr == b.worst_snr
-    assert len(a.objective_trace) == len(b.objective_trace)
-    for seg_a, seg_b in zip(a.objective_trace, b.objective_trace):
-        assert np.array_equal(seg_a, seg_b)
-    assert np.array_equal(a.mu_schedule, b.mu_schedule)
-    assert a.num_evals == b.num_evals
+    _assert_same_stages(a.stages, b.stages)
     assert a.origin == b.origin
 
 
@@ -820,7 +821,7 @@ def test_mu_floor_ends_every_anneal_by_stage_21(monkeypatch):
     ctx = EvalContext.from_scenario(scenario)
     anneal = solver._Anneal(_random_start(ctx, seed=0), ctx, "restart-0").run()
     assert anneal.done and anneal.stage == 21
-    assert anneal.mu_schedule[-1] / anneal.mu_schedule[0] == 2.0**-20
+    assert anneal.stages[-1].mu / anneal.stages[0].mu == 2.0**-20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -829,10 +830,9 @@ def test_single_candidate_solve_is_the_uninterrupted_anneal(monkeypatch, seed):
     ctx = EvalContext.from_scenario(scenario)
     _shorten(monkeypatch, inner_iters=30)
     config = SolverConfig(rng_seed=seed)
-    point, traces, mus, evals = _frozen_anneal(_random_start(ctx, seed), ctx)
-    expected = _report_at(point, ctx, origin="restart-0")
-    expected.objective_trace, expected.mu_schedule, expected.num_evals = traces, mus, evals
-    assert len(mus) > solver.RACE_STAGE
+    point, stages = _frozen_anneal(_random_start(ctx, seed), ctx)
+    expected = _report_at(point, ctx, "restart-0", stages)
+    assert len(stages) > solver.RACE_STAGE
     _assert_same_report(solve(scenario, config), expected)
 
 
