@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MisGeometry, _require_real
+from .geometry import MisGeometry, _require_int, _require_real
 
 __all__ = [
     "SPACING_OVER_LAMBDA",
@@ -91,8 +91,8 @@ def upa_steering(rows: int, cols: int, angles: ArrayAngles) -> np.ndarray:
     Entry (r, c), with 0-based grid offsets, is
     ``exp(j * 2*pi * SPACING_OVER_LAMBDA * (r*cos(az)*sin(el) + c*sin(az)*sin(el)))``.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("array dimensions must be >= 1")
+    _require_int("array dimensions: rows", rows, 1)
+    _require_int("array dimensions: cols", cols, 1)
     row_gain = math.cos(angles.azimuth) * math.sin(angles.elevation)
     col_gain = math.sin(angles.azimuth) * math.sin(angles.elevation)
     phase = (

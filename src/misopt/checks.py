@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayAngles, Scenario
+from .experiments import ArcScenarioSpec, build_arc_scenario
 from .geometry import MisGeometry, all_selections
 from .manifolds import (
     TangentTriple,
@@ -283,9 +284,9 @@ def check_manifold_primitives(seed: int, trials: int) -> CheckResult:
 
 def check_oracle_optimality(seed: int) -> CheckResult:
     """Criterion 5: the solver (8 restarts) reaches at least 0.95 of the
-    16-level brute-force optimum on a two-user, two-pattern instance."""
-    users = [(ArrayAngles(az, math.pi / 4), 0.01) for az in (-math.pi / 3, math.pi / 3)]
-    scenario = Scenario(MisGeometry(2, 1, 1, 1), ArrayAngles(0.0, 0.0), users)
+    16-level brute-force optimum on the default arc's two-user, two-pattern
+    instance."""
+    scenario = build_arc_scenario(ArcScenarioSpec(MisGeometry(2, 1, 1, 1), 2))
     reference = brute_force_solve(scenario, phase_levels=16)
     report = solve(scenario, SolverConfig(rng_seed=seed, num_restarts=8))
     ratio = report.worst_snr / reference.value

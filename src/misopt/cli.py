@@ -8,46 +8,42 @@ inputs: every command first builds the scenario specs and solver
 configuration it hands on and creates the output directory, and only then
 solves and writes: its CSV results plus a JSON manifest (config echo, seed,
 tool version, digest of the CSV bytes) into the output directory, printing
-SNR figures in both linear and dB form.  Exit codes: 0 success, 1 when the
-configuration, an input built from it or the output directory is invalid, 2
-for any failure after that.
+SNR figures in both linear and dB form.  Those writers live here, not in the
+library; every dB value is rendered by ``experiments.format_db``, and every
+integer or real-number key is checked by the library's own rules
+(``geometry._require_int`` and ``_require_real``).  Exit codes: 0 success,
+1 when the configuration, an input built from it or the output directory is
+invalid, 2 for any failure after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
 import math
 import os
 import sys
 
+from . import __version__
 from .experiments import (
     USERS_LAYOUTS,
     ArcScenarioSpec,
     CoverageArc,
+    Study,
     allocation_steps,
     build_arc_scenario,
     case_study,
     format_db,
-    results_digest,
     sweep_allocation,
     sweep_ms2_sizes,
     sweep_users_1d2d,
-    write_case_study_csv,
-    write_manifest,
-    write_solve_csv,
-    write_sweep_csv,
-    write_users_csv,
 )
-from .geometry import MisGeometry
-from .solver import SolverConfig, solve
+from .geometry import MisGeometry, _require_int, _require_real
+from .solver import SolveReport, SolverConfig, solve
 
 __all__ = ["main", "entrypoint"]
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (bad key, bad value, or bad combination)."""
-
 
 # The layout of each case-study figure: a 2x1 fixed layer over a single
 # movable element (two patterns) and a 2x2 one (four patterns).
@@ -82,16 +78,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             with open(args.config, "r", encoding="utf-8") as handle:
                 loaded = json.load(handle)
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+            raise ValueError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+            raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a flat JSON object")
+            raise ValueError("config file must hold a flat JSON object")
         for key in loaded:
             if key not in allowed:
-                raise ConfigError(f"unknown config key {key!r} for {subcommand}")
+                raise ValueError(f"unknown config key {key!r} for {subcommand}")
         if loaded.get("subcommand", subcommand) != subcommand:
-            raise ConfigError(
+            raise ValueError(
                 f"config key 'subcommand' is {loaded['subcommand']!r}, "
                 f"but {subcommand!r} was invoked"
             )
@@ -104,19 +100,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     # Read by every command that takes them; checked once here.
     _int_key(merged, "seed", least=0)
     if "jobs" in allowed:
-        _int_key(merged, "jobs", least=1)
+        _int_key(merged, "jobs")
     if "out" in allowed and not (isinstance(merged["out"], str) and merged["out"]):
-        raise ConfigError(
+        raise ValueError(
             f"config key 'out' must be a non-empty path, got {merged['out']!r}"
         )
     return merged
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    try:
-        return SolverConfig(rng_seed=cfg["seed"], num_restarts=_int_key(cfg, "restarts"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver configuration: {exc}")
+    return SolverConfig(rng_seed=cfg["seed"], num_restarts=_int_key(cfg, "restarts"))
 
 
 def _arc(cfg: dict) -> CoverageArc:
@@ -130,52 +123,131 @@ def _arc(cfg: dict) -> CoverageArc:
 
 def _require(cfg: dict, key: str):
     if cfg.get(key) is None:
-        raise ConfigError(f"missing required config key {key!r}")
+        raise ValueError(f"missing required config key {key!r}")
     return cfg[key]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_key(cfg: dict, key: str, least: int | None = None) -> int:
-    """A required integer key, at least ``least`` if given; floats and bools
-    are rejected, not truncated."""
+def _int_key(cfg: dict, key: str, least: int = 1) -> int:
+    """A required integer key of at least ``least`` (0 or 1); floats and
+    bools are rejected, not truncated."""
     value = _require(cfg, key)
-    if not _is_int(value):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"config key {key!r} must be at least {least}, got {value}")
+    _require_int(f"config key {key!r}", value, least)
     return value
 
 
 def _float_key(cfg: dict, key: str) -> float:
     """A required real-number key; bools and strings are rejected."""
     value = _require(cfg, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    _require_real(f"config key {key!r}", value)
     return float(value)
 
 
 def _user_list(raw) -> list[int]:
     """One or more distinct positive user counts from an integer, a list or a
     comma-separated string."""
-    if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
-        counts = list(raw)
-    elif _is_int(raw):
-        counts = [raw]
-    elif isinstance(raw, str):
+    if isinstance(raw, str):
         try:
             counts = [int(part) for part in raw.split(",") if part.strip()]
         except ValueError:
-            raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
+            raise ValueError(f"config key 'users' must be integers, got {raw!r}")
     else:
-        raise ConfigError(f"config key 'users' must be integers, got {raw!r}")
-    if min(counts, default=0) < 1:
-        raise ConfigError(f"config key 'users' must be positive counts, got {raw!r}")
+        counts = list(raw) if isinstance(raw, (list, tuple)) else [raw]
+    # An empty list is checked as the raw value, so it is rejected too.
+    for count in counts or [raw]:
+        _require_int("config key 'users'", count, 1)
     if len(set(counts)) != len(counts):
-        raise ConfigError(f"config key 'users' repeats a count: {raw!r}")
+        raise ValueError(f"config key 'users' repeats a count: {raw!r}")
     return counts
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """``header`` and then ``rows`` as a utf-8 CSV with ``\\n`` line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_sweep_csv(studies, seed: int, path) -> None:
+    """One row per entry of each baselined :class:`Study` in ``studies``:
+    geometry (the entry label), users, seed, baseline_snr, mis_snr, gain."""
+    _write_csv(
+        path,
+        ["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"],
+        (
+            [label, spec.num_users, seed,
+             _fmt(study.entries[study.baseline][2].worst_snr),
+             _fmt(report.worst_snr), _fmt(gain)]
+            for study in studies
+            for (label, spec, report), gain in zip(study.entries, study.gains())
+        ),
+    )
+
+
+def write_users_csv(study: Study, seed: int, path) -> None:
+    """One row per entry of ``study``: config (its label), users,
+    num_patterns, worst_snr, worst_snr_db, seed."""
+    _write_csv(
+        path,
+        ["config", "users", "num_patterns", "worst_snr", "worst_snr_db", "seed"],
+        (
+            [label, spec.num_users, spec.geom.num_patterns,
+             _fmt(report.worst_snr), format_db(report.worst_snr), seed]
+            for label, spec, report in study.entries
+        ),
+    )
+
+
+def write_case_study_csv(study: Study, path) -> None:
+    """Per-(scheme, user, pattern) SNR rows of every entry of ``study``, the
+    scheme being its label: scheme, user, pattern, snr, snr_db, chosen (1 for
+    the user's scheduled pattern, else 0)."""
+    _write_csv(
+        path,
+        ["scheme", "user", "pattern", "snr", "snr_db", "chosen"],
+        (
+            [scheme, k + 1, u + 1, _fmt(snr), format_db(snr),
+             int(report.chosen_pattern[k] == u + 1)]
+            for scheme, _, report in study.entries
+            for k, row in enumerate(report.snr_table.tolist())
+            for u, snr in enumerate(row)
+        ),
+    )
+
+
+def write_solve_csv(report: SolveReport, path) -> None:
+    """One row per user of ``report``: user, pattern (its scheduled
+    placement), snr, snr_db."""
+    per_user = enumerate(zip(report.per_user_snr, report.chosen_pattern), start=1)
+    _write_csv(
+        path,
+        ["user", "pattern", "snr", "snr_db"],
+        ([k, int(pattern), _fmt(snr), format_db(snr)] for k, (snr, pattern) in per_user),
+    )
+
+
+def results_digest(path) -> str:
+    """Hex sha256 of the bytes of the file at ``path``."""
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def write_manifest(path, config: dict, digest: str) -> None:
+    """JSON manifest of a run: its config, the config's seed, the misopt
+    version and the digest of its results."""
+    payload = {
+        "config": config,
+        "seed": config["seed"],
+        "tool_version": __version__,
+        "results_digest": digest,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _finish(cfg: dict, stem: str, write) -> int:
@@ -287,7 +359,7 @@ def _cmd_sweep_users(cfg: dict):
 def _cmd_case_study(cfg: dict):
     figure, arc = _int_key(cfg, "figure"), _arc(cfg)
     if figure not in _CASE_STUDY_LAYOUTS:
-        raise ConfigError(f"config key 'figure' must be 6 or 7, got {figure}")
+        raise ValueError(f"config key 'figure' must be 6 or 7, got {figure}")
     users = _int_key(cfg, "users") if "users" in cfg else 4
     spec = ArcScenarioSpec(_CASE_STUDY_LAYOUTS[figure], users, arc)
     config = _solver_config(cfg)
@@ -410,7 +482,7 @@ def main(argv=None) -> int:
             try:
                 os.makedirs(cfg["out"], exist_ok=True)
             except OSError as exc:
-                raise ConfigError(f"config key 'out' is not a usable directory: {exc}")
+                raise ValueError(f"config key 'out' is not a usable directory: {exc}")
     except Exception as exc:  # building the inputs failed: bad configuration
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,7 @@ them from its configuration), and returns a :class:`Study`: its ordered
 ``(label, spec, report)`` entries and the index of its baseline entry, the
 single-layer layout (movable layer grown to the full fixed layer, one
 pattern) that :meth:`Study.gains` normalizes by; the user sweep has none.
-A study copies nothing out of its reports; the CSV writers render every dB
-value with :func:`format_db`.  :func:`sweep_ms2_sizes` and
+A study copies nothing out of its reports.  :func:`sweep_ms2_sizes` and
 :func:`case_study` keep the fixed layer unchanged and warm-start each
 movable-layer cell from the baseline solution embedded as a phase pair
 (baseline phases on layer 1, identity phases on layer 2), so a cell can
@@ -23,16 +22,12 @@ depend on completion order.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .channel import BROADSIDE, ArrayAngles, Scenario
 from .geometry import MisGeometry, _require_int, _require_real
 from .solver import SolveReport, SolverConfig, solve
@@ -49,13 +44,7 @@ __all__ = [
     "sweep_allocation",
     "sweep_users_1d2d",
     "case_study",
-    "write_sweep_csv",
-    "write_users_csv",
-    "write_case_study_csv",
-    "write_solve_csv",
     "format_db",
-    "write_manifest",
-    "results_digest",
 ]
 
 # The user sweep's two layouts: a 1D and a 2D surface, 29 and 9 patterns.
@@ -274,96 +263,6 @@ def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> Study:
     return Study((("mis", *mis), ("sms", *sms)), 1)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def format_db(snr: float) -> str:
     """``10 log10(snr)`` to four decimals, ``-inf`` unless ``snr > 0``."""
     return f"{10.0 * math.log10(snr):.4f}" if snr > 0 else "-inf"
-
-
-def _write_csv(path, header: list, rows) -> None:
-    """``header`` and then ``rows`` as a utf-8 CSV with ``\\n`` line ends."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_sweep_csv(studies, seed: int, path) -> None:
-    """One row per entry of each baselined :class:`Study` in ``studies``:
-    geometry (the entry label), users, seed, baseline_snr, mis_snr, gain."""
-    _write_csv(
-        path,
-        ["geometry", "users", "seed", "baseline_snr", "mis_snr", "gain"],
-        (
-            [label, spec.num_users, seed,
-             _fmt(study.entries[study.baseline][2].worst_snr),
-             _fmt(report.worst_snr), _fmt(gain)]
-            for study in studies
-            for (label, spec, report), gain in zip(study.entries, study.gains())
-        ),
-    )
-
-
-def write_users_csv(study: Study, seed: int, path) -> None:
-    """One row per entry of ``study``: config (its label), users,
-    num_patterns, worst_snr, worst_snr_db, seed."""
-    _write_csv(
-        path,
-        ["config", "users", "num_patterns", "worst_snr", "worst_snr_db", "seed"],
-        (
-            [label, spec.num_users, spec.geom.num_patterns,
-             _fmt(report.worst_snr), format_db(report.worst_snr), seed]
-            for label, spec, report in study.entries
-        ),
-    )
-
-
-def write_case_study_csv(study: Study, path) -> None:
-    """Per-(scheme, user, pattern) SNR rows of every entry of ``study``, the
-    scheme being its label: scheme, user, pattern, snr, snr_db, chosen (1 for
-    the user's scheduled pattern, else 0)."""
-    _write_csv(
-        path,
-        ["scheme", "user", "pattern", "snr", "snr_db", "chosen"],
-        (
-            [scheme, k + 1, u + 1, _fmt(snr), format_db(snr),
-             int(report.chosen_pattern[k] == u + 1)]
-            for scheme, _, report in study.entries
-            for k, row in enumerate(report.snr_table.tolist())
-            for u, snr in enumerate(row)
-        ),
-    )
-
-
-def write_solve_csv(report: SolveReport, path) -> None:
-    """One row per user of ``report``: user, pattern (its scheduled
-    placement), snr, snr_db."""
-    per_user = enumerate(zip(report.per_user_snr, report.chosen_pattern), start=1)
-    _write_csv(
-        path,
-        ["user", "pattern", "snr", "snr_db"],
-        ([k, int(pattern), _fmt(snr), format_db(snr)] for k, (snr, pattern) in per_user),
-    )
-
-
-def results_digest(path) -> str:
-    """Hex sha256 of the bytes of the file at ``path``."""
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def write_manifest(path, config: dict, digest: str) -> None:
-    """JSON manifest of a run: its config, the config's seed, the misopt
-    version and the digest of its results."""
-    payload = {
-        "config": config,
-        "seed": config["seed"],
-        "tool_version": __version__,
-        "results_digest": digest,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

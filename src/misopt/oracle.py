@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BROADSIDE, ArrayAngles, Scenario, upa_steering
-from .geometry import MisGeometry
+from .geometry import MisGeometry, _require_int
 from .objective import EvalContext, ProductPoint
 
 __all__ = [
@@ -60,9 +60,11 @@ def brute_force_solve(scenario: Scenario, phase_levels: int = 16) -> BruteForceR
     """Exhaustive max-min SNR over a lattice of ``phase_levels`` phases.
 
     The phase lattice contains zero, so the identity profile is always a
-    candidate.  Rejects fewer than two levels and instances whose nominal
-    enumeration size ``levels**(M+N) * U**K`` exceeds :data:`MAX_SEARCH_SPACE`.
+    candidate.  Rejects a level count that is not an integer of at least two,
+    and instances whose nominal enumeration size ``levels**(M+N) * U**K``
+    exceeds :data:`MAX_SEARCH_SPACE`.
     """
+    _require_int("phase_levels", phase_levels, 1)
     if phase_levels < 2:
         raise ValueError("phase_levels must be >= 2")
     ctx = EvalContext.from_scenario(scenario)

@@ -203,6 +203,11 @@ def test_full_path_broadside_identity_phases():
     assert value == pytest.approx(0.01 * m * m, rel=1e-12)
     with pytest.raises(ValueError, match="dimensions"):
         snr_full_path(ones, ones, scenario, 0, bs_rows=0)
+    # An array size is a count: neither truncated nor read as 1.
+    with pytest.raises(ValueError, match="dimensions"):
+        snr_full_path(ones, ones, scenario, 0, bs_rows=2.5)
+    with pytest.raises(ValueError, match="dimensions"):
+        snr_full_path(ones, ones, scenario, 0, bs_cols=True)
 
 
 def test_scenario_validation():

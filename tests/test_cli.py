@@ -296,6 +296,21 @@ def test_bad_user_count_rejected_before_any_solve(tmp_path, capsys, monkeypatch,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "users, code", [([3, 2], 0), ([3, True], 1)], ids=["ints", "bool"]
+)
+def test_user_list_from_json_list(tmp_path, capsys, users, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"users": users}))
+    out_dir = tmp_path / "out"
+    argv = ["sweep-ms2", "--m-rows", "2", "--m-cols", "2", "--config", str(config)]
+    result, _, err = run([*argv, "--out", str(out_dir)], capsys)
+    assert result == code
+    if code:
+        assert "users" in err
+        assert not out_dir.exists()
+
+
 _STUDY_ARGS = {
     "sweep-ms2": ["--m-rows", "2", "--m-cols", "2", "--users", "3"],
     "sweep-alloc": ["--total", "4", "--scheme", "1", "--users", "2"],

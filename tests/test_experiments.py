@@ -20,16 +20,14 @@ from misopt import (
     sweep_ms2_sizes,
     sweep_users_1d2d,
 )
-from misopt.experiments import (
-    _solve_chain,
-    allocation_steps,
-    format_db,
+from misopt.cli import (
     results_digest,
     write_case_study_csv,
     write_manifest,
     write_sweep_csv,
     write_users_csv,
 )
+from misopt.experiments import _solve_chain, allocation_steps, format_db
 
 @pytest.fixture
 def fast(monkeypatch):

@@ -74,6 +74,8 @@ def test_search_space_cap_enforced():
         brute_force_solve(_scenario(geom, [0.1]), phase_levels=16)
     with pytest.raises(ValueError, match="phase_levels"):
         brute_force_solve(_scenario(MisGeometry(1, 1, 1, 1), [0.1]), phase_levels=1)
+    with pytest.raises(ValueError, match="phase_levels"):
+        brute_force_solve(_scenario(MisGeometry(1, 1, 1, 1), [0.1]), phase_levels=2.5)
 
 
 def test_fd_constant_function_is_zero():
