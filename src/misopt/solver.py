@@ -181,10 +181,15 @@ def _conjugate(
 def _retract_point(
     point: ProductPoint, direction: TangentTriple, step: float
 ) -> ProductPoint:
+    """Retract each factor; a one-pattern schedule (all ones, a zero tangent
+    that the simplex projection maps back to ones) is kept as it is."""
+    schedule = point.schedule
+    if schedule.shape[1] > 1:
+        schedule = retract_multinomial(schedule, direction.d_schedule, step)
     return ProductPoint(
         ms1_phase=retract_circle(point.ms1_phase, direction.d_ms1_phase, step),
         ms2_phase=retract_circle(point.ms2_phase, direction.d_ms2_phase, step),
-        schedule=retract_multinomial(point.schedule, direction.d_schedule, step),
+        schedule=schedule,
     )
 
 
@@ -235,7 +240,8 @@ def line_search(
         evals += 1
         if evaluation.value >= value + ARMIJO_C1 * step * slope:
             return LineSearchResult(step, candidate, evaluation, False, evals)
-        if evals == 1:
+        # A one-pattern schedule never moves, so its cone test cannot fire.
+        if evals == 1 and point.schedule.shape[1] > 1:
             d_sched = direction.d_schedule
             blocked = project_schedule_cone(point.schedule, d_sched) - d_sched
             if slope + _rinner(blocked, grad.d_schedule) <= ARMIJO_C1 * slope:
