@@ -6,13 +6,16 @@ repeats until the surrogate gap is negligible (outer loop).  Directions use
 the Polak-Ribiere rule per factor, with a nonnegativity clamp and an
 ascent-reset safeguard, on the product-manifold operations of
 :mod:`misopt.manifolds`; a single backtracking line search produces one
-shared step size for all three factors.  At the end every user gets its
-best pattern at the final phases, which is the exact schedule optimum for
-those phases since users are scheduled independently; the report carries
-that binary schedule as one placement per user, the true (non-surrogate)
-worst-case SNR and the (user, pattern) SNR table it was read from.  Every
-start, random or warm, begins from the uniform schedule, so a warm start is
-just a pair of phase profiles.
+shared step size for all three factors.  Its first try adapts, as Manopt's
+``linesearch_adaptive`` does (Boumal 2023): twice the last accepted step when
+that step passed at its first try, the step itself when it took backtracking,
+with no ceiling, and :data:`INITIAL_STEP` at a stage's start and after a
+stalled search.  At the end every user gets its best pattern at the final
+phases, which is the exact schedule optimum for those phases since users are
+scheduled independently; the report carries that binary schedule as one
+placement per user, the true (non-surrogate) worst-case SNR and the (user,
+pattern) SNR table it was read from.  Every start, random or warm, begins
+from the uniform schedule, so a warm start is just a pair of phase profiles.
 
 A solve anneals its starts (the random restarts, then the warm start) and
 races them: each runs :data:`RACE_STAGE` stages, the better half (ties to
@@ -77,9 +80,11 @@ MAX_INNER_ITERS = 250
 # Every anneal of a solve runs RACE_STAGE stages before the worse half is
 # dropped.
 RACE_STAGE = 4
-# A line search tries INITIAL_STEP (or less) first, tests Armijo with ARMIJO_C1,
-# multiplies the step by BACKTRACK_FACTOR per rejected candidate and gives up
-# after MAX_BACKTRACKS rejections.
+# A line search tries INITIAL_STEP first at a stage's start and after a stall;
+# after an accepted step it tries twice that step if the step passed at its
+# first try, else the step itself, with no ceiling.  It tests Armijo with
+# ARMIJO_C1, multiplies the step by BACKTRACK_FACTOR per rejected candidate and
+# gives up after MAX_BACKTRACKS rejections.
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 INITIAL_STEP = 1.0
@@ -208,12 +213,14 @@ def line_search(
     step whose retracted objective clears ``value + ARMIJO_C1 * step * slope``;
     ``objective`` maps a point to its :class:`Evaluation`, ``current`` is the
     one at ``point`` (``value`` its value), and ``slope`` the inner product
-    of the Riemannian gradient ``grad`` with the direction.  A retraction
-    failure just backtracks further.  The search stalls, returning a zero
-    step and the stalled flag, after :data:`MAX_BACKTRACKS` rejections or as
-    soon as the sufficient-increase term ``ARMIJO_C1 * step * slope`` is no
-    larger than the float spacing at ``value``: from there on the test
-    compares only rounding noise.
+    of the Riemannian gradient ``grad`` with the direction.  A ``ValueError``
+    names ``initial_step`` unless it is positive and finite, and ``slope``
+    unless it is finite and at least 0.  A retraction failure just
+    backtracks further.  The search stalls, returning a zero step and the
+    stalled flag, after :data:`MAX_BACKTRACKS` rejections or as soon as the
+    sufficient-increase term ``ARMIJO_C1 * step * slope`` is no larger than
+    the float spacing at ``value``: from there on the test compares only
+    rounding noise.
 
     The search also stalls after its first evaluated candidate fails when
     the slope the retraction can reach is at most ``ARMIJO_C1 * slope``.
@@ -222,6 +229,12 @@ def line_search(
     one-sided derivative of the retraction at step 0+; to first order no
     smaller step can then pass.
     """
+    if not (math.isfinite(initial_step) and initial_step > 0.0):
+        raise ValueError(
+            f"initial_step must be positive and finite, got {initial_step}"
+        )
+    if not (math.isfinite(slope) and slope >= 0.0):
+        raise ValueError(f"slope must be finite and at least 0, got {slope}")
     value = current.value
     if not math.isfinite(value):
         raise NonFiniteObjectiveError(f"objective value {value} is not finite")
@@ -258,7 +271,8 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> Stage:
     ev = evaluate(point, mu, ctx, want_grad=True)
     rgrad = project_to_tangent(point, ev.grads)
     num_evals = 1
-    # (rgrad, sq, direction, step) of the last accepted step; a stall clears it.
+    # (rgrad, sq, direction, next start) of the last accepted step; a stall
+    # clears it.
     last: tuple | None = None
     stalls = 0
     tiny_steps = 0
@@ -275,16 +289,13 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> Stage:
         if math.sqrt(slope) < INNER_GRAD_TOL:
             break
         if last is not None:
-            last_rgrad, last_sq, last_dir, last_step = last
+            last_rgrad, last_sq, last_dir, start = last
             carried = transport(point, last_rgrad), transport(point, last_dir)
             blocks, slopes = zip(*map(_conjugate, rgrad, sq, last_sq, *carried))
             direction = TangentTriple(*blocks)
             # Each block of the direction is its gradient block or an ascent
             # direction for it, so the slope is positive at a nonzero gradient.
             slope = 0.0 + slopes[0] + slopes[1] + slopes[2]
-            # Warm-start the backtracking near the last accepted step (one
-            # growth allowed, never above INITIAL_STEP).
-            start = min(start, max(last_step / BACKTRACK_FACTOR, 1e-12))
         result = line_search(point, direction, surrogate, slope, ev, rgrad, start)
         num_evals += result.num_evals
         iters += 1
@@ -297,7 +308,9 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> Stage:
         stalls = 0
         improvement = result.evaluation.value - ev.value
         point, ev = result.point, result.evaluation
-        last = (rgrad, sq, direction, result.step)
+        # Adaptive start: double a step that passed at its first try.
+        step = result.step
+        last = (rgrad, sq, direction, 2.0 * step if step == start else step)
         rgrad = project_to_tangent(point, euclidean_grads(point, ev, ctx))
         num_evals += 1
         obj_trace.append(ev.value)

@@ -218,6 +218,39 @@ def test_inner_solve_reuses_accepted_forward_pass(monkeypatch):
     assert conjugated > 0
 
 
+def test_inner_solve_step_rule_doubles_untouched_steps_without_ceiling(monkeypatch):
+    """The first search of a stage and the first after a stall start at
+    INITIAL_STEP; after an accept the next search starts at twice the step
+    when it passed at its own start, else at the step, and starts can pass 1."""
+    scenario = replace(_two_user_scenario(), geom=MisGeometry(2, 2, 1, 1))
+    ctx = EvalContext.from_scenario(scenario)
+    start = _random_start(ctx, seed=7)
+    searches = []
+    real_search = solver.line_search
+
+    def spy_search(point, direction, objective, slope, current, grad, step):
+        result = real_search(point, direction, objective, slope, current, grad, step)
+        searches.append((step, result))
+        return result
+
+    monkeypatch.setattr(solver, "line_search", spy_search)
+    inner_solve(start, solver._Anneal(start, ctx, "restart-0").mu, ctx)
+    assert searches[0][0] == INITIAL_STEP
+    kinds = set()
+    for (begin, result), (next_begin, _) in zip(searches, searches[1:]):
+        if result.stalled:
+            kinds.add("stall")
+            assert next_begin == INITIAL_STEP
+        elif result.step == begin:
+            kinds.add("untouched")
+            assert next_begin == 2.0 * result.step
+        else:
+            kinds.add("backtracked")
+            assert next_begin == result.step
+    assert kinds == {"stall", "untouched", "backtracked"}
+    assert max(begin for begin, _ in searches) > 1.0
+
+
 def _exact_point():
     """Point whose retraction is bit-exact (unit entries on the axes, U a power of two)."""
     return ProductPoint(
@@ -465,6 +498,32 @@ def test_line_search_resolvable_threshold_accepts_same_step(seed):
         assert ARMIJO_C1 * result.step * slope > np.spacing(abs(ev.value))
         assert result.step == step
         assert result.num_evals == evals
+
+
+@pytest.mark.parametrize(
+    "name, initial_step, slope",
+    [
+        ("initial_step", -1.0, 1.0),
+        ("initial_step", 0.0, 1.0),
+        ("initial_step", math.inf, 1.0),
+        ("initial_step", math.nan, 1.0),
+        ("slope", INITIAL_STEP, -1.0),
+        ("slope", INITIAL_STEP, -math.inf),
+        ("slope", INITIAL_STEP, math.inf),
+        ("slope", INITIAL_STEP, math.nan),
+    ],
+)
+def test_line_search_rejects_unusable_start_or_slope(name, initial_step, slope):
+    point = _exact_point()
+    direction = _schedule_move(point, np.array([[0.25, -0.25], [0.0, 0.0]]))
+
+    def objective(p):
+        raise AssertionError("the objective was called")
+
+    with pytest.raises(ValueError, match=name):
+        line_search(
+            point, direction, objective, slope, _scored(1.0), direction, initial_step
+        )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
