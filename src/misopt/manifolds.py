@@ -15,6 +15,7 @@ in which entries on the floor may only grow.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -36,6 +37,16 @@ __all__ = [
 ]
 
 SIMPLEX_FLOOR = 1e-12
+
+
+@functools.lru_cache(maxsize=64)
+def _row_tables(rows: int, cols: int) -> tuple:
+    """Read-only index tables of a C-ordered ``rows x cols`` array: the entry
+    count ``1, ..., cols`` of each row prefix, and each row's first flat index."""
+    tables = np.arange(1, cols + 1), np.arange(0, rows * cols, cols)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 class RetractionError(ValueError):
@@ -66,7 +77,7 @@ def _circle_tangent(base: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def project_multinomial_tangent(mat: np.ndarray) -> np.ndarray:
     """Subtract each row's mean so every row sums to zero."""
     mat = np.asarray(mat, dtype=float)
-    return mat - mat.sum(axis=1, keepdims=True) / mat.shape[1]
+    return mat - np.add.reduce(mat, axis=1, keepdims=True) / mat.shape[1]
 
 
 def project_schedule_cone(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -84,16 +95,17 @@ def project_schedule_cone(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:
     schedule = np.asarray(schedule, dtype=float)
     mat = np.asarray(mat, dtype=float)
     pinned = schedule <= 2.0 * SIMPLEX_FLOOR
-    free_count = mat.shape[1] - pinned.sum(axis=1)
-    free_sum = np.where(pinned, 0.0, mat).sum(axis=1)
-    desc = np.sort(np.where(pinned, mat, -np.inf), axis=1)[:, ::-1]
+    free_count = mat.shape[1] - np.add.reduce(pinned, axis=1)
+    free_sum = np.add.reduce(np.where(pinned, 0.0, mat), axis=1)
+    desc = np.where(pinned, mat, -np.inf)
+    desc.sort(axis=1)
     # Running means as floor entries join in descending order: they rise
     # while each newcomer is above the mean and fall from the first one that
     # is not, so the shift is the largest of them.
-    means = (free_sum[:, None] + np.cumsum(desc, axis=1)) / (
-        free_count[:, None] + np.arange(1, mat.shape[1] + 1)
+    means = (free_sum[:, None] + np.add.accumulate(desc[:, ::-1], axis=1)) / (
+        free_count[:, None] + _row_tables(*mat.shape)[0]
     )
-    shift = np.maximum(free_sum / free_count, means.max(axis=1))
+    shift = np.maximum(free_sum / free_count, np.maximum.reduce(means, axis=1))
     out = mat - shift[:, None]
     return np.where(pinned, np.maximum(out, 0.0), out)
 
@@ -112,7 +124,7 @@ def retract_circle(base: np.ndarray, tangent: np.ndarray, step: float) -> np.nda
     """Move along ``tangent`` and renormalize each entry back to the unit circle."""
     moved = base + step * tangent
     magnitude = np.abs(moved)
-    if magnitude.min() < 1e-14:
+    if np.minimum.reduce(magnitude) < 1e-14:
         raise RetractionError("an entry collapsed to zero during retraction")
     return moved / magnitude
 
@@ -127,15 +139,17 @@ def project_simplex(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ValueError("project_simplex expects a matrix, one simplex per row")
-    desc = np.sort(mat, axis=1)[:, ::-1]
-    csum = np.cumsum(desc, axis=1)
-    ranks = np.arange(1, mat.shape[1] + 1)
+    ranks, row_starts = _row_tables(*mat.shape)
+    desc = mat.copy()
+    desc.sort(axis=1)
+    desc = desc[:, ::-1]
+    csum = np.add.accumulate(desc, axis=1)
     positive = desc - (csum - 1.0) / ranks > 0.0
     # Index of the last positive gap per row; the first is always positive.
-    last = mat.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    threshold = (csum[np.arange(mat.shape[0]), last] - 1.0) / (last + 1)
+    last = mat.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    threshold = (csum.take(row_starts + last) - 1.0) / (last + 1)
     out = np.maximum(mat - threshold[:, None], SIMPLEX_FLOOR)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
     return out
 
 

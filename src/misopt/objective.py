@@ -26,6 +26,8 @@ __all__ = ["ProductPoint", "EvalContext", "Evaluation", "evaluate", "euclidean_g
 
 # How far a feasible point's moduli and schedule row sums may stray from one.
 FEASIBILITY_ATOL = 1e-9
+# The unit entry that uncovered MS 1 elements gather in ``equiv_phases``.
+_UNIT = np.ones(1, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,21 @@ class EvalContext:
         return cls(channels=channels, iota=iota, sel_index=sel_index)
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The row index ``arange(U)[:, None]`` that pairs with ``sel_index``."""
-        return np.arange(self.num_patterns)[:, None]
+    def _equiv_index(self) -> np.ndarray:
+        """U x M gather into ``[*ms2_phase, 1]``: the covering MS 2 element of
+        each MS 1 element per placement, ``N`` (the unit entry) if uncovered."""
+        index = np.full((self.num_patterns, self.num_ms1), self.num_ms2)
+        np.put_along_axis(index, self.sel_index, np.arange(self.num_ms2), axis=1)
+        return index
+
+    @cached_property
+    def _covered_index(self) -> np.ndarray:
+        """Flat index of the ``sel_index`` entries of a U x M array, U x N."""
+        return np.arange(self.num_patterns)[:, None] * self.num_ms1 + self.sel_index
+
+    @cached_property
+    def _iota_column(self) -> np.ndarray:
+        return self.iota[:, None]
 
     @cached_property
     def _conj_channels(self) -> np.ndarray:
@@ -114,9 +128,7 @@ class EvalContext:
         uncovered elements get a unit (zero-phase) entry.
         """
         _check_shape("ms2_phase", ms2_phase, self.sel_index.shape[1:])
-        table = np.ones((self.num_patterns, self.num_ms1), dtype=complex)
-        table[self._rows, self.sel_index] = ms2_phase
-        return table
+        return np.concatenate((ms2_phase, _UNIT)).take(self._equiv_index)
 
     def pattern_snr_table(
         self, ms1_phase: np.ndarray, ms2_phase: np.ndarray
@@ -128,9 +140,8 @@ class EvalContext:
     def _amplitudes(self, ms1_phase, ms2_phase):
         _check_shape("ms1_phase", ms1_phase, self.channels.shape[1:])
         equiv = self.equiv_phases(ms2_phase)
-        combined = equiv * ms1_phase[None, :]
-        amps = self.channels @ combined.T
-        gamma = self.iota[:, None] * (amps.real**2 + amps.imag**2)
+        amps = self.channels @ (equiv * ms1_phase).T
+        gamma = self._iota_column * (amps.real**2 + amps.imag**2)
         return equiv, amps, gamma
 
 
@@ -148,9 +159,9 @@ class Evaluation:
 
 def _softmin(values: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     # Shift by the minimum before exponentiating so exp never overflows.
-    vmin = float(values.min())
-    scaled = np.exp(-(values - vmin) / mu)
-    total = scaled.sum()
+    vmin = float(np.minimum.reduce(values))
+    scaled = np.exp((vmin - values) / mu)
+    total = np.add.reduce(scaled)
     return vmin - mu * math.log(total), scaled / total
 
 
@@ -161,10 +172,10 @@ def euclidean_grads(point: ProductPoint, ev: Evaluation, ctx: EvalContext) -> tu
     coeff = (2.0 * ctx.iota * ev.weights)[:, None] * point.schedule * amps
     # d f / d ms1_phase[m] = sum_{k,u} coeff[k,u] * conj(equiv[u,m] * c[k,m])
     by_pattern = coeff.T @ ctx._conj_channels
-    grad_ms1 = np.sum(np.conj(equiv) * by_pattern, axis=0)
+    grad_ms1 = np.add.reduce(np.conj(equiv) * by_pattern, axis=0)
     # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c).
-    covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)
-    grad_ms2 = covered[ctx._rows, ctx.sel_index].sum(axis=0)
+    covered = coeff.T @ np.conj(point.ms1_phase * ctx.channels)
+    grad_ms2 = np.add.reduce(covered.take(ctx._covered_index), axis=0)
     return grad_ms1, grad_ms2, ev.weights[:, None] * gamma
 
 
