@@ -23,7 +23,6 @@ depend on completion order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,6 +149,9 @@ def _run_tasks(task, args: list, jobs: int) -> list:
     there is more than one task."""
     if jobs <= 1 or len(args) <= 1:
         return [task(a) for a in args]
+    # Imported here: concurrent.futures.process is a fifth of `import misopt`.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
         return list(pool.map(task, args))
 

@@ -118,3 +118,88 @@ def test_seed_replaces_the_default_seed_in_every_command(tool, monkeypatch, caps
     assert tool.main(["--src", "a", "--seed", "1009"]) == 0
     assert commands == ["solve --seed 1009", "case-study --figure 6 --seed 1009"]
     assert "| `case-study --figure 6 --seed 1009` | csv | `x` |" in capsys.readouterr().out
+
+
+def test_case_study_ratios_read_only_the_chosen_rows(tool, monkeypatch, capsys):
+    def run(src, command, cwd):
+        # One user served on pattern 2; pattern 1's row moves 4x, unserved.
+        snrs = {"a": (1.0, 2.0), "b": (4.0, 3.0)}[Path(src).name]
+        out = Path(cwd) / "out"
+        out.mkdir()
+        (out / "case_study.csv").write_text(
+            "scheme,user,pattern,snr,snr_db,chosen\n"
+            f"mis,1,1,{snrs[0]!r},0,0\nmis,1,2,{snrs[1]!r},0,1\n"
+        )
+        return ("x",) * 3, 1.0, 1.0
+
+    monkeypatch.setattr(tool, "_run", run)
+    assert tool.main(["--src", "a", "--src", "b"]) == 0
+    assert "| `solve --seed 7` | 1 | 1.500000 | 1.500000 | 1.500000 | 0 |" in (
+        capsys.readouterr().out
+    )
+
+
+def _fake_stream_runs(tool, monkeypatch, mis):
+    """Replace the CLI runs with ``ms2-grid`` CSVs: tree ``t``'s run of the
+    i-th command reports baseline SNR 1 and ``mis[t](i)`` as its nine cells'
+    SNRs; returns the commands run."""
+    commands = []
+
+    def run(src, command, cwd):
+        if command not in commands:
+            commands.append(command)
+        values = mis[Path(src).name](commands.index(command))
+        out = Path(cwd) / "out"
+        out.mkdir()
+        rows = ["geometry,users,seed,baseline_snr,mis_snr,gain"]
+        rows += [f"g{i},8,0,1.0,{v!r},{v!r}" for i, v in enumerate(values)]
+        (out / "sweep_ms2.csv").write_text("\n".join(rows) + "\n")
+        return ("x",) * 3, 1.0, 1.0
+
+    monkeypatch.setattr(tool, "_run", run)
+    return commands
+
+
+def test_stream_runs_the_workload_on_its_seed_stream(tool, monkeypatch, capsys):
+    commands = _fake_stream_runs(tool, monkeypatch, {"a": lambda i: [1.0] * 9})
+    assert tool.main(["--stream", "ms2-grid", "--seeds", "3", "--src", "a"]) == 0
+    workload = tool.WORKLOADS["ms2-grid"]
+    seeds = workload.seeds(7)
+    expected = [" ".join([*workload.args, "--seed", str(next(seeds))]) for _ in range(3)]
+    assert commands == expected and expected[0].endswith("--seed 7")
+    out = capsys.readouterr().out
+    assert f"| `{expected[2]}` | csv | `x` |" in out
+    assert "Every run passed the ms2-grid output checks." in out
+
+
+def test_stream_reports_failing_cells_and_exits_nonzero(tool, monkeypatch, capsys):
+    # Tree b's second seed puts cells 2 and 5 below their baseline (criterion 7).
+    def below(i):
+        return [0.5 if i == 1 and cell in (2, 5) else 1.0 for cell in range(9)]
+
+    commands = _fake_stream_runs(tool, monkeypatch, {"a": lambda i: [1.0] * 9, "b": below})
+    argv = ["--stream", "ms2-grid", "--seeds", "2", "--src", "a", "--src", "b"]
+    assert tool.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"| `{commands[1]}` | b | cells 2, 5 |" in captured.out
+    assert "| `" + commands[0] + "` | b |" not in captured.out
+    assert "1 runs failed the ms2-grid output checks" in captured.err
+    assert "digests differ" not in captured.err
+
+
+def test_stream_pools_the_ratios_of_every_seed(tool, monkeypatch, capsys):
+    _fake_stream_runs(
+        tool, monkeypatch, {"a": lambda i: [1.0] * 9, "b": lambda i: [2.0 ** (i + 1)] * 9}
+    )
+    argv = ["--stream", "ms2-grid", "--seeds", "2", "--src", "a", "--src", "b"]
+    assert tool.main(argv) == 0
+    # ratios 2 (first seed) and 4 (second): geometric mean sqrt(8)
+    assert "| all 2 seeds | 18 | 2.000000 | 4.000000 | 2.828427 | 0 |" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "2"], ["--stream", "ms2-grid", "--seeds", "0"]])
+def test_seeds_needs_stream_and_a_positive_count(tool, argv):
+    with pytest.raises(SystemExit):
+        tool.main(argv)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +116,17 @@ def test_arc_scenario_rejects_non_finite_iota(bad):
         ArcScenarioSpec(
             geom=MisGeometry(2, 2, 1, 1), num_users=2, arc=CoverageArc(iota=bad)
         )
+
+
+def test_import_leaves_the_process_pool_out():
+    """Only a pooled study (jobs > 1) imports concurrent.futures.process."""
+    src = str(Path(misopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, misopt.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert proc.returncode == 0
 
 
 def test_sms_baseline_reduces_to_single_pattern(fast):
