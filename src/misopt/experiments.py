@@ -11,8 +11,9 @@ pattern) that :meth:`Study.gains` normalizes by; the user sweep has none.
 A study copies nothing out of its reports.  :func:`sweep_ms2_sizes` and
 :func:`case_study` keep the fixed layer unchanged and warm-start each
 movable-layer cell from the baseline solution embedded as a phase pair
-(baseline phases on layer 1, identity phases on layer 2), so a cell can
-never report worse than the baseline it is normalized by.
+(layer 2 carries the baseline's phases where placement 1 puts it, layer 1
+the rest), so placement 1 reproduces the baseline beam and a cell can never
+report worse than the baseline it is normalized by.
 
 Sweep cells (the allocation baseline among them, and the two chains of the
 user sweep) are independent tasks; with ``jobs > 1`` :func:`_run_tasks`
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import BROADSIDE, ArrayAngles, Scenario
-from .geometry import MisGeometry, _require_int, _require_real
+from .geometry import MisGeometry, _require_int, _require_real, all_selections
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
@@ -129,14 +130,19 @@ def _embedded_start(baseline: SolveReport, cell_geom: MisGeometry) -> tuple:
     """Map a single-layer solution onto a cell's two layers as a warm-start
     phase pair.
 
-    The baseline's combined per-element phase goes onto layer 1 (its one
-    placement covers every element in order, so that phase is ms2 * ms1);
-    layer 2 is all ones, so every pattern reproduces the baseline beam exactly.
+    The baseline's combined per-element phase (its one placement covers
+    every element in order, so that phase is ms2 * ms1) goes onto layer 2 at
+    the elements placement 1 covers, and onto layer 1 everywhere else, with
+    ones under layer 2.  Placement 1 reproduces the baseline beam exactly,
+    and every other placement moves layer 2's part of it elsewhere.  (Layer
+    2 all ones would give every placement the baseline beam: a symmetric
+    point where the schedule's gradient is exactly 0, slow to leave.)
     """
-    return (
-        baseline.ms2_phase * baseline.ms1_phase,
-        np.ones(cell_geom.num_ms2, dtype=complex),
-    )
+    combined = baseline.ms2_phase * baseline.ms1_phase
+    covered = all_selections(cell_geom)[0]
+    ms1_phase = combined.copy()
+    ms1_phase[covered] = 1.0
+    return ms1_phase, combined[covered]
 
 
 def _solve_task(args) -> SolveReport:

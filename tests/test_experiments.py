@@ -31,7 +31,9 @@ from misopt.cli import (
     write_sweep_csv,
     write_users_csv,
 )
-from misopt.experiments import _solve_chain, allocation_steps, format_db
+from misopt.experiments import _embedded_start, _solve_chain, allocation_steps, format_db
+from misopt.manifolds import project_to_tangent
+from misopt.objective import ProductPoint, evaluate
 
 @pytest.fixture
 def fast(monkeypatch):
@@ -359,6 +361,33 @@ def test_chain_keeps_repeated_counts_in_spec_order(monkeypatch, fast):
     reports = _solve_chain((specs, fast))
     assert calls == [(3, False), (3, True), (2, True)]
     assert [r.call for r in reports] == [0, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "fixed, cells",
+    [((3, 3), [(1, 1), (2, 3), (3, 2)]), ((2, 2), [(1, 1)])],
+)
+def test_embedded_start_keeps_the_baseline_on_placement_one_only(fast, fixed, cells):
+    spec = ArcScenarioSpec(MisGeometry(*fixed, *fixed), 4)
+    baseline = sms_baseline(spec, fast)
+    for cell in cells:
+        geom = MisGeometry(*fixed, *cell)
+        pair = _embedded_start(baseline, geom)
+        for phase, size in zip(pair, (geom.num_ms1, geom.num_ms2)):
+            assert phase.shape == (size,)
+            np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+        ctx = EvalContext.from_scenario(build_arc_scenario(replace(spec, geom=geom)))
+        table = ctx.pattern_snr_table(*pair)
+        np.testing.assert_allclose(table[:, 0], baseline.per_user_snr, rtol=1e-12)
+        assert ctx.num_patterns > 1
+        # Off the symmetric point where every placement gives the same beam,
+        # the schedule block of the gradient at the uniform schedule is nonzero.
+        assert not np.allclose(table, table[:, :1], rtol=1e-9, atol=0)
+        uniform = np.full(table.shape, 1.0 / ctx.num_patterns)
+        point = ProductPoint(*pair, uniform)
+        ev = evaluate(point, 0.1 * float(table.mean()), ctx, want_grad=True)
+        d_schedule = project_to_tangent(point, ev.grads).d_schedule
+        assert np.max(np.abs(d_schedule)) > 1e-9 * np.max(np.abs(ev.grads[2]))
 
 
 def test_case_study_snr_table_is_the_table_at_its_phases(fast):
