@@ -54,9 +54,8 @@ __all__ = [
 ]
 
 GEOMETRY_GRID = ((2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3))
-# Size caps of the random instances: fixed-layer elements, movable-layer
-# elements and users.
-MAX_M, MAX_N, MAX_USERS = 16, 4, 4
+# Size caps of the random instances: movable-layer elements and users.
+MAX_N, MAX_USERS = 4, 4
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,10 @@ def _random_angles(rng) -> ArrayAngles:
 
 
 def random_geometry(rng) -> MisGeometry:
-    """Fixed layer up to 4x4 with at most :data:`MAX_M` elements; movable
-    layer shrunk to at most :data:`MAX_N` elements."""
-    while True:
-        m_rows = int(rng.integers(1, 5))
-        m_cols = int(rng.integers(1, 5))
-        if m_rows * m_cols <= MAX_M:
-            break
+    """Fixed layer up to 4x4; movable layer shrunk to at most :data:`MAX_N`
+    elements."""
+    m_rows = int(rng.integers(1, 5))
+    m_cols = int(rng.integers(1, 5))
     n_rows = int(rng.integers(1, m_rows + 1))
     n_cols = int(rng.integers(1, m_cols + 1))
     while n_rows * n_cols > MAX_N:

@@ -272,5 +272,6 @@ def case_study(spec: ArcScenarioSpec, config: SolverConfig) -> Study:
 
 
 def format_db(snr: float) -> str:
-    """``10 log10(snr)`` to four decimals, ``-inf`` unless ``snr > 0``."""
-    return f"{10.0 * math.log10(snr):.4f}" if snr > 0 else "-inf"
+    """``10 log10(snr)`` to four decimals: ``nan`` for NaN, ``-inf`` for an
+    SNR of zero or below."""
+    return f"{10.0 * math.log10(snr):.4f}" if snr > 0 or math.isnan(snr) else "-inf"

@@ -14,8 +14,9 @@ stalled search.  At the end every user gets its best pattern at the final
 phases, which is the exact schedule optimum for those phases since users are
 scheduled independently; the report carries that binary schedule as one
 placement per user, the true (non-surrogate) worst-case SNR and the (user,
-pattern) SNR table it was read from.  Every start, random or warm, begins
-from the uniform schedule, so a warm start is just a pair of phase profiles.
+pattern) SNR table it was read from.  A start, random or warm, is a pair of
+phase profiles: the relaxed schedule, uniform at the start, stays inside the
+anneal, and a report's stages carry no point.
 
 A solve anneals its starts (the random restarts, then the warm start) and
 races them: each runs :data:`RACE_STAGE` stages, the better half (ties to
@@ -38,7 +39,7 @@ spread of the initial per-user SNRs.  Stage ``s`` of an anneal runs at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +56,9 @@ from .manifolds import (
     retract_multinomial,
     transport,
 )
-from .objective import EvalContext, Evaluation, ProductPoint, euclidean_grads, evaluate
+from .objective import (
+    EvalContext, Evaluation, ProductPoint, _check_shape, euclidean_grads, evaluate
+)
 
 __all__ = [
     "NonFiniteObjectiveError",
@@ -139,12 +142,13 @@ class LineSearchResult:
 
 @dataclass(frozen=True)
 class Stage:
-    """One inner stage at ``mu``: the end point the anneal resumes from, its
-    least relaxed-schedule user SNR, the objective at the start and after each
-    accepted step, the counts, and whether two searches in a row stalled."""
+    """One inner stage at ``mu``: its end point (None in a report, whose
+    anneal keeps it), its least relaxed-schedule user SNR, the objective at
+    the start and after each accepted step, the counts, and whether two
+    searches in a row stalled."""
 
     mu: float
-    point: ProductPoint
+    point: ProductPoint | None
     min_user_snr: float
     objective_trace: np.ndarray
     num_iters: int
@@ -334,16 +338,18 @@ def inner_solve(point: ProductPoint, mu: float, ctx: EvalContext) -> Stage:
     )
 
 
-def _report_at(point: ProductPoint, ctx: EvalContext, origin: str, stages=()) -> SolveReport:
-    """Report the true worst-case SNR at a point's phases, each user on its
+def _report_at(
+    ms1_phase, ms2_phase, ctx: EvalContext, origin: str, stages=()
+) -> SolveReport:
+    """Report the true worst-case SNR at the given phases, each user on its
     best pattern there (ties go to the smallest index), with the stages that
     led there; no schedule for those phases does better."""
-    gamma = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
+    gamma = ctx.pattern_snr_table(ms1_phase, ms2_phase)
     chosen0 = np.argmax(gamma, axis=1)
     per_user = gamma[np.arange(ctx.num_users), chosen0]
     return SolveReport(
-        ms1_phase=point.ms1_phase,
-        ms2_phase=point.ms2_phase,
+        ms1_phase=ms1_phase,
+        ms2_phase=ms2_phase,
         per_user_snr=per_user,
         worst_snr=float(per_user.min()),
         chosen_pattern=chosen0.astype(int) + 1,
@@ -354,24 +360,28 @@ def _report_at(point: ProductPoint, ctx: EvalContext, origin: str, stages=()) ->
 
 
 class _Anneal:
-    """One anneal from a start: inner conjugate-gradient solves over a
-    shrinking mu, resumable at a stage boundary.
+    """One anneal from a start's phases: inner conjugate-gradient solves over
+    a shrinking mu, resumable at a stage boundary.
 
-    Its state is the current point, the next stage's ``mu`` and the
-    :class:`Stage` records so far.  :meth:`run` advances it; running it in
-    legs gives the same :meth:`report`, bit for bit, as running it in one.
+    Its state, the solver's only one, is the current point (the schedule
+    starts uniform), the next stage's ``mu`` and the :class:`Stage` records
+    so far, stored without their points.  A start off the feasible set
+    raises a ``ValueError``, and one with non-finite SNRs a
+    :class:`NonFiniteObjectiveError`.  :meth:`run` advances it; running it
+    in legs gives the same :meth:`report`, bit for bit, as running it in one.
     """
 
-    def __init__(self, start: ProductPoint, ctx: EvalContext, origin: str):
-        snr0 = np.einsum(
-            "ku,ku->k",
-            start.schedule,
-            ctx.pattern_snr_table(start.ms1_phase, start.ms2_phase),
-        )
+    def __init__(self, ms1_phase, ms2_phase, ctx: EvalContext, origin: str):
+        uniform = np.full((ctx.num_users, ctx.num_patterns), 1.0 / ctx.num_patterns)
+        self.point = ProductPoint(ms1_phase, ms2_phase, uniform)
+        self.point.validate()
+        snr0 = np.einsum("ku,ku->k", uniform, ctx.pattern_snr_table(ms1_phase, ms2_phase))
+        if not np.all(np.isfinite(snr0)):
+            raise NonFiniteObjectiveError(f"start SNRs {snr0} are not finite")
         spread = float(snr0.max() - snr0.min())
         self.mu = spread + max(1e-3 * float(np.abs(snr0).mean()), 1e-8)
         self._mu_min = MU_MIN_RATIO * self.mu
-        self.point, self.ctx, self.origin = start, ctx, origin
+        self.ctx, self.origin = ctx, origin
         self.stages: list[Stage] = []
         self.done = False
 
@@ -387,7 +397,7 @@ class _Anneal:
         while not self.done and self.stage < limit:
             stage = inner_solve(self.point, self.mu, self.ctx)
             self.point = stage.point
-            self.stages.append(stage)
+            self.stages.append(replace(stage, point=None))
             self.done = (
                 self.mu <= self._mu_min
                 or self.mu * log_k < MU_GAP_RTOL * max(stage.min_user_snr, 1e-30)
@@ -397,7 +407,8 @@ class _Anneal:
         return self
 
     def report(self) -> SolveReport:
-        return _report_at(self.point, self.ctx, self.origin, self.stages)
+        p = self.point
+        return _report_at(p.ms1_phase, p.ms2_phase, self.ctx, self.origin, self.stages)
 
 
 def _rank(report: SolveReport) -> float:
@@ -425,48 +436,34 @@ def solve(
 
     Random restarts draw independent seeded phases.  ``warm`` is an optional
     ``(ms1_phase, ms2_phase)`` pair of array-likes, taken as complex and
-    checked up front (a ``ValueError`` names the warm start), that competes
-    twice after the restarts: once evaluated as-is (its phases with each
-    user's best pattern, no optimization) and once as the start of a full
-    anneal.  Every start begins from the uniform schedule.  The anneals
-    race: after :data:`RACE_STAGE` stages only the better half runs on (see
-    :func:`_race`).  The warm start as-is always competes, so a warm-started
-    solve never reports below it.  The result is the candidate of highest
-    :func:`_rank`; ties keep the earliest (surviving restarts, then the warm
-    start as-is, then annealed), so results are seed-deterministic.
+    checked before any anneal runs (a ``ValueError`` names the warm start),
+    that competes twice after the restarts: once evaluated as-is (its phases
+    with each user's best pattern, no optimization) and once as the start of
+    a full anneal.  The anneals race: after :data:`RACE_STAGE` stages only
+    the better half runs on (see :func:`_race`).  The warm start as-is always
+    competes, so a warm-started solve never reports below it.  The result is
+    the candidate of highest :func:`_rank`; ties keep the earliest
+    (surviving restarts, then the warm start as-is, then annealed), so
+    results are seed-deterministic.
     """
     ctx = EvalContext.from_scenario(scenario)
-    uniform = np.full((ctx.num_users, ctx.num_patterns), 1.0 / ctx.num_patterns)
-    warm_point = None
-    if warm is not None:
-        try:
-            ms1_phase, ms2_phase = (np.asarray(phase, dtype=complex) for phase in warm)
-            for name, phase, size in (
-                ("ms1_phase", ms1_phase, ctx.num_ms1),
-                ("ms2_phase", ms2_phase, ctx.num_ms2),
-            ):
-                if np.shape(phase) != (size,):
-                    raise ValueError(f"{name} must have shape {(size,)}")
-            warm_point = ProductPoint(ms1_phase, ms2_phase, uniform)
-            warm_point.validate()
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"warm start: {exc}") from exc
-
     anneals = []
     for restart in range(config.num_restarts):
         rng = np.random.default_rng([config.rng_seed, restart])
-        start = ProductPoint(
-            ms1_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms1)),
-            ms2_phase=np.exp(2j * np.pi * rng.random(ctx.num_ms2)),
-            schedule=uniform,
-        )
-        anneals.append(_Anneal(start, ctx, origin=f"restart-{restart}"))
-    if warm_point is not None:
-        anneals.append(_Anneal(warm_point, ctx, origin="warm-annealed"))
+        phases = (np.exp(2j * np.pi * rng.random(n)) for n in (ctx.num_ms1, ctx.num_ms2))
+        anneals.append(_Anneal(*phases, ctx, origin=f"restart-{restart}"))
+    if warm is not None:
+        try:
+            ms1_phase, ms2_phase = (np.asarray(phase, dtype=complex) for phase in warm)
+            _check_shape("ms1_phase", ms1_phase, (ctx.num_ms1,))
+            _check_shape("ms2_phase", ms2_phase, (ctx.num_ms2,))
+            anneals.append(_Anneal(ms1_phase, ms2_phase, ctx, origin="warm-annealed"))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"warm start: {exc}") from exc
     survivors = _race([anneal.run(RACE_STAGE) for anneal in anneals])
     reports = [anneal.run().report() for anneal in survivors]
-    if warm_point is not None:
+    if warm is not None:
         # The warm start as-is goes just before the warm anneal, last if it survived.
         at = len(reports) - (survivors[-1] is anneals[-1])
-        reports.insert(at, _report_at(warm_point, ctx, origin="warm-direct"))
+        reports.insert(at, _report_at(ms1_phase, ms2_phase, ctx, origin="warm-direct"))
     return max(reports, key=_rank)

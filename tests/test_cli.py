@@ -177,6 +177,24 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
     assert "iota" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_names_start_snrs_that_overflow(tmp_path, capsys):
+    # a finite iota whose SNR table overflows is a runtime fault, named as such
+    code, _, err = run(
+        [
+            "solve",
+            "--m-rows", "2", "--m-cols", "2",
+            "--n-rows", "1", "--n-cols", "1",
+            "--users", "2",
+            "--iota", "1e308",
+            "--out", str(tmp_path / "out"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "runtime failure: start SNRs [inf inf] are not finite" in err
+
+
 # JSON reads 1e999 as inf; integer keys must not be truncated either, and a
 # bool or a string is not a number.  Options that became solver constants
 # (inner_grad_tol, initial_step, mu_init, restart_period) and the iteration

@@ -170,6 +170,8 @@ def test_stream_runs_the_workload_on_its_seed_stream(tool, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"| `{expected[2]}` | csv | `x` |" in out
     assert "Every run passed the ms2-grid output checks." in out
+    # ms2-grid has no user chains, so no criterion-8c slack
+    assert "slack" not in out
 
 
 def test_stream_reports_failing_cells_and_exits_nonzero(tool, monkeypatch, capsys):
@@ -197,6 +199,40 @@ def test_stream_pools_the_ratios_of_every_seed(tool, monkeypatch, capsys):
     assert "| all 2 seeds | 18 | 2.000000 | 4.000000 | 2.828427 | 0 |" in (
         capsys.readouterr().out
     )
+
+
+def test_stream_prints_each_trees_smallest_monotone_slack(tool, monkeypatch, capsys):
+    # Tree a's chains fall by 25% and 50% at every seed; tree b's 1d chain
+    # rises at its second seed, which fails criterion 8c with slack -20%.
+    snrs = {
+        "a": lambda i: {"1d": (4.0, 3.0, 2.0, 1.0), "2d": (8.0, 4.0, 2.0, 1.0)},
+        "b": lambda i: {"1d": (4.0, 3.0, 2.0, 2.5 if i else 1.0), "2d": (8.0, 4.0, 2.0, 1.0)},
+    }
+    commands, seeds = [], []
+
+    def run(src, command, cwd):
+        if command not in commands:
+            commands.append(command)
+            seeds.append(command.split()[-1])
+        rows = ["config,users,num_patterns,worst_snr,worst_snr_db,seed"]
+        # rows out of user order: the slack sorts each layout by its count
+        for layout, chain in snrs[Path(src).name](commands.index(command)).items():
+            for k, v in reversed(list(zip((4, 8, 16, 32), chain))):
+                rows.append(f"{layout}:ms1=x,{k},9,{v!r},0,0")
+        out = Path(cwd) / "out"
+        out.mkdir()
+        (out / "sweep_users.csv").write_text("\n".join(rows) + "\n")
+        return ("x",) * 3, 1.0, 1.0
+
+    monkeypatch.setattr(tool, "_run", run)
+    argv = ["--stream", "users-chain", "--seeds", "2", "--src", "a", "--src", "b"]
+    assert tool.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "| Tree | Smallest criterion-8c slack | Seed |" in out
+    assert f"| a | 33.3333% | {seeds[0]} |" in out
+    assert f"| b | -20.0000% | {seeds[1]} |" in out
+    # the rising 32-user cell is the first row written
+    assert f"| `{commands[1]}` | b | cells 0 |" in out
 
 
 @pytest.mark.parametrize("argv", [["--seeds", "2"], ["--stream", "ms2-grid", "--seeds", "0"]])

@@ -324,7 +324,7 @@ def test_users_csv_and_manifest(tmp_path, fast):
 @pytest.mark.parametrize(
     "snr, text",
     [(1.0, "0.0000"), (10.0, "10.0000"), (np.float64(0.5), "-3.0103"),
-     (0.0, "-inf"), (-1.0, "-inf"), (math.nan, "-inf"), (math.inf, "inf")],
+     (0.0, "-inf"), (-1.0, "-inf"), (math.nan, "nan"), (math.inf, "inf")],
 )
 def test_format_db(snr, text):
     assert format_db(snr) == text

@@ -234,7 +234,7 @@ def test_inner_solve_step_rule_doubles_untouched_steps_without_ceiling(monkeypat
         return result
 
     monkeypatch.setattr(solver, "line_search", spy_search)
-    inner_solve(start, solver._Anneal(start, ctx, "restart-0").mu, ctx)
+    inner_solve(start, _anneal(start, ctx).mu, ctx)
     assert searches[0][0] == INITIAL_STEP
     kinds = set()
     for (begin, result), (next_begin, _) in zip(searches, searches[1:]):
@@ -634,7 +634,7 @@ def test_threshold_schedule():
         ms2_phase=np.ones(1, dtype=complex),
         schedule=_uniform(1, 2),
     )
-    report = _report_at(point, ctx, origin="tie")
+    report = _report_at(point.ms1_phase, point.ms2_phase, ctx, origin="tie")
     np.testing.assert_array_equal(report.chosen_pattern, [1])
 
 
@@ -664,7 +664,7 @@ def test_solve_deterministic():
 def test_solve_single_pattern_schedule_is_all_ones(monkeypatch):
     """A one-pattern schedule is all ones and cannot move: the solve neither
     retracts it nor runs the cone test, and every point it evaluates keeps
-    the start's schedule."""
+    the start's schedule; the report's stages carry no point."""
     geom = MisGeometry(2, 2, 2, 2)
     scenario = Scenario(
         geom=geom,
@@ -693,7 +693,8 @@ def test_solve_single_pattern_schedule_is_all_ones(monkeypatch):
     assert len(schedules) > 100
     for schedule in schedules:
         np.testing.assert_array_equal(schedule, np.ones((2, 1)))
-    assert all(stage.point.schedule is schedules[0] for stage in report.stages)
+    assert all(schedule is schedules[0] for schedule in schedules)
+    assert report.stages and all(stage.point is None for stage in report.stages)
 
 
 def test_solve_report_consistent_with_scalar_recomputation():
@@ -734,6 +735,7 @@ def test_solve_monotone_traces_within_stages():
     assert report.stages
     for stage in report.stages:
         assert np.all(np.diff(stage.objective_trace) >= 0.0)
+        assert stage.point is None
     mus = [stage.mu for stage in report.stages]
     assert all(later <= earlier for earlier, later in zip(mus, mus[1:]))
     with pytest.raises(FrozenInstanceError):
@@ -831,6 +833,11 @@ def _random_start(ctx, seed, restart=0):
     )
 
 
+def _anneal(start, ctx):
+    """A restart-0 anneal from the phases of ``start``."""
+    return solver._Anneal(start.ms1_phase, start.ms2_phase, ctx, "restart-0")
+
+
 def _frozen_anneal(start, ctx):
     """The single uninterrupted anneal as it stood before the race, frozen:
     (point, stages)."""
@@ -855,13 +862,13 @@ def _frozen_anneal(start, ctx):
 
 
 def _assert_same_stages(a, b):
+    """Stages agree on every field but ``point``, which a report's stages
+    leave out."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
         for name in ("mu", "min_user_snr", "num_iters", "num_evals", "stalled"):
             assert getattr(x, name) == getattr(y, name), name
         assert np.array_equal(x.objective_trace, y.objective_trace)
-        for name in ("ms1_phase", "ms2_phase", "schedule"):
-            assert np.array_equal(getattr(x.point, name), getattr(y.point, name)), name
 
 
 def _assert_same_report(a, b):
@@ -880,8 +887,8 @@ def test_anneal_resumed_in_legs_matches_one_run(monkeypatch, stages, legs):
     ctx = EvalContext.from_scenario(_three_user_scenario())
     _shorten(monkeypatch, inner_iters=20, stages=stages)
     start = _random_start(ctx, seed=3)
-    whole = solver._Anneal(start, ctx, "restart-0").run()
-    resumed = solver._Anneal(start, ctx, "restart-0")
+    whole = _anneal(start, ctx).run()
+    resumed = _anneal(start, ctx)
     for leg in legs:
         before = resumed.stage
         resumed.run(leg)
@@ -889,6 +896,8 @@ def test_anneal_resumed_in_legs_matches_one_run(monkeypatch, stages, legs):
             assert resumed.stage == before + leg
     assert resumed.done and whole.done
     assert whole.stage > 3
+    for name in ("ms1_phase", "ms2_phase", "schedule"):
+        assert np.array_equal(getattr(resumed.point, name), getattr(whole.point, name)), name
     _assert_same_report(resumed.report(), whole.report())
 
 
@@ -898,7 +907,7 @@ def test_mu_floor_ends_every_anneal_by_stage_21(monkeypatch):
     monkeypatch.setattr(solver, "MU_GAP_RTOL", 0.0)
     scenario = replace(_three_user_scenario(), geom=MisGeometry(2, 2, 1, 1))
     ctx = EvalContext.from_scenario(scenario)
-    anneal = solver._Anneal(_random_start(ctx, seed=0), ctx, "restart-0").run()
+    anneal = _anneal(_random_start(ctx, seed=0), ctx).run()
     assert anneal.done and anneal.stage == 21
     assert anneal.stages[-1].mu / anneal.stages[0].mu == 2.0**-20
 
@@ -910,7 +919,7 @@ def test_single_candidate_solve_is_the_uninterrupted_anneal(monkeypatch, seed):
     _shorten(monkeypatch, inner_iters=30)
     config = SolverConfig(rng_seed=seed)
     point, stages = _frozen_anneal(_random_start(ctx, seed), ctx)
-    expected = _report_at(point, ctx, "restart-0", stages)
+    expected = _report_at(point.ms1_phase, point.ms2_phase, ctx, "restart-0", stages)
     assert len(stages) > solver.RACE_STAGE
     _assert_same_report(solve(scenario, config), expected)
 
@@ -946,7 +955,7 @@ def test_race_keeps_the_better_half_and_finished_anneals(scores, done, kept):
 
 def test_anneal_rank_is_the_reported_worst_snr_and_ranks_nan_last():
     ctx = EvalContext.from_scenario(_three_user_scenario())
-    anneal = solver._Anneal(_random_start(ctx, seed=1), ctx, "restart-0")
+    anneal = _anneal(_random_start(ctx, seed=1), ctx)
     anneal.run(2)
     worst = anneal.report().worst_snr
     assert math.isfinite(worst) and _rank(anneal.report()) == worst

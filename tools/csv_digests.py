@@ -32,7 +32,12 @@ workload's stream from ``--seed``: the benchmark's own arguments, seeds and
 output checks.  The per-cell values are the worst-case SNRs the workload's
 check reads, and a final ratio row pools every seed.  Every run's CSV goes
 through the workload's check; the cells that fail are listed per seed and
-tree, and any failure exits 1 with its own message.
+tree, and any failure exits 1 with its own message.  When the workload's CSV
+has ``config``, ``users`` and ``worst_snr`` columns (``users-chain``), it
+also prints each tree's smallest criterion-8c slack, the minimum of
+``snr(k_i) / snr(k_{i+1}) - 1`` over each layout's consecutive user counts,
+with the seed where it occurs; a slack near zero warns that a change thins
+that check's margin.  The slack never changes the exit code.
 
 ``--repeat N`` (default 1) runs each command N times per tree, alternating
 which tree goes first, and exits 1 when any repeat's digests differ.  With
@@ -137,6 +142,24 @@ def _checked_cells(workload, cwd: str) -> list | None:
     return workload.check(path) if os.path.isfile(path) else None
 
 
+def _chain_slack(path: str) -> float | None:
+    """The smallest criterion-8c slack of the ``sweep-users`` CSV at ``path``:
+    the minimum of ``snr(k_i) / snr(k_{i+1}) - 1`` over each layout's
+    consecutive user counts, or None without such a CSV or such a pair."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    if not rows or not {"config", "users", "worst_snr"} <= rows[0].keys():
+        return None
+    layouts: dict[str, list] = {}
+    for row in rows:
+        layout = layouts.setdefault(row["config"].split(":")[0], [])
+        layout.append((int(row["users"]), float(row["worst_snr"])))
+    pairs = (zip(chain, chain[1:]) for chain in map(sorted, layouts.values()))
+    return min((a / b - 1 for pair in pairs for (_, a), (_, b) in pair), default=None)
+
+
 def _ratios(a: list | None, b: list | None) -> str:
     """One markdown row tail: cells, min, max and geometric mean of B/A,
     cells below ``1 - BELOW_RTOL``."""
@@ -211,13 +234,15 @@ def main(argv=None) -> int:
     if workload is None:
         commands = [c.replace("--seed 7", f"--seed {args.seed}") for c in COMMANDS]
     else:
-        seeds = itertools.islice(workload.seeds(args.seed), args.seeds or 10)
+        seeds = list(itertools.islice(workload.seeds(args.seed), args.seeds or 10))
         commands = [" ".join([*workload.args, "--seed", str(seed)]) for seed in seeds]
 
     print("| Command | Output | " + " | ".join(trees) + " |")
     print("| --- | --- |" + " --- |" * len(trees))
     failed = differ = False
     timings, ratio_rows, check_rows = [], [], []
+    # (slack, seed) of every run with a criterion-8c slack, per tree.
+    slacks = [[] for _ in trees]
     pooled = ([], [])
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate(commands):
@@ -233,6 +258,9 @@ def main(argv=None) -> int:
                     runs[j].append(_run(os.path.abspath(trees[j]), command, cwd))
                     if workload is not None:
                         cells[j].append(_checked_cells(workload, cwd))
+                        slack = _chain_slack(os.path.join(cwd, "out", workload.csv_name))
+                        if slack is not None:
+                            slacks[j].append((slack, seeds[i]))
             if workload is not None:
                 for src, tree_cells in zip(trees, cells):
                     for problem in {_failures(workload, c) for c in tree_cells} - {""}:
@@ -288,6 +316,13 @@ def main(argv=None) -> int:
             )
         else:
             print(f"\nEvery run passed the {workload.name} output checks.")
+        if any(slacks):
+            print("\n| Tree | Smallest criterion-8c slack | Seed |")
+            print("| --- | --- | --- |")
+            for src, tree_slacks in zip(trees, slacks):
+                if tree_slacks:
+                    slack, seed = min(tree_slacks, key=lambda pair: pair[0])
+                    print(f"| {src} | {slack:.4%} | {seed} |")
     if differ and not failed:
         print("digests differ", file=sys.stderr)
     return 1 if failed or differ or check_rows else 0
