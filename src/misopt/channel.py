@@ -52,6 +52,28 @@ class ArrayAngles:
             raise ValueError(f"elevation {self.elevation} outside [0, pi/2]")
 
 
+def _check_iota(iota, num_elements: int | None = None) -> None:
+    """Raise a ``ValueError`` naming ``iota`` unless it is a positive, finite
+    real and, given the fixed layer's element count, small enough to solve.
+
+    Channel entries have unit modulus, so no SNR over ``num_elements``
+    surface elements exceeds ``iota * num_elements**2``.  The solver squares
+    gradients of that scale (a line search's slope is a squared norm), so
+    that bound, with a factor of 4 for rounding, must stay finite squared.
+    """
+    _require_real("iota", iota)
+    if not 0 < iota < math.inf:
+        raise ValueError(f"iota must be positive and finite, got {iota}")
+    if num_elements is None:
+        return
+    bound = 4.0 * iota * num_elements**2
+    if not math.isfinite(bound * bound):
+        raise ValueError(
+            f"iota {iota} is too large for {num_elements} elements: "
+            f"the squared SNR bound (iota * {num_elements}**2)**2 overflows"
+        )
+
+
 BROADSIDE = ArrayAngles(0.0, 0.0)
 # Element pitch of every array, in wavelengths.
 SPACING_OVER_LAMBDA = 0.5
@@ -76,9 +98,7 @@ class Scenario:
         for angles, iota in self.users:
             if not isinstance(angles, ArrayAngles):
                 raise TypeError("each user is an (ArrayAngles, iota) pair")
-            _require_real("iota", iota)
-            if not 0 < iota < math.inf:
-                raise ValueError("every user iota must be positive and finite")
+            _check_iota(iota, self.geom.num_ms1)
 
     @property
     def num_users(self) -> int:

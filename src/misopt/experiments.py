@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import BROADSIDE, ArrayAngles, Scenario
-from .geometry import MisGeometry, _require_int, _require_real, all_selections
+from .channel import BROADSIDE, ArrayAngles, Scenario, _check_iota
+from .geometry import MisGeometry, _require_int, all_selections
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
@@ -66,9 +66,7 @@ class CoverageArc:
         ArrayAngles(self.azimuth_hi, self.elevation)
         if not self.azimuth_lo < self.azimuth_hi:
             raise ValueError("azimuth_lo must be below azimuth_hi")
-        _require_real("iota", self.iota)
-        if not 0 < self.iota < math.inf:
-            raise ValueError("iota must be positive and finite")
+        _check_iota(self.iota)
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,7 @@ class ArcScenarioSpec:
 
     def __post_init__(self):
         _require_int("num_users", self.num_users, 1)
+        _check_iota(self.arc.iota, self.geom.num_ms1)
 
 
 @dataclass(frozen=True)

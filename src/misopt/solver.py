@@ -2,9 +2,12 @@
 
 The solver maximizes the softmin surrogate of the worst-case user SNR for a
 fixed smoothing parameter (inner loop), then halves the parameter and
-repeats until the surrogate gap is negligible (outer loop).  Directions use
-the Polak-Ribiere rule per factor, with a nonnegativity clamp and an
-ascent-reset safeguard, on the product-manifold operations of
+repeats until the surrogate gap ``mu * log(K)``, which bounds how far the
+softmin sits below the true minimum (Nesterov 2005), is under 1% of the
+least user SNR (outer loop).  Stages past that point moved the reported
+worst SNR by about 0.1% and cost a third or more of the evaluations.
+Directions use the Polak-Ribiere rule per factor, with a nonnegativity clamp
+and an ascent-reset safeguard, on the product-manifold operations of
 :mod:`misopt.manifolds`; a single backtracking line search produces one
 shared step size for all three factors.  Its first try adapts, as Manopt's
 ``linesearch_adaptive`` does (Boumal 2023): twice the last accepted step when
@@ -72,12 +75,14 @@ __all__ = [
 ]
 
 # Each anneal stage divides mu by DELTA; the anneal stops once mu is below
-# MU_MIN_RATIO of its start or ``mu * log(K)`` below MU_GAP_RTOL of the worst
-# SNR.  An inner stage stops once the Riemannian gradient norm is below
-# INNER_GRAD_TOL, or after MAX_INNER_ITERS iterations.
+# MU_MIN_RATIO of its start or the surrogate gap ``mu * log(K)`` is below
+# MU_GAP_RTOL (1%) of the stage's least user SNR.  A 1e-4 gap ran about six
+# more stages, which bought about 0.1% of worst SNR for a third to a half
+# of all evaluations.  An inner stage stops once the Riemannian gradient
+# norm is below INNER_GRAD_TOL, or after MAX_INNER_ITERS iterations.
 DELTA = 2.0
 MU_MIN_RATIO = 1e-6
-MU_GAP_RTOL = 1e-4
+MU_GAP_RTOL = 1e-2
 INNER_GRAD_TOL = 1e-6
 MAX_INNER_ITERS = 250
 # Every anneal of a solve runs RACE_STAGE stages before the worse half is

@@ -227,6 +227,13 @@ def test_scenario_validation():
 
 
 
+def test_scenario_rejects_an_iota_whose_snr_bound_overflows():
+    geom = MisGeometry(2, 2, 1, 1)
+    Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), 1e150)])
+    with pytest.raises(ValueError, match="too large for 4 elements"):
+        Scenario(geom=geom, mis_arrival=ArrayAngles(0, 0), users=[(ArrayAngles(0, 0), 1e160)])
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_scenario_rejects_non_finite_inputs(bad):
     geom = MisGeometry(2, 2, 1, 1)

@@ -177,22 +177,25 @@ def test_solve_rejects_infinite_iota(tmp_path, capsys):
     assert "iota" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_solve_names_start_snrs_that_overflow(tmp_path, capsys):
-    # a finite iota whose SNR table overflows is a runtime fault, named as such
+# A finite iota whose squared SNR bound (iota * M**2)**2 overflows is bad
+# configuration: it exits 1 in the build phase, before --out is created.
+_OVERFLOWING_IOTA = {
+    "solve": ["--m-rows", "2", "--m-cols", "2", "--n-rows", "1", "--n-cols", "1",
+              "--users", "2"],
+    "sweep-ms2": ["--m-rows", "2", "--m-cols", "2", "--users", "2"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OVERFLOWING_IOTA))
+def test_overflowing_iota_exits_1_before_creating_out(tmp_path, capsys, subcommand):
+    out = tmp_path / "out"
     code, _, err = run(
-        [
-            "solve",
-            "--m-rows", "2", "--m-cols", "2",
-            "--n-rows", "1", "--n-cols", "1",
-            "--users", "2",
-            "--iota", "1e308",
-            "--out", str(tmp_path / "out"),
-        ],
+        [subcommand, *_OVERFLOWING_IOTA[subcommand], "--iota", "1e308", "--out", str(out)],
         capsys,
     )
-    assert code == 2
-    assert "runtime failure: start SNRs [inf inf] are not finite" in err
+    assert code == 1
+    assert "error: iota 1e+308 is too large for 4 elements" in err
+    assert not out.exists()
 
 
 # JSON reads 1e999 as inf; integer keys must not be truncated either, and a

@@ -538,6 +538,15 @@ def test_line_search_rejects_non_finite_value(bad):
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_anneal_names_start_snrs_that_overflow():
+    # Scenario rejects such an iota, so the context is built past it
+    ctx = EvalContext.from_scenario(_three_user_scenario())
+    ctx = replace(ctx, iota=np.full(ctx.num_users, 1e308))
+    with pytest.raises(NonFiniteObjectiveError, match="start SNRs .* are not finite"):
+        _anneal(_random_start(ctx, seed=0), ctx)
+
+
 def _report_with(worst):
     return SolveReport(
         ms1_phase=np.ones(1, dtype=complex),
@@ -914,6 +923,8 @@ def test_mu_floor_ends_every_anneal_by_stage_21(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_single_candidate_solve_is_the_uninterrupted_anneal(monkeypatch, seed):
+    # a 1e-4 gap keeps the 3-user anneal running past the race barrier
+    monkeypatch.setattr(solver, "MU_GAP_RTOL", 1e-4)
     scenario = _three_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
     _shorten(monkeypatch, inner_iters=30)
@@ -979,6 +990,8 @@ def _record_survivors(monkeypatch):
 
 
 def test_warm_direct_competes_when_the_warm_anneal_is_dropped(monkeypatch):
+    # a 1e-4 gap keeps the warm anneal unfinished at the race barrier
+    monkeypatch.setattr(solver, "MU_GAP_RTOL", 1e-4)
     scenario = _three_user_scenario()
     ctx = EvalContext.from_scenario(scenario)
     strong = solve(scenario, SolverConfig(rng_seed=4, num_restarts=2))
