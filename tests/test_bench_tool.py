@@ -1,14 +1,17 @@
 """tools/bench.py on a 1-seed run: one stream per workload and one acceptance
-seed, the record's fields and a compare of the record with itself."""
+seed, the record's fields and a compare of the record with itself; the 8c
+slack, a failing check, mismatched cell counts and a wrong --src."""
 
+import dataclasses
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from misopt import solver
+from misopt import cli, solver
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
 
@@ -59,8 +62,77 @@ def test_one_seed_run_records_counts_snrs_checks_and_margins(
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["--label", "a", "--compare", "x", "y"], ["--label", "a", "--seeds", "0"]]
+    "argv",
+    [
+        [],
+        ["--label", "a", "--compare", "x", "y"],
+        ["--label", "a", "--seeds", "0"],
+        ["--label", "a", "--src", "no-such-src"],
+    ],
 )
 def test_needs_one_of_label_and_compare_and_a_positive_seed_count(tool, argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         tool.main(argv)
+    assert exit_info.value.code == 2
+
+
+def _users_csv(path, chains):
+    """A ``sweep-users`` CSV of ``chains``, layout -> SNRs at 4, 8, 16 and 32
+    users, written with the user counts in falling order."""
+    rows = ["config,users,num_patterns,worst_snr,worst_snr_db,seed"]
+    for layout, chain in chains.items():
+        for k, v in reversed(list(zip((4, 8, 16, 32), chain))):
+            rows.append(f"{layout}:ms1=x,{k},9,{v!r},0,0")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_chain_slack_is_the_smallest_fall_between_consecutive_user_counts(tool, tmp_path):
+    falling = {"1d": (4.0, 3.0, 2.0, 1.0), "2d": (8.0, 4.0, 2.0, 1.0)}
+    assert tool._chain_slack(_users_csv(tmp_path / "a.csv", falling)) == pytest.approx(1 / 3)
+    rising = {"1d": (4.0, 3.0, 2.0, 2.5), "2d": (8.0, 4.0, 2.0, 1.0)}
+    assert tool._chain_slack(_users_csv(tmp_path / "b.csv", rising)) == pytest.approx(-0.2)
+    ms2 = tmp_path / "sweep_ms2.csv"
+    ms2.write_text("geometry,users,seed,baseline_snr,mis_snr,gain\ng0,8,0,1.0,1.0,1.0\n")
+    assert tool._chain_slack(str(ms2)) is None
+    assert tool._chain_slack(str(tmp_path / "missing.csv")) is None
+
+
+def test_a_failing_check_records_its_seed(tool, tmp_path):
+    workload = tool.WORKLOADS["ms2-grid"]
+    calls = []
+
+    def check_rows(rows):
+        # The second seed's run fails its fifth cell; the solver is untouched.
+        calls.append(rows)
+        cells = workload.check_rows(rows)
+        if len(calls) == 2:
+            cells[4] = (cells[4][0], False)
+        return cells
+
+    faked = dataclasses.replace(workload, check_rows=check_rows)
+    record = tool._stream(cli, faked, 7, 2, tool._Counted(solver), str(tmp_path))
+    assert record["check_failures"] == 1 and record["failed_seeds"] == record["seeds"][1:]
+    assert "smallest_8c_slack" not in record
+
+
+def test_compare_rejects_a_seed_with_a_different_cell_count(tool):
+    def record(snrs):
+        stream = {"seeds": [7, 9], "evaluations": 1, "worst_snr": snrs, "check_failures": 0}
+        return {"workloads": {"ms2-grid": {"7": stream}}, "acceptance": {}}
+
+    with pytest.raises(ValueError, match="ms2-grid stream 7 seed 9: 2 cells in BASE, 1 in NEW"):
+        tool.compare(record([[1.0, 2.0], [1.0, 2.0]]), record([[1.0, 2.0], [2.0]]))
+
+
+def test_src_whose_misopt_is_not_the_imported_one_writes_no_record(
+    tool, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # misopt is already imported from this checkout, not from "other".
+    (tmp_path / "other" / "misopt").mkdir(parents=True)
+    (tmp_path / "other" / "misopt" / "__init__.py").touch()
+    with pytest.raises(SystemExit, match="not from --src"):
+        tool.main(["--label", "t", "--src", str(tmp_path / "other"), "--seeds", "1"])
+    assert not list(tmp_path.glob("BENCH_*.json"))

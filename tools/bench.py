@@ -9,10 +9,9 @@ Usage::
 ``--label L`` imports ``misopt`` from ``--src`` (default: the ``src``
 directory of this checkout) and writes ``BENCH_L.json`` in the current
 directory.  It runs two perfbench workloads (``perfbench/workloads.py``,
-imported read-only, as ``tools/csv_digests.py`` does) through
-``misopt.cli.main`` with ``--jobs 1``, each on the first seeds of several
-of its seed streams (:data:`STREAMS`; ``--seeds N`` runs N seeds of every
-stream), and records per stream:
+imported read-only) through ``misopt.cli.main`` with ``--jobs 1``, each on
+the first seeds of several of its seed streams (:data:`STREAMS`; ``--seeds
+N`` runs N seeds of every stream), and records per stream:
 
 - ``evaluations``: the number of ``solver.evaluate`` calls, counted by a
   wrapper.  Serial runs make the count exact and repeatable on one host.
@@ -30,19 +29,24 @@ and not as gates: criterion 7's minimum gain and 8a's best small-layer gain
 over the 6x6 movable-size sweep (K=8, 3 restarts), and 8b's peak gain over the
 64-element scheme-1 allocation ladder (K=8, 16 restarts), each with its
 evaluation count.  The bench never fails on a margin or a check; it exits 1
-only when a run fails.
+only when a run fails.  A ``--src`` without ``misopt/__init__.py`` is
+rejected before any run, and so is one whose ``misopt`` is not the one
+imported (say, an installed or already imported ``misopt``): no record is
+written of another tree.
 
 ``--compare BASE NEW`` prints, per stream, NEW's evaluations over BASE's, the
 median and geometric mean of the per-cell worst-SNR ratios NEW/BASE (cells
-paired by seed and position), both trees' check failures and smallest 8c
-slacks, and both trees' acceptance margins.  Counts and SNRs are compared on
-one host only: BLAS bits can differ between CPUs.
+paired by seed and position; a seed whose cell counts differ is an error),
+both trees' check failures and smallest 8c slacks, and both trees'
+acceptance margins.  Counts and SNRs are compared on one host only: BLAS
+bits can differ between CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -55,8 +59,8 @@ import time
 from pathlib import Path
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
-from csv_digests import WORKLOADS, _chain_slack  # noqa: E402
+sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 # Workload -> (the stream seeds, seeds run from each stream).
 STREAMS = {
@@ -84,6 +88,24 @@ class _Counted:
 
     def __exit__(self, *exc):
         self.module.evaluate = self._evaluate
+
+
+def _chain_slack(path: str) -> float | None:
+    """The smallest criterion-8c slack of the ``sweep-users`` CSV at ``path``:
+    the minimum of ``snr(k_i) / snr(k_{i+1}) - 1`` over each layout's
+    consecutive user counts, or None without such a CSV or such a pair."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    if not rows or not {"config", "users", "worst_snr"} <= rows[0].keys():
+        return None
+    layouts: dict[str, list] = {}
+    for row in rows:
+        layout = layouts.setdefault(row["config"].split(":")[0], [])
+        layout.append((int(row["users"]), float(row["worst_snr"])))
+    pairs = (zip(chain, chain[1:]) for chain in map(sorted, layouts.values()))
+    return min((a / b - 1 for pair in pairs for (_, a), (_, b) in pair), default=None)
 
 
 def _stream(cli, workload, first_seed: int, count: int, counter, tmp: str) -> dict:
@@ -153,6 +175,10 @@ def bench(src: str, seeds: int | None) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy
     import misopt
+
+    where, tree = os.path.realpath(misopt.__file__), os.path.realpath(src)
+    if os.path.commonpath([where, tree]) != tree:
+        raise SystemExit(f"imported misopt from {where}, not from --src {src}")
     import misopt.cli
     import misopt.solver
 
@@ -195,9 +221,14 @@ def compare(base: dict, new: dict) -> str:
             a = base["workloads"][name][first]
             if a["seeds"] != b["seeds"]:
                 raise ValueError(f"{name} stream {first} ran different seeds")
-            ratios = [
-                y / x for xs, ys in zip(a["worst_snr"], b["worst_snr"]) for x, y in zip(xs, ys)
-            ]
+            ratios = []
+            for seed, xs, ys in zip(b["seeds"], a["worst_snr"], b["worst_snr"]):
+                if len(xs) != len(ys):
+                    raise ValueError(
+                        f"{name} stream {first} seed {seed}: {len(xs)} cells in BASE, "
+                        f"{len(ys)} in NEW"
+                    )
+                ratios += [y / x for x, y in zip(xs, ys)]
             slack = " → ".join(
                 f"{r['smallest_8c_slack']['slack']:.2%}" if "smallest_8c_slack" in r else "–"
                 for r in (a, b)
@@ -237,6 +268,8 @@ def main(argv=None) -> int:
         parser.error("give exactly one of --label and --compare")
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be at least 1")
+    if args.label and not os.path.isfile(os.path.join(args.src, "misopt", "__init__.py")):
+        parser.error(f"--src {args.src} has no misopt/__init__.py")
     if args.compare:
         base, new = (json.loads(Path(path).read_text("utf-8")) for path in args.compare)
         print(compare(base, new))

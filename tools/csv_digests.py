@@ -3,7 +3,6 @@
 Usage::
 
     python tools/csv_digests.py [--src SRC_DIR [--src SRC_DIR]] [--repeat N] [--seed N]
-    python tools/csv_digests.py --stream WORKLOAD [--seeds N] [--seed N] [--src ...]
 
 Runs each command of :data:`COMMANDS` as ``python -m misopt.cli`` with
 ``--jobs 2 --out out``, importing ``misopt`` from each ``--src`` tree in turn
@@ -15,7 +14,9 @@ JSON manifest and the command's stdout, with the first 16 hex digits of
 their sha256, one column per tree.  Given two trees (the parent checkout's
 and a change's, or one tree twice to check that reruns agree), it exits 1
 when any digest differs.  Exits 1 if a command fails.  ``--seed N`` replaces
-``--seed 7`` in every command, so held-out seeds can be checked.
+``--seed 7`` in every command, so held-out seeds can be checked.  A
+``--src`` without ``misopt/__init__.py`` is rejected before any run: the
+child's ``PYTHONPATH`` would otherwise fall through to another ``misopt``.
 
 Given two trees A and B, it also prints per command the per-cell SNR ratio
 B/A from the first run of each: the CSV's ``mis_snr``, ``worst_snr`` or
@@ -24,20 +25,6 @@ every (user, pattern) pair, only the rows with ``chosen == 1``).  It gives
 the number of cells, the minimum, maximum and geometric mean of the ratios
 and the number of cells below ``1 - BELOW_RTOL``; these never change the exit
 code.
-
-``--stream WORKLOAD`` replaces the reference commands with one call of that
-perfbench workload (``perfbench/workloads.py``, imported read-only, as
-``perfbench/run.py`` does) on each of the first ``--seeds N`` seeds of the
-workload's stream from ``--seed``: the benchmark's own arguments, seeds and
-output checks.  The per-cell values are the worst-case SNRs the workload's
-check reads, and a final ratio row pools every seed.  Every run's CSV goes
-through the workload's check; the cells that fail are listed per seed and
-tree, and any failure exits 1 with its own message.  When the workload's CSV
-has ``config``, ``users`` and ``worst_snr`` columns (``users-chain``), it
-also prints each tree's smallest criterion-8c slack, the minimum of
-``snr(k_i) / snr(k_{i+1}) - 1`` over each layout's consecutive user counts,
-with the seed where it occurs; a slack near zero warns that a change thins
-that check's margin.  The slack never changes the exit code.
 
 ``--repeat N`` (default 1) runs each command N times per tree, alternating
 which tree goes first, and exits 1 when any repeat's digests differ.  With
@@ -55,7 +42,6 @@ import argparse
 import csv
 import glob
 import hashlib
-import itertools
 import os
 import resource
 import statistics
@@ -74,8 +60,6 @@ COMMANDS = (
     "case-study --figure 7 --seed 7",
 )
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
 
 OUTPUTS = ("csv", "manifest", "stdout")
 # The per-cell SNR column, the first of these the CSV has.
@@ -135,31 +119,6 @@ def _cell_snrs(cwd: str) -> list | None:
         ]
 
 
-def _checked_cells(workload, cwd: str) -> list | None:
-    """``(worst_snr, ok)`` per cell from ``workload``'s check of the CSV a
-    run wrote in ``cwd``, or None when the run wrote none."""
-    path = os.path.join(cwd, "out", workload.csv_name)
-    return workload.check(path) if os.path.isfile(path) else None
-
-
-def _chain_slack(path: str) -> float | None:
-    """The smallest criterion-8c slack of the ``sweep-users`` CSV at ``path``:
-    the minimum of ``snr(k_i) / snr(k_{i+1}) - 1`` over each layout's
-    consecutive user counts, or None without such a CSV or such a pair."""
-    if not os.path.isfile(path):
-        return None
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows or not {"config", "users", "worst_snr"} <= rows[0].keys():
-        return None
-    layouts: dict[str, list] = {}
-    for row in rows:
-        layout = layouts.setdefault(row["config"].split(":")[0], [])
-        layout.append((int(row["users"]), float(row["worst_snr"])))
-    pairs = (zip(chain, chain[1:]) for chain in map(sorted, layouts.values()))
-    return min((a / b - 1 for pair in pairs for (_, a), (_, b) in pair), default=None)
-
-
 def _ratios(a: list | None, b: list | None) -> str:
     """One markdown row tail: cells, min, max and geometric mean of B/A,
     cells below ``1 - BELOW_RTOL``."""
@@ -176,16 +135,6 @@ def _ratios(a: list | None, b: list | None) -> str:
 def _spread(values: list) -> str:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{statistics.median(values):.3f} [{q1:.3f}, {q3:.3f}]"
-
-
-def _failures(workload, cells: list | None) -> str:
-    """What failed ``workload``'s checks in one run's cells, or ""."""
-    if cells is None:
-        return "no CSV"
-    if len(cells) != workload.cells:
-        return f"{len(cells)} cells, expected {workload.cells}"
-    failed = [str(i) for i, (_, ok) in enumerate(cells) if not ok]
-    return f"cells {', '.join(failed)}" if failed else ""
 
 
 def main(argv=None) -> int:
@@ -207,19 +156,7 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         default=7,
-        help="seed that replaces --seed 7 in every command, or with --stream "
-        "the workload seed the stream starts from (default 7)",
-    )
-    parser.add_argument(
-        "--stream",
-        choices=sorted(WORKLOADS),
-        help="run this perfbench workload on the first --seeds seeds of its "
-        "stream, with its output checks, in place of the reference commands",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        help="with --stream, the number of stream seeds to run (default 10)",
+        help="seed that replaces --seed 7 in every command (default 7)",
     )
     args = parser.parse_args(argv)
     trees = args.src or [os.path.join(HERE, os.pardir, "src")]
@@ -227,55 +164,28 @@ def main(argv=None) -> int:
         parser.error("--src is given at most twice")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    if args.seeds is not None and (args.stream is None or args.seeds < 1):
-        parser.error("--seeds needs --stream and must be at least 1")
-
-    workload = WORKLOADS.get(args.stream)
-    if workload is None:
-        commands = [c.replace("--seed 7", f"--seed {args.seed}") for c in COMMANDS]
-    else:
-        seeds = list(itertools.islice(workload.seeds(args.seed), args.seeds or 10))
-        commands = [" ".join([*workload.args, "--seed", str(seed)]) for seed in seeds]
+    for src in trees:
+        if not os.path.isfile(os.path.join(src, "misopt", "__init__.py")):
+            parser.error(f"--src {src} has no misopt/__init__.py")
+    commands = [c.replace("--seed 7", f"--seed {args.seed}") for c in COMMANDS]
 
     print("| Command | Output | " + " | ".join(trees) + " |")
     print("| --- | --- |" + " --- |" * len(trees))
     failed = differ = False
-    timings, ratio_rows, check_rows = [], [], []
-    # (slack, seed) of every run with a criterion-8c slack, per tree.
-    slacks = [[] for _ in trees]
-    pooled = ([], [])
+    timings, ratio_rows = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate(commands):
-            # runs[j][r] is (digests, wall, cpu) of tree j's repeat r, and
-            # cells[j][r] its per-cell (snr, ok) from the workload's check.
+            # runs[j][r] is (digests, wall, cpu) of tree j's repeat r.
             runs = [[] for _ in trees]
-            cells = [[] for _ in trees]
             for r in range(args.repeat):
                 order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
                 for j in order:
                     cwd = os.path.join(tmp, f"{i}-{j}-{r}")
                     os.mkdir(cwd)
                     runs[j].append(_run(os.path.abspath(trees[j]), command, cwd))
-                    if workload is not None:
-                        cells[j].append(_checked_cells(workload, cwd))
-                        slack = _chain_slack(os.path.join(cwd, "out", workload.csv_name))
-                        if slack is not None:
-                            slacks[j].append((slack, seeds[i]))
-            if workload is not None:
-                for src, tree_cells in zip(trees, cells):
-                    for problem in {_failures(workload, c) for c in tree_cells} - {""}:
-                        check_rows.append((command, src, problem))
             if len(trees) == 2:
-                if workload is None:
-                    first = [_cell_snrs(os.path.join(tmp, f"{i}-{j}-0")) for j in (0, 1)]
-                else:
-                    first = [
-                        None if c[0] is None else [snr for snr, _ in c[0]] for c in cells
-                    ]
+                first = [_cell_snrs(os.path.join(tmp, f"{i}-{j}-0")) for j in (0, 1)]
                 ratio_rows.append((command, _ratios(*first)))
-                if None not in first and len(first[0]) == len(first[1]):
-                    pooled[0].extend(first[0])
-                    pooled[1].extend(first[1])
             failed |= any(run[0] is None for tree_runs in runs for run in tree_runs)
             for k, output in enumerate(OUTPUTS):
                 per_tree = [
@@ -296,36 +206,15 @@ def main(argv=None) -> int:
         print("| --- | --- | --- | --- | --- | --- |")
         for command, row in ratio_rows:
             print(f"| `{command}` | {row} |")
-        if workload is not None:
-            print(f"| all {len(commands)} seeds | {_ratios(*pooled)} |")
     if args.repeat > 1:
         print("\n| Command | Tree | Wall s, median [q1, q3] | CPU s, median [q1, q3] |")
         print("| --- | --- | --- | --- |")
         for command, src, tree_runs in timings:
             wall, cpu = (_spread([run[k] for run in tree_runs]) for k in (1, 2))
             print(f"| `{command}` | {src} | {wall} | {cpu} |")
-    if workload is not None:
-        if check_rows:
-            print("\n| Command | Tree | Failed its output checks |")
-            print("| --- | --- | --- |")
-            for command, src, problem in check_rows:
-                print(f"| `{command}` | {src} | {problem} |")
-            print(
-                f"{len(check_rows)} runs failed the {workload.name} output checks",
-                file=sys.stderr,
-            )
-        else:
-            print(f"\nEvery run passed the {workload.name} output checks.")
-        if any(slacks):
-            print("\n| Tree | Smallest criterion-8c slack | Seed |")
-            print("| --- | --- | --- |")
-            for src, tree_slacks in zip(trees, slacks):
-                if tree_slacks:
-                    slack, seed = min(tree_slacks, key=lambda pair: pair[0])
-                    print(f"| {src} | {slack:.4%} | {seed} |")
     if differ and not failed:
         print("digests differ", file=sys.stderr)
-    return 1 if failed or differ or check_rows else 0
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":
