@@ -17,8 +17,9 @@ report worse than the baseline it is normalized by.
 
 Sweep cells (the allocation baseline among them, and the two chains of the
 user sweep) are independent tasks; with ``jobs > 1`` :func:`_run_tasks`
-runs them in a process pool and gathers them by index, so results do not
-depend on completion order.
+runs them on ``jobs`` processes, the calling one among them, and gathers
+them by index, so results do not depend on which process ran a task or when
+it finished.
 """
 
 from __future__ import annotations
@@ -149,16 +150,56 @@ def _solve_task(args) -> SolveReport:
     return solve(build_arc_scenario(spec), config, warm=warm)
 
 
+def _claim(task, args: list, counter) -> list:
+    """``(i, task(args[i]))`` for each task index ``i`` this process claims
+    from ``counter``; a failure first exhausts it, so the others stop."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(args):
+            return done
+        try:
+            done.append((i, task(args[i])))
+        except BaseException:
+            counter.value = len(args)
+            raise
+
+
+_worker_state = ()
+
+
+def _init_worker(*state) -> None:
+    # Pool initargs reach a worker under fork, spawn and forkserver alike,
+    # the shared counter too; a submitted call's arguments cannot carry it.
+    global _worker_state
+    _worker_state = state
+
+
+def _worker_claim() -> list:
+    return _claim(*_worker_state)
+
+
 def _run_tasks(task, args: list, jobs: int) -> list:
-    """``[task(a) for a in args]``, in a pool of up to ``jobs`` processes when
-    there is more than one task."""
+    """``[task(a) for a in args]``, on ``min(jobs, len(args))`` processes (the
+    caller and its pool workers) when there is more than one task."""
     if jobs <= 1 or len(args) <= 1:
         return [task(a) for a in args]
     # Imported here: concurrent.futures.process is a fifth of `import misopt`.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-        return list(pool.map(task, args))
+    counter = multiprocessing.Value("i", 0)
+    workers = min(jobs, len(args)) - 1
+    with ProcessPoolExecutor(
+        workers, initializer=_init_worker, initargs=(task, args, counter)
+    ) as pool:
+        futures = [pool.submit(_worker_claim) for _ in range(workers)]
+        done = dict(_claim(task, args, counter))
+        for future in futures:
+            done.update(future.result())
+    return [done[i] for i in range(len(args))]
 
 
 def _warm_from_baseline(
@@ -218,7 +259,7 @@ def allocation_steps(total_elements: int, scheme: int) -> list:
 def sweep_allocation(specs: list, config: SolverConfig, jobs: int = 1) -> Study:
     """Worst-case SNR along an allocation ladder (see :func:`allocation_steps`),
     normalized by the first entry: the single-layer baseline of ``specs[0]``,
-    which is also the first task of the pool.  The specs must share one user
+    which is also the first task claimed.  The specs must share one user
     count and one arc."""
     if len({(spec.num_users, spec.arc) for spec in specs}) != 1:
         raise ValueError("allocation specs must share one user count and one arc")

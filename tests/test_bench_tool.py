@@ -31,9 +31,9 @@ def test_one_seed_run_records_counts_snrs_checks_and_margins(
     tool, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    evaluate = solver.evaluate
+    evaluate, path = solver.evaluate, list(sys.path)
     assert tool.main(["--label", "t", "--seeds", "1"]) == 0
-    assert solver.evaluate is evaluate
+    assert solver.evaluate is evaluate and sys.path == path
     assert capsys.readouterr().out == "wrote BENCH_t.json\n"
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["label"] == "t"
@@ -68,11 +68,15 @@ def test_one_seed_run_records_counts_snrs_checks_and_margins(
         ["--label", "a", "--compare", "x", "y"],
         ["--label", "a", "--seeds", "0"],
         ["--label", "a", "--src", "no-such-src"],
+        ["--label", "a", "--src", "{partial}"],
     ],
 )
-def test_needs_one_of_label_and_compare_and_a_positive_seed_count(tool, argv):
+def test_needs_one_of_label_and_compare_and_a_positive_seed_count(tool, tmp_path, argv):
+    # A tree with misopt/__init__.py but no misopt/cli.py.
+    (tmp_path / "misopt").mkdir()
+    (tmp_path / "misopt" / "__init__.py").touch()
     with pytest.raises(SystemExit) as exit_info:
-        tool.main(argv)
+        tool.main([arg.format(partial=tmp_path) for arg in argv])
     assert exit_info.value.code == 2
 
 
@@ -132,7 +136,8 @@ def test_src_whose_misopt_is_not_the_imported_one_writes_no_record(
     monkeypatch.setattr(sys, "path", list(sys.path))
     # misopt is already imported from this checkout, not from "other".
     (tmp_path / "other" / "misopt").mkdir(parents=True)
-    (tmp_path / "other" / "misopt" / "__init__.py").touch()
+    for name in ("__init__.py", "cli.py"):
+        (tmp_path / "other" / "misopt" / name).touch()
     with pytest.raises(SystemExit, match="not from --src"):
         tool.main(["--label", "t", "--src", str(tmp_path / "other"), "--seeds", "1"])
     assert not list(tmp_path.glob("BENCH_*.json"))

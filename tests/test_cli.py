@@ -243,9 +243,11 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
         ("sweep-users", ["--users", "2,3"], "sweep_users.csv"),
         ("sweep-alloc", ["--total", "16", "--scheme", "2", "--users", "3"], "sweep_alloc.csv"),
     ]
+    # At --jobs 3 the 2x2 sweep-ms2 and the --total 16 sweep-alloc have 3
+    # tasks each: the caller solves alongside two pool workers.
     for subcommand, flags, csv_name in cases:
         outputs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             out_dir = tmp_path / f"{subcommand}-{jobs}"
             code, _, _ = run(
                 [subcommand, *flags, "--seed", "5", "--jobs", jobs, "--out", str(out_dir)],
@@ -253,7 +255,7 @@ def test_sweeps_independent_of_jobs(tmp_path, capsys):
             )
             assert code == 0
             outputs.append((out_dir / csv_name).read_bytes())
-        assert outputs[0] == outputs[1], subcommand
+        assert outputs[0] == outputs[1] == outputs[2], subcommand
 
 
 def test_default_jobs_counts_usable_cores(monkeypatch):
@@ -421,6 +423,19 @@ def test_value_error_after_validation_is_runtime_failure(tmp_path, capsys, monke
             "--users", "2",
             "--out", str(tmp_path / "out"),
         ],
+        capsys,
+    )
+    assert code == 2
+    assert "runtime failure: internal fault" in err
+
+
+def test_value_error_in_a_pooled_sweep_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("misopt.experiments.solve", broken_solve)
+    code, _, err = run(
+        ["sweep-users", "--users", "2,3", "--jobs", "2", "--out", str(tmp_path / "out")],
         capsys,
     )
     assert code == 2

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +32,13 @@ from misopt.cli import (
     write_sweep_csv,
     write_users_csv,
 )
-from misopt.experiments import _embedded_start, _solve_chain, allocation_steps, format_db
+from misopt.experiments import (
+    _embedded_start,
+    _run_tasks,
+    _solve_chain,
+    allocation_steps,
+    format_db,
+)
 from misopt.manifolds import project_to_tangent
 from misopt.objective import ProductPoint, evaluate
 
@@ -125,6 +132,60 @@ def test_import_leaves_the_process_pool_out():
     src = str(Path(misopt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = "import sys, misopt.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert proc.returncode == 0
+
+
+def _index_and_pid(i):
+    # Long enough that a worker cannot drain every task before the caller claims.
+    time.sleep(0.02)
+    return i, os.getpid()
+
+
+def _record_then_fail(args):
+    folder, i = args
+    (folder / str(i)).touch()
+    raise ValueError(f"task {i} failed")
+
+
+def _record_claim(args):
+    folder, i = args
+    (folder / f"{i}-{os.getpid()}").touch(exist_ok=False)
+    return i
+
+
+def test_the_caller_is_one_of_the_jobs_processes():
+    results = _run_tasks(_index_and_pid, list(range(5)), 2)
+    assert [i for i, _ in results] == list(range(5))
+    pids = {pid for _, pid in results}
+    assert os.getpid() in pids
+    assert len(pids) <= 2
+
+
+def test_a_failing_task_stops_the_other_processes_claiming(tmp_path):
+    with pytest.raises(ValueError, match="failed"):
+        _run_tasks(_record_then_fail, [(tmp_path, i) for i in range(8)], 2)
+    assert 1 <= len(list(tmp_path.iterdir())) <= 2
+
+
+def test_each_task_is_claimed_once_with_more_processes_than_cores(tmp_path):
+    assert _run_tasks(_record_claim, [(tmp_path, i) for i in range(64)], 4) == list(range(64))
+    claims = [path.name.split("-")[0] for path in tmp_path.iterdir()]
+    assert sorted(map(int, claims)) == list(range(64))
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_get_the_counter_under_other_start_methods(method):
+    src = str(Path(misopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from misopt.experiments import _run_tasks\n"
+        "sys.exit(_run_tasks(abs, [-3, -1, -2], 2) != [3, 1, 2])\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
     )

@@ -29,10 +29,10 @@ and not as gates: criterion 7's minimum gain and 8a's best small-layer gain
 over the 6x6 movable-size sweep (K=8, 3 restarts), and 8b's peak gain over the
 64-element scheme-1 allocation ladder (K=8, 16 restarts), each with its
 evaluation count.  The bench never fails on a margin or a check; it exits 1
-only when a run fails.  A ``--src`` without ``misopt/__init__.py`` is
-rejected before any run, and so is one whose ``misopt`` is not the one
-imported (say, an installed or already imported ``misopt``): no record is
-written of another tree.
+only when a run fails.  A ``--src`` without ``misopt/__init__.py`` or
+``misopt/cli.py`` is rejected before any run, and so is one whose ``misopt``
+is not the one imported (say, an installed or already imported ``misopt``):
+no record is written of another tree.
 
 ``--compare BASE NEW`` prints, per stream, NEW's evaluations over BASE's, the
 median and geometric mean of the per-cell worst-SNR ratios NEW/BASE (cells
@@ -171,8 +171,17 @@ def _acceptance(misopt, seed: int, counter) -> dict:
 
 
 def bench(src: str, seeds: int | None) -> dict:
-    """The bench record of the ``misopt`` under ``src``."""
-    sys.path.insert(0, os.path.abspath(src))
+    """The bench record of the ``misopt`` under ``src``, which is on
+    ``sys.path`` only while the record is made."""
+    path = os.path.abspath(src)
+    sys.path.insert(0, path)
+    try:
+        return _record(src, seeds)
+    finally:
+        sys.path.remove(path)
+
+
+def _record(src: str, seeds: int | None) -> dict:
     import numpy
     import misopt
 
@@ -268,8 +277,9 @@ def main(argv=None) -> int:
         parser.error("give exactly one of --label and --compare")
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be at least 1")
-    if args.label and not os.path.isfile(os.path.join(args.src, "misopt", "__init__.py")):
-        parser.error(f"--src {args.src} has no misopt/__init__.py")
+    for name in ("__init__.py", "cli.py"):
+        if args.label and not os.path.isfile(os.path.join(args.src, "misopt", name)):
+            parser.error(f"--src {args.src} has no misopt/{name}")
     if args.compare:
         base, new = (json.loads(Path(path).read_text("utf-8")) for path in args.compare)
         print(compare(base, new))
