@@ -3,9 +3,11 @@ and acceptance criteria 1-5.
 
 Each check returns a named pass/fail record with a short detail string; the
 CLI suites and the acceptance tests call the same function, each with its
-own seed and count.  The references of :mod:`misopt.oracle` share no
-code path with what they check.  The ``random_*`` builders generate the
-test suite's instances too.
+own seed and count.  The references of :mod:`misopt.oracle` rebuild
+what they check from first principles, except that brute force scores its
+lattice with the solver's own SNR table and so checks only the search;
+criterion 3 checks that table against the matrix model.  The ``random_*``
+builders generate the test suite's instances too.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ __all__ = [
     "run_oracle_check",
 ]
 
-GEOMETRY_GRID = ((2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3))
+GEOMETRY_GRID = (
+    (2, 1, 1, 1), (3, 3, 2, 2), (4, 2, 2, 2), (4, 3, 2, 2), (8, 8, 6, 6), (1, 6, 1, 3)
+)
 # Size caps of the random instances: movable-layer elements and users.
 MAX_N, MAX_USERS = 4, 4
 
@@ -133,7 +137,7 @@ def check_geometry(seed: int) -> CheckResult:
     """Placement table and equivalent phases against the dense selection oracle,
     exactly: each table row rebuilds the oracle's matrix, is injective and
     tiles the fixed layer with the padding, and ``equiv_phases`` equals
-    ``dense @ theta + padding``; the table is read-only and covers MS 1."""
+    ``dense @ theta + padding``; the table is read-only, U x N and covers MS 1."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dims in GEOMETRY_GRID:
@@ -141,6 +145,8 @@ def check_geometry(seed: int) -> CheckResult:
         table = all_selections(geom)
         if table.flags.writeable:
             return CheckResult("geometry", False, f"{dims}: table is writeable")
+        if table.shape != (geom.num_patterns, geom.num_ms2):
+            return CheckResult("geometry", False, f"{dims}: table shape {table.shape}")
         if set(table.ravel().tolist()) != set(range(geom.num_ms1)):
             return CheckResult("geometry", False, f"placements do not cover {dims}")
         ctx = EvalContext.from_scenario(random_scenario(rng, geom))

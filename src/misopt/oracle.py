@@ -1,16 +1,18 @@
-"""Independent ground truth: exhaustive lattice search, finite differences,
-the full matrix signal model, and first-principles reference operators.
+"""Ground truth: exhaustive lattice search, finite differences, the full
+matrix signal model, and first-principles reference operators.
 
 ``brute_force_solve`` enumerates both phase vectors over a uniform phase
 lattice and assigns every user its best pattern, which is the exact schedule
-optimum because users are scheduled independently.  ``fd_directional`` is a
-plain central difference used to audit analytic gradients; complex blocks
-are perturbed directly in the ambient space, where the objective remains a
-polynomial and needs no feasibility.  ``snr_full_path`` rebuilds a user's
-SNR from the explicit base-station-to-surface matrix model, independent of
-the cascaded form the solver uses.  ``dense_selection_oracle`` (from
-element coordinates) and ``simplex_qp_oracle`` (by active-set enumeration)
-avoid the production code paths; the tests and the CLI check suites share them.
+optimum because users are scheduled independently.  It scores each point
+with the solver's own SNR table, so it checks the search and not the signal
+model.  ``fd_directional`` is a plain central difference used to audit
+analytic gradients; complex blocks are perturbed directly in the ambient
+space, where the objective remains a polynomial and needs no feasibility.
+``snr_full_path`` rebuilds a user's SNR from the explicit
+base-station-to-surface matrix model, independent of the cascaded form the
+SNR table uses.  ``dense_selection_oracle`` (from element coordinates) and
+``simplex_qp_oracle`` (by active-set enumeration) avoid the production code
+paths; the tests and the CLI check suites share them.
 """
 
 from __future__ import annotations
@@ -49,19 +51,15 @@ class BruteForceResult:
     chosen_pattern: np.ndarray
 
 
-def _phase_lattice(levels: int, size: int) -> np.ndarray:
-    """All ``levels**size`` phase combinations, one row per combination."""
-    angles = 2.0 * np.pi * np.arange(levels) / levels
-    grids = np.meshgrid(*([angles] * size), indexing="ij")
-    return np.exp(1j * np.stack([g.ravel() for g in grids], axis=1))
-
-
 def brute_force_solve(scenario: Scenario, phase_levels: int = 16) -> BruteForceResult:
     """Exhaustive max-min SNR over a lattice of ``phase_levels`` phases.
 
-    The phase lattice contains zero, so the identity profile is always a
-    candidate.  Rejects a level count that is not an integer of at least two,
-    and instances whose nominal enumeration size ``levels**(M+N) * U**K``
+    Every lattice point (MS 2 phases outer, MS 1 phases inner) is scored
+    through :meth:`EvalContext.pattern_snr_table`, so the value and the
+    chosen patterns come from one table; the first best point wins.  The
+    lattice contains zero, so the identity profile is always a candidate.
+    Rejects a level count that is not an integer of at least two, and
+    instances whose nominal enumeration size ``levels**(M+N) * U**K``
     exceeds :data:`MAX_SEARCH_SPACE`.
     """
     _require_int("phase_levels", phase_levels, 1)
@@ -73,34 +71,20 @@ def brute_force_solve(scenario: Scenario, phase_levels: int = 16) -> BruteForceR
     if nominal > MAX_SEARCH_SPACE:
         raise ValueError(f"enumeration size {nominal} exceeds cap {MAX_SEARCH_SPACE}")
 
-    ms1_lattice = _phase_lattice(phase_levels, m)
-    angles = 2.0 * np.pi * np.arange(phase_levels) / phase_levels
-    best_value = -np.inf
-    best_ms1 = None
-    best_ms2 = None
-    chunk = max(1, 65536 // max(ctx.num_patterns * m, 1))
-    for theta_angles in itertools.product(angles, repeat=n):
-        ms2 = np.exp(1j * np.asarray(theta_angles))
-        equiv = ctx.equiv_phases(ms2)
-        for start in range(0, ms1_lattice.shape[0], chunk):
-            block = ms1_lattice[start : start + chunk]
-            combined = equiv[None, :, :] * block[:, None, :]
-            amps = np.einsum("bum,km->bku", combined, ctx.channels)
-            gamma = ctx.iota[None, :, None] * np.abs(amps) ** 2
-            per_user_best = gamma.max(axis=2)
-            values = per_user_best.min(axis=1)
-            top = int(np.argmax(values))
-            if values[top] > best_value:
-                best_value = float(values[top])
-                best_ms1 = block[top].copy()
-                best_ms2 = ms2
-    table = ctx.pattern_snr_table(best_ms1, best_ms2)
-    chosen = np.argmax(table, axis=1).astype(int) + 1
+    lattice = np.exp(1j * (2.0 * np.pi * np.arange(phase_levels) / phase_levels))
+    best_value, best = -np.inf, None
+    for ms2 in map(np.array, itertools.product(lattice, repeat=n)):
+        for ms1 in map(np.array, itertools.product(lattice, repeat=m)):
+            table = ctx.pattern_snr_table(ms1, ms2)
+            value = float(table.max(axis=1).min())
+            if value > best_value:
+                best_value, best = value, (ms1, ms2, table)
+    ms1, ms2, table = best
     return BruteForceResult(
         value=best_value,
-        ms1_phase=best_ms1,
-        ms2_phase=best_ms2,
-        chosen_pattern=chosen,
+        ms1_phase=ms1,
+        ms2_phase=ms2,
+        chosen_pattern=np.argmax(table, axis=1) + 1,
     )
 
 

@@ -1,6 +1,7 @@
 """tools/bench.py on a 1-seed run: one stream per workload and one acceptance
 seed, the record's fields and a compare of the record with itself; the 8c
-slack, a failing check, mismatched cell counts and a wrong --src."""
+slack, a failing check, mismatched cell counts, a stream or seed missing
+from BASE and a wrong --src."""
 
 import dataclasses
 import importlib.util
@@ -121,12 +122,25 @@ def test_a_failing_check_records_its_seed(tool, tmp_path):
 
 
 def test_compare_rejects_a_seed_with_a_different_cell_count(tool):
-    def record(snrs):
+    """Also a stream, a workload or an acceptance seed that BASE lacks."""
+    def record(snrs, streams=("7",), seeds=()):
         stream = {"seeds": [7, 9], "evaluations": 1, "worst_snr": snrs, "check_failures": 0}
-        return {"workloads": {"ms2-grid": {"7": stream}}, "acceptance": {}}
+        return {
+            "workloads": {"ms2-grid": dict.fromkeys(streams, stream)},
+            "acceptance": dict.fromkeys(seeds, {"evaluations": {}}),
+        }
 
-    with pytest.raises(ValueError, match="ms2-grid stream 7 seed 9: 2 cells in BASE, 1 in NEW"):
-        tool.compare(record([[1.0, 2.0], [1.0, 2.0]]), record([[1.0, 2.0], [2.0]]))
+    snrs = [[1.0, 2.0], [1.0, 2.0]]
+    cases = [
+        ("ms2-grid stream 7 seed 9: 2 cells in BASE, 1 in NEW",
+         record(snrs), record([[1.0, 2.0], [2.0]])),
+        ("ms2-grid stream 9 is not in BASE", record(snrs), record(snrs, ("7", "9"))),
+        ("ms2-grid stream 7 is not in BASE", {"workloads": {}}, record(snrs)),
+        ("acceptance seed 1009 is not in BASE", record(snrs), record(snrs, seeds=["1009"])),
+    ]
+    for message, base, new in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tool.compare(base, new)
 
 
 def test_src_whose_misopt_is_not_the_imported_one_writes_no_record(

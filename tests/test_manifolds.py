@@ -134,10 +134,13 @@ def test_project_simplex_clipped_vertex():
 
 
 def test_project_simplex_matches_qp_oracle():
+    """Gaussian rows, and on odd cases quarter-integer rows with ties and zeros."""
     rng = np.random.default_rng(7)
-    for _ in range(200):
+    for case in range(200):
         size = int(rng.integers(1, 5))
         mat = rng.standard_normal((3, size)) * float(rng.uniform(0.3, 4.0))
+        if case % 2:
+            mat = rng.integers(-4, 5, (3, size)) / 4
         ours = project_simplex(mat)
         for row, vec in zip(ours, mat):
             np.testing.assert_allclose(row, simplex_qp_oracle(vec), atol=1e-10)
@@ -216,11 +219,14 @@ def _floored_schedule(rng, rows, cols):
 
 
 def test_schedule_cone_matches_oracle():
+    """Gaussian moves, and on odd cases quarter-integer moves with ties and zeros."""
     rng = np.random.default_rng(12)
-    for _ in range(200):
+    for case in range(200):
         cols = int(rng.integers(1, 6))
         schedule = _floored_schedule(rng, 3, cols)
         mat = rng.standard_normal((3, cols)) * float(rng.uniform(0.3, 4.0))
+        if case % 2:
+            mat = rng.integers(-4, 5, (3, cols)) / 4
         ours = project_schedule_cone(schedule, mat)
         np.testing.assert_allclose(ours, schedule_cone_oracle(schedule, mat), atol=1e-12)
         assert np.max(np.abs(ours.sum(axis=1))) < 1e-12
@@ -321,5 +327,8 @@ def test_inner_sums_blocks_left_to_right():
     )
     blocks = [float(np.real(np.vdot(x, y))) for x, y in zip(a, b)]
     assert inner(a, b) == (blocks[0] + blocks[1]) + blocks[2]
+    # the real dot product of the flattened real and imaginary parts
+    flat_a, flat_b = (np.concatenate([x.view(float).ravel() for x in t]) for t in (a, b))
+    assert inner(a, b) == pytest.approx(float(flat_a @ flat_b), rel=1e-12)
     assert inner(a, b) == pytest.approx(inner(b, a))
     assert grad_norm(a) == np.sqrt(inner(a, a))

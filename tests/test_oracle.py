@@ -12,7 +12,7 @@ from misopt import (
     brute_force_solve,
 )
 from misopt.oracle import fd_directional
-from helpers import random_ambient_triple, random_instance
+from helpers import random_ambient_triple, random_instance, random_scenario
 
 
 def _scenario(geom, azimuths, iota=0.01, elevation=math.pi / 4):
@@ -115,13 +115,18 @@ def test_fd_rejects_nonpositive_step():
 
 
 def test_brute_force_result_is_feasible_and_consistent():
-    geom = MisGeometry(2, 1, 1, 1)
-    scenario = _scenario(geom, [-math.pi / 3, math.pi / 3])
-    result = brute_force_solve(scenario, phase_levels=8)
-    np.testing.assert_allclose(np.abs(result.ms1_phase), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(result.ms2_phase), 1.0, atol=1e-12)
-    ctx = EvalContext.from_scenario(scenario)
-    table = ctx.pattern_snr_table(result.ms1_phase, result.ms2_phase)
-    per_user = table.max(axis=1)
-    assert result.value == pytest.approx(float(per_user.min()), rel=1e-12)
-    np.testing.assert_array_equal(result.chosen_pattern, np.argmax(table, axis=1) + 1)
+    """The value and the chosen patterns are read off one SNR table: the
+    solver's own, at the returned phases."""
+    rng = np.random.default_rng(31)
+    scenarios = [_scenario(MisGeometry(2, 1, 1, 1), [-math.pi / 3, math.pi / 3])]
+    scenarios += [random_scenario(rng, MisGeometry(2, 2, 1, 1)) for _ in range(3)]
+    for scenario in scenarios:
+        result = brute_force_solve(scenario, phase_levels=8)
+        np.testing.assert_allclose(np.abs(result.ms1_phase), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(result.ms2_phase), 1.0, atol=1e-12)
+        ctx = EvalContext.from_scenario(scenario)
+        table = ctx.pattern_snr_table(result.ms1_phase, result.ms2_phase)
+        assert result.value == table.max(axis=1).min()
+        np.testing.assert_array_equal(
+            result.chosen_pattern, np.argmax(table, axis=1) + 1
+        )

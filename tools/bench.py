@@ -36,10 +36,11 @@ no record is written of another tree.
 
 ``--compare BASE NEW`` prints, per stream, NEW's evaluations over BASE's, the
 median and geometric mean of the per-cell worst-SNR ratios NEW/BASE (cells
-paired by seed and position; a seed whose cell counts differ is an error),
-both trees' check failures and smallest 8c slacks, and both trees'
-acceptance margins.  Counts and SNRs are compared on one host only: BLAS
-bits can differ between CPUs.
+paired by seed and position), both trees' check failures and smallest 8c
+slacks, and both trees' acceptance margins.  A stream or acceptance seed of
+NEW that BASE lacks, or a seed whose cell counts differ, is an error.
+Counts and SNRs are compared on one host only: BLAS bits can differ between
+CPUs.
 """
 
 from __future__ import annotations
@@ -227,7 +228,9 @@ def compare(base: dict, new: dict) -> str:
     ]
     for name, streams in new["workloads"].items():
         for first, b in streams.items():
-            a = base["workloads"][name][first]
+            a = base["workloads"].get(name, {}).get(first)
+            if a is None:
+                raise ValueError(f"{name} stream {first} is not in BASE")
             if a["seeds"] != b["seeds"]:
                 raise ValueError(f"{name} stream {first} ran different seeds")
             ratios = []
@@ -250,6 +253,8 @@ def compare(base: dict, new: dict) -> str:
             )
     lines += ["", "| Seed | Value | BASE | NEW |", "| --- | --- | --- | --- |"]
     for seed, b in new["acceptance"].items():
+        if seed not in base["acceptance"]:
+            raise ValueError(f"acceptance seed {seed} is not in BASE")
         a = base["acceptance"][seed]
         rows = [(key, a[key], b[key]) for key in b if key != "evaluations"]
         rows += [(f"{key} evaluations", a["evaluations"][key], b["evaluations"][key])
