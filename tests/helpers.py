@@ -1,4 +1,4 @@
-"""Test-only oracles; the shared builders and references are re-exported.
+"""The test-only tangent-cone oracle.
 
 The random instance builders live in :mod:`misopt.checks` and the dense
 selection and simplex references in :mod:`misopt.oracle`, where the
@@ -13,15 +13,7 @@ import math
 
 import numpy as np
 
-from misopt.checks import (  # noqa: F401  (re-exported for the tests)
-    random_ambient_triple,
-    random_geometry,
-    random_instance,
-    random_point,
-    random_scenario,
-)
 from misopt.manifolds import SIMPLEX_FLOOR
-from misopt.oracle import dense_selection_oracle, simplex_qp_oracle  # noqa: F401
 
 
 def schedule_cone_oracle(schedule: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ from misopt import (
     cascaded_channel,
     upa_steering,
 )
+from misopt.checks import random_instance, random_scenario
 from misopt.oracle import snr_full_path
-from helpers import random_instance, random_scenario
 
 
 def _single_pattern_context(channels, iota):

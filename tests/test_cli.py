@@ -73,21 +73,6 @@ def test_solve_happy_path(tmp_path, capsys):
     assert manifest["tool_version"]
 
 
-def test_case_study_byte_identical_reruns(tmp_path, capsys):
-    args = ["case-study", "--figure", "6", "--seed", "7"]
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    code_a, _, _ = run(args + ["--out", str(out_a)], capsys)
-    code_b, _, _ = run(args + ["--out", str(out_b)], capsys)
-    assert code_a == 0 and code_b == 0
-    bytes_a = (out_a / "case_study.csv").read_bytes()
-    bytes_b = (out_b / "case_study.csv").read_bytes()
-    assert bytes_a == bytes_b
-    digest_a = json.loads((out_a / "case_study_manifest.json").read_text())["results_digest"]
-    digest_b = json.loads((out_b / "case_study_manifest.json").read_text())["results_digest"]
-    assert digest_a == digest_b
-
-
 def test_manifest_config_round_trip(tmp_path, capsys):
     out_a = tmp_path / "a"
     code, _, _ = run(

@@ -312,15 +312,6 @@ def test_sweep_ms2_tiny_grid_nesting_and_baseline(fast):
     assert np.all(study.gains() >= 1.0 - 1e-6)
 
 
-def test_sweep_ms2_reproducible(fast):
-    spec = ArcScenarioSpec(MisGeometry(2, 2, 2, 2), 2)
-    first = sweep_ms2_sizes(spec, fast)
-    second = sweep_ms2_sizes(spec, fast)
-    for (_, _, a), (_, _, b) in zip(first.entries, second.entries):
-        assert a.worst_snr == b.worst_snr
-    np.testing.assert_array_equal(first.gains(), second.gains())
-
-
 def test_sweep_users_small(fast):
     sweep = sweep_users_1d2d(_small_chains((2, 3)), fast)
     assert len(sweep.entries) == 4

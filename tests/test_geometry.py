@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from misopt import ArrayAngles, EvalContext, MisGeometry, Scenario, all_selections
-from helpers import dense_selection_oracle
+from misopt.oracle import dense_selection_oracle
 
 def _context(geom):
     """Signal model of a one-user scenario; only its placement table matters here."""

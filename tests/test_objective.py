@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from misopt import EvalContext, MisGeometry, ProductPoint, evaluate
-from misopt.checks import check_gradients, check_softmin_sandwich
+from misopt.checks import random_instance, random_point, random_scenario
 from misopt.objective import _softmin, euclidean_grads
-from misopt.oracle import snr_full_path
-from helpers import (
-    dense_selection_oracle,
-    random_instance,
-    random_point,
-    random_scenario,
-)
+from misopt.oracle import dense_selection_oracle, snr_full_path
 
 
 def scheduled_snr_oracle(point, k, scenario):
@@ -81,11 +75,6 @@ def test_lse_equal_values_closed_form():
         np.testing.assert_allclose(weights, 0.2, atol=1e-15)
 
 
-def test_lse_sandwich_random_points():
-    result = check_softmin_sandwich(4, 100)
-    assert result.passed, result.detail
-
-
 def test_lse_stable_for_tiny_mu():
     values = np.array([0.0, 1e6])
     f, weights = _softmin(values, 1e-9)
@@ -146,11 +135,6 @@ def test_egrad_single_user_schedule_row():
     _, _, gs = evaluate(point, 0.3, ctx, want_grad=True).grads
     table = ctx.pattern_snr_table(point.ms1_phase, point.ms2_phase)
     np.testing.assert_allclose(gs, table, atol=1e-12)
-
-
-def test_egrad_matches_finite_differences():
-    result = check_gradients(9, 20)
-    assert result.passed, result.detail
 
 
 def _grads_reference(point, mu, ctx):

@@ -11,8 +11,8 @@ from misopt import (
     Scenario,
     brute_force_solve,
 )
+from misopt.checks import random_ambient_triple, random_instance, random_scenario
 from misopt.oracle import fd_directional
-from helpers import random_ambient_triple, random_instance, random_scenario
 
 
 def _scenario(geom, azimuths, iota=0.01, elevation=math.pi / 4):

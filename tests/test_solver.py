@@ -15,6 +15,7 @@ from misopt import (
     solve,
     solver,
 )
+from misopt.checks import random_ambient_triple, random_instance
 from misopt.manifolds import (
     SIMPLEX_FLOOR,
     RetractionError,
@@ -30,6 +31,7 @@ from misopt.solver import (
     BACKTRACK_FACTOR,
     INITIAL_STEP,
     MAX_BACKTRACKS,
+    LineSearchResult,
     NonFiniteObjectiveError,
     SolveReport,
     _conjugate,
@@ -40,8 +42,7 @@ from misopt.solver import (
     inner_solve,
     line_search,
 )
-from misopt.oracle import snr_full_path
-from helpers import dense_selection_oracle, random_ambient_triple, random_instance
+from misopt.oracle import dense_selection_oracle, snr_full_path
 
 
 def _uniform(num_users, num_patterns):
@@ -633,6 +634,25 @@ def test_inner_solve_trace_monotone_and_feasible(monkeypatch):
     np.testing.assert_allclose(np.abs(result.point.ms1_phase), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.abs(result.point.ms2_phase), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.point.schedule.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_inner_solve_ends_after_three_tiny_steps_in_a_row(monkeypatch):
+    """Accepted steps that each raise the objective by less than
+    1e-12 * max(1, |value|) end the stage at the third in a row; a larger
+    step in between restarts the count."""
+    rng = np.random.default_rng(4)
+    _, _, ctx, point = random_instance(rng)
+    for rises in ((1e-14,) * 3, (1e-14, 1e-14, 1.0, 1e-14, 1e-14, 1e-14)):
+        pending = list(rises)
+
+        def tiny_search(point, direction, objective, slope, current, grad, step):
+            ev = replace(current, value=current.value + pending.pop(0))
+            return LineSearchResult(step, point, ev, False, 1)
+
+        monkeypatch.setattr(solver, "line_search", tiny_search)
+        stage = inner_solve(point, 0.3, ctx)
+        assert stage.num_iters == len(rises) and not stage.stalled and not pending
+        assert len(stage.objective_trace) == len(rises) + 1
 
 
 def test_threshold_schedule():
