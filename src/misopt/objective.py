@@ -173,8 +173,9 @@ def euclidean_grads(point: ProductPoint, ev: Evaluation, ctx: EvalContext) -> tu
     # d f / d ms1_phase[m] = sum_{k,u} coeff[k,u] * conj(equiv[u,m] * c[k,m])
     by_pattern = coeff.T @ ctx._conj_channels
     grad_ms1 = np.add.reduce(np.conj(equiv) * by_pattern, axis=0)
-    # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c).
-    covered = coeff.T @ np.conj(point.ms1_phase * ctx.channels)
+    # d f / d ms2_phase[n] gathers the covered entries of conj(phase * c),
+    # the same sum over k: by_pattern * conj(ms1_phase).
+    covered = by_pattern * np.conj(point.ms1_phase)
     grad_ms2 = np.add.reduce(covered.take(ctx._covered_index), axis=0)
     return grad_ms1, grad_ms2, ev.weights[:, None] * gamma
 

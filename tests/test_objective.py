@@ -138,16 +138,18 @@ def test_egrad_single_user_schedule_row():
 
 
 def _grads_reference(point, mu, ctx):
-    """Frozen copy of the original one-call value-and-gradient formula (fresh
-    row index, ``take_along_axis`` gather): the gradients must keep its bits."""
+    """Frozen copy of the one-call value-and-gradient formula (fresh row
+    index, ``take_along_axis`` gather, one matrix product for both phase
+    gradients): the gradients must keep its bits."""
     equiv = np.ones((ctx.num_patterns, ctx.num_ms1), dtype=complex)
     equiv[np.arange(ctx.num_patterns)[:, None], ctx.sel_index] = point.ms2_phase
     amps = ctx.channels @ (equiv * point.ms1_phase[None, :]).T
     gamma = ctx.iota[:, None] * (amps.real**2 + amps.imag**2)
     _, weights = _softmin(np.einsum("ku,ku->k", point.schedule, gamma), mu)
     coeff = (2.0 * ctx.iota * weights)[:, None] * point.schedule * amps
-    grad_ms1 = np.sum(np.conj(equiv) * (coeff.T @ np.conj(ctx.channels)), axis=0)
-    covered = coeff.T @ np.conj(point.ms1_phase[None, :] * ctx.channels)
+    by_pattern = coeff.T @ np.conj(ctx.channels)
+    grad_ms1 = np.sum(np.conj(equiv) * by_pattern, axis=0)
+    covered = by_pattern * np.conj(point.ms1_phase)[None, :]
     grad_ms2 = np.take_along_axis(covered, ctx.sel_index, axis=1).sum(axis=0)
     return grad_ms1, grad_ms2, weights[:, None] * gamma
 
